@@ -40,6 +40,8 @@ class Dataset:
     def from_csv(cls, path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        if len(rows) < 2:
+            raise ValueError(f"{path}: no data rows")
         header, body = rows[0], rows[1:]
         has_label = header[-1] == "outlier"
         dim = len(header) - (1 if has_label else 0)

@@ -11,6 +11,9 @@ Three routes to the gradient of the empirical objective:
   cross-entropy minimization with an unnormalized model ``c * p``; the
   scale coordinate is chain-ruled to ``log c`` so that plain additive
   updates keep the scale positive.
+
+Every route evaluates the model through its fused
+``log_pdf_and_score`` kernel, once per set of points.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ class FixedNormal:
     mean: float | np.ndarray
     sd: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.sd) and self.sd > 0):
+            raise ValueError(f"fixed normal proposal needs a finite sd > 0, got {self.sd}")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("fixed normal proposal needs a finite mean")
+
 
 @dataclass
 class GradEstimate:
@@ -54,23 +63,36 @@ class GradEstimate:
     draw_weights: np.ndarray | None = None
 
 
+def _data_points(data):
+    x = np.asarray(getattr(data, "points", data), dtype=float)
+    if x.shape[0] == 0:
+        raise ValueError("empty dataset")
+    return x
+
+
+def _weighted_score_sum(model, theta, x, power):
+    """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``.
+
+    Points where the log-density is not finite (outside the support)
+    get weight zero and add nothing.
+    """
+    lp, score = model.log_pdf_and_score(theta, x)
+    ok = np.isfinite(lp)
+    if ok.all():  # no masked copies, which cost more than they save at large n
+        w = np.exp(power * lp)
+        return w, (w[:, None] * score).sum(axis=0)
+    w = np.exp(power * np.where(ok, lp, -np.inf))
+    return w, (w[ok, None] * score[ok]).sum(axis=0)
+
+
 def data_term(model, theta, data, beta):
     """Exact data-side gradient term ``-(1/n) sum_i p(x_i)**beta t(x_i)``.
 
     Points where the density vanishes contribute zero and their score is
     never evaluated (it may be undefined outside the support).
     """
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
-    lp = model.log_pdf(theta, x)
-    ok = np.isfinite(lp)
-    g = np.zeros(model.dim_param)
-    if np.any(ok):
-        xs = x[ok]
-        w = np.exp(beta * lp[ok])
-        g = (w[:, None] * model.score(theta, xs)).sum(axis=0)
-    return -g / x.shape[0]
+    x = _data_points(data)
+    return -_weighted_score_sum(model, theta, x, beta)[1] / x.shape[0]
 
 
 def _draw_proposal(model, theta, proposal, m, rng):
@@ -98,17 +120,24 @@ def _draw_proposal(model, theta, proposal, m, rng):
 
 
 def _proposal_terms(model, theta, y, log_q, power):
-    """Per-draw integrand ``w(y) p(y)**power t(y)`` with 0/0 := 0."""
-    lp = model.log_pdf(theta, y)
+    """Per-draw integrand ``w(y) p(y)**power t(y)`` and the factors
+    ``w(y) p(y)**power``.
+
+    Only an exactly zero factor (zero density, or underflow) gives a zero
+    row without touching the score; a NaN factor propagates, so that the
+    descent loop flags the step instead of losing the integral term.
+    """
+    lp, score = model.log_pdf_and_score(theta, y)
     if log_q is None:
         log_w = power * lp
     else:
         log_w = (1.0 + power) * lp - log_q
-    weights = np.where(np.isfinite(lp), np.exp(log_w), 0.0)
-    terms = np.zeros((y.shape[0], model.dim_param))
-    ok = weights > 0
-    if np.any(ok):
-        terms[ok] = weights[ok, None] * model.score(theta, y[ok])
+    weights = np.exp(log_w)
+    live = weights != 0
+    if live.all():
+        return weights[:, None] * score, weights
+    terms = np.zeros_like(score)
+    terms[live] = weights[live, None] * score[live]
     return terms, weights
 
 
@@ -139,12 +168,7 @@ def lattice_grad_dpd(model, theta, data, beta, backend):
     """Deterministic gradient with the integral term on a regular grid."""
     g = data_term(model, theta, data, beta)
     pts, w = lattice_points(model, backend)
-    lp = model.log_pdf(theta, pts)
-    pw = np.where(np.isfinite(lp), np.exp((1.0 + beta) * lp), 0.0)
-    ok = pw > 0
-    if np.any(ok):
-        g = g + w * (pw[ok, None] * model.score(theta, pts[ok])).sum(axis=0)
-    return g
+    return g + w * _weighted_score_sum(model, theta, pts, 1.0 + beta)[1]
 
 
 def stochastic_grad_gamma(
@@ -163,19 +187,12 @@ def stochastic_grad_gamma(
         raise ValueError("minibatch size m must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
+    x = _data_points(data)
     n = x.shape[0]
-
-    lp = model.log_pdf(theta, x)
-    ok = np.isfinite(lp)
-    g_theta = np.zeros(model.dim_param)
-    if np.any(ok):
-        wq = np.exp(gamma * lp[ok])
-        g_theta = -(c**gamma) * (wq[:, None] * model.score(theta, x[ok])).sum(axis=0) / n
-    data_pow = float(np.exp(gamma * np.where(ok, lp, -np.inf)).sum()) / n
-    g_c = -(c ** (gamma - 1.0)) * data_pow
+    # the data term of data_term, with the scale's powers applied
+    w, g_data = _weighted_score_sum(model, theta, x, gamma)
+    g_theta = -(c**gamma) * g_data / n
+    g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n)
 
     y, log_q = _draw_proposal(model, theta, proposal, m, rng)
     terms, weights = _proposal_terms(model, theta, y, log_q, gamma)

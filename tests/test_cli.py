@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dpdfit
 from dpdfit.cli import PRESETS, main
 from dpdfit.datagen import Dataset
 
@@ -69,6 +74,16 @@ class TestFit:
     def test_unknown_model_exits_one(self, tmp_path):
         rc = main(["fit", "--model", "cauchy", "--out-dir", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("content", ["", "x_1,outlier\n"], ids=["empty", "header-only"])
+    def test_csv_without_rows_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "input.csv"
+        path.write_text(content)
+        rc = main(["fit", "--data", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no data rows" in err
+        assert err.count("\n") == 1
 
     def test_divergence_exits_two(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--eta0", "1e12",
@@ -187,6 +202,15 @@ class TestProposals:
                    "--proposal", "normal:0,2", "--out-dir", str(tmp_path)] + FAST)
         assert rc == 1
 
+    @pytest.mark.parametrize("spec", ["normal:0,0", "normal:0,-1", "normal:0,nan",
+                                      "normal:nan,1"])
+    def test_invalid_fixed_normal_exits_one(self, tmp_path, capsys, spec):
+        rc = main(["fit", "--model", "normal", "--proposal", spec,
+                   "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixed normal proposal") and err.count("\n") == 1
+
     def test_malformed_proposal_exits_one(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--proposal", "bogus",
                    "--out-dir", str(tmp_path)] + FAST)
@@ -241,3 +265,16 @@ class TestCleanDataConsistency:
         header, rows = read_csv(tmp_path / "estimate.csv")
         assert float(rows[0][header.index("mu")]) == pytest.approx(0.0, abs=0.1)
         assert float(rows[0][header.index("sigma")]) == pytest.approx(1.0, abs=0.1)
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        """scipy is imported lazily, by the few functions that need it."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dpdfit.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, dpdfit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from dpdfit.divergence import Lattice, closed_form_r, empirical_power_term, latt
 from dpdfit.gradients import (
     CurrentModel,
     FixedNormal,
+    _proposal_terms,
     data_term,
     lattice_grad_dpd,
     stochastic_grad_dpd,
@@ -16,6 +17,7 @@ from dpdfit.models import (
     IsoNormal,
     Normal1D,
 )
+from dpdfit.optim import StepDecay, sgd_run
 
 
 def fd_grad(fn, theta, h=1e-6):
@@ -165,6 +167,38 @@ class TestStochasticGradDpd:
         a = data_term(g, th, clean, 0.5)
         b = data_term(g, th, with_dead, 0.5)
         np.testing.assert_allclose(b, a * clean.size / with_dead.size, rtol=1e-12)
+
+
+class TestProposalTerms:
+    @pytest.mark.parametrize("mean,sd", [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan),
+                                         (0.0, np.inf), (np.nan, 1.0),
+                                         (np.array([0.0, np.inf]), 1.0)])
+    def test_fixed_normal_rejects_invalid_parameters(self, mean, sd):
+        with pytest.raises(ValueError):
+            FixedNormal(mean=mean, sd=sd)
+
+    def test_nan_weight_propagates_and_zero_weight_gives_zero_row(self):
+        g = Gompertz()
+        th = g.from_natural(GompertzParams(omega=1.0, lam=0.1))
+        y = np.array([0.5, -1.0, 1.5])  # the middle draw has zero density
+        log_q = np.array([np.nan, 0.0, 0.0])
+        terms, weights = _proposal_terms(g, th, y, log_q, 0.5)
+        assert np.isnan(weights[0]) and np.isnan(terms[0]).all()
+        assert weights[1] == 0.0 and (terms[1] == 0.0).all()
+        np.testing.assert_array_equal(terms[2], weights[2] * g.score(th, y[2:])[0])
+
+    def test_nan_weight_makes_the_descent_diverge(self):
+        m = Normal1D()
+        x = np.array([0.5, -0.2, 1.0])
+
+        def grad(th, rng):
+            y = m.sample(th, rng, 4)
+            terms, _ = _proposal_terms(m, th, y, np.full(4, np.nan), 0.5)
+            return data_term(m, th, x, 0.5) + terms.mean(axis=0)
+
+        result = sgd_run(grad, np.array([0.0, 1.0]), StepDecay(1.0, 0.7, 25), 10,
+                         np.random.default_rng(0))
+        assert result.diverged and len(result.trace) == 1
 
 
 class TestLatticeGradDpd:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dpdfit.models import (
@@ -28,37 +30,45 @@ def fd_grad(fn, theta, h=1e-6):
     return g
 
 
-def random_theta(model, rng):
-    """A generic parameter draw with all constrained pieces well inside
-    their valid ranges (keeps finite differences accurate)."""
-    if isinstance(model, Normal1D):
-        return np.array([rng.uniform(-3, 3), rng.uniform(0.3, 2.0)])
-    if isinstance(model, IsoNormal):
-        return rng.uniform(-2, 2, model.d)
-    if isinstance(model, InverseNormal):
-        return np.array([rng.uniform(-1, 1), rng.uniform(-1, 1.5)])
-    if isinstance(model, Gompertz):
-        return np.array([rng.uniform(-1, 1), rng.uniform(-2, 0)])
-    return np.array(
-        [
-            rng.uniform(-1.5, 1.5),
-            rng.uniform(-6, -3),
-            rng.uniform(0.5, 1.5),
-            rng.uniform(-1, 1),
-            rng.uniform(0.5, 1.5),
-        ]
-    )
-
-
-def random_x(model, rng):
-    if model.support == "positive":
-        return rng.uniform(0.05, 5.0)
-    if isinstance(model, IsoNormal):
-        return rng.uniform(-4, 4, model.d)
-    return rng.uniform(-8, 8)
-
-
 ALL_MODELS = [Normal1D(), IsoNormal(3), InverseNormal(), Gompertz(), NormalMixture2()]
+
+# Every family get_model knows, the d-variate one at the preset dimensions.
+FAMILIES = ["normal", "inverse-normal", "gompertz", "mixture", "isonormal2", "isonormal3"]
+
+# Derandomized so that a run of the suite is reproducible.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# Parameter boxes with all constrained pieces well inside their valid
+# ranges (keeps finite differences accurate); isonormal means lie in [-2, 2].
+THETA_BOX = {
+    "normal": [(-3, 3), (0.3, 2.0)],
+    "inverse-normal": [(-1, 1), (-1, 1.5)],
+    "gompertz": [(-1, 1), (-2, 0)],
+    "mixture": [(-1.5, 1.5), (-6, -3), (0.5, 1.5), (-1, 1), (0.5, 1.5)],
+}
+
+
+def theta_box(model):
+    return THETA_BOX.get(model.name, [(-2, 2)] * model.dim_param)
+
+
+def random_theta(model, rng):
+    """A generic parameter draw from the model's box."""
+    return np.array([rng.uniform(lo, hi) for lo, hi in theta_box(model)])
+
+
+def thetas(model):
+    """The hypothesis strategy of random_theta."""
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in theta_box(model))).map(np.array)
+
+
+def points(model):
+    """One point inside the support, well away from its boundary."""
+    if model.support == "positive":
+        return st.floats(0.05, 5.0)
+    if isinstance(model, IsoNormal):
+        return st.tuples(*[st.floats(-4, 4)] * model.d)
+    return st.floats(-8, 8)
 
 
 class TestLogPdf:
@@ -124,13 +134,14 @@ class TestScore:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_score_matches_finite_differences(self, model):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            th = random_theta(model, rng)
-            x = random_x(model, rng)
+        @PROPERTY
+        @given(th=thetas(model), x=points(model))
+        def check(th, x):
             score = model.score(th, x)[0]
             fd = fd_grad(lambda t: model.log_pdf(t, x)[0], th)
             np.testing.assert_allclose(score, fd, rtol=1e-4, atol=1e-6)
+
+        check()
 
     def test_score_outside_support_raises(self):
         ig = InverseNormal()
@@ -141,6 +152,48 @@ class TestScore:
         thg = g.from_natural(GompertzParams(omega=1.0, lam=0.1))
         with pytest.raises(ValueError):
             g.score(thg, np.array([-0.1]))
+
+
+class TestKernel:
+    """``log_pdf_and_score`` is the one kernel behind ``score``, and agrees
+    exactly with the separately written ``log_pdf``."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_matches_log_pdf_and_score(self, name):
+        model = get_model(name)
+
+        @PROPERTY
+        @given(th=thetas(model), x=st.lists(points(model), min_size=1, max_size=20))
+        def check(th, x):
+            x = np.array(x)
+            lp, score = model.log_pdf_and_score(th, x)
+            assert lp.shape == (len(x),) and score.shape == (len(x), model.dim_param)
+            np.testing.assert_array_equal(lp, model.log_pdf(th, x))
+            np.testing.assert_array_equal(score, model.score(th, x))
+
+        check()
+
+    @pytest.mark.parametrize("name,outside", [
+        ("inverse-normal", lambda x: x <= 0),
+        ("gompertz", lambda x: x < 0),
+    ])
+    def test_outside_support_gives_minus_inf_and_zero_row(self, name, outside):
+        model = get_model(name)
+
+        @PROPERTY
+        @given(th=thetas(model), x=st.lists(st.floats(-5, 5), min_size=1, max_size=20))
+        def check(th, x):
+            x = np.array(x)
+            out = outside(x)
+            lp, score = model.log_pdf_and_score(th, x)
+            assert np.isneginf(lp[out]).all() and (score[out] == 0).all()
+            np.testing.assert_array_equal(lp, model.log_pdf(th, x))
+            np.testing.assert_array_equal(score[~out], model.score(th, x[~out]))
+            if out.any():
+                with pytest.raises(ValueError):
+                    model.score(th, x)
+
+        check()
 
 
 class TestSampling:
