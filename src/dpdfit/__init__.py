@@ -29,7 +29,6 @@ from .gradients import (
     stochastic_grad_gamma,
 )
 from .mle import (
-    NewtonConfig,
     em_mixture,
     mle_gompertz,
     mle_inverse_normal,
@@ -83,7 +82,6 @@ __all__ = [
     "MixtureParams",
     "Model",
     "Monitors",
-    "NewtonConfig",
     "Normal1D",
     "NormalMixture2",
     "NormalParams",

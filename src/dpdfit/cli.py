@@ -31,15 +31,7 @@ from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce, has_closed_form
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
-from .models import (
-    GompertzParams,
-    InverseNormalParams,
-    IsoNormal,
-    IsoNormalParams,
-    MixtureParams,
-    NormalParams,
-    get_model,
-)
+from .models import IsoNormal, get_model
 from .optim import Monitors, StepDecay, gd_run, sgd_run
 
 
@@ -131,35 +123,28 @@ PRESETS = {
     },
 }
 
-_FLAGS = [
-    ("--model", str), ("--beta", str), ("--gamma", str), ("--m", str),
-    ("--big-m", str), ("--grid-extent", str), ("--T", str), ("--eta0", str),
-    ("--decay-rate", str), ("--decay-period", str), ("--n", str),
-    ("--xi", str), ("--outlier-mean", str), ("--outlier-sd", str),
-    ("--seed", str), ("--replications", str), ("--proposal", str),
-    ("--init", str), ("--out-dir", str), ("--truth", str), ("--betas", str),
-    ("--m-values", str), ("--big-m-values", str), ("--data", str),
-]
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
 def _build_parser():
+    """One ``--key`` flag per ``DEFAULTS`` key (``_`` written ``-``), in
+    ``DEFAULTS`` order, for every subcommand."""
     parser = _Parser(prog="dpdfit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("fit", "trace", "table-compare", "density-curves"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="config file path or preset name")
-        p.add_argument("--divergence", choices=["dpd", "gamma"], default=None)
-        p.add_argument("--fixed-outlier-count", action="store_const",
-                       const="true", default=None, dest="fixed_outlier_count")
-        for flag, typ in _FLAGS:
-            p.add_argument(flag, type=typ, default=None,
-                           dest=flag.lstrip("-").replace("-", "_"))
+        for key in DEFAULTS:
+            flag = "--" + key.replace("_", "-")
+            if key == "divergence":
+                p.add_argument(flag, choices=["dpd", "gamma"], default=None)
+            elif key == "fixed_outlier_count":
+                p.add_argument(flag, action="store_const", const="true", default=None)
+            else:
+                p.add_argument(flag, default=None)
     return parser
 
 
@@ -232,33 +217,13 @@ def _int_list(text, key):
         raise ConfigError(f"{key} must be comma-separated integers") from None
 
 
-_DEFAULT_TRUTH = {
-    "normal": "0,1",
-    "inverse-normal": "1,3",
-    "gompertz": "1,0.1",
-    "mixture": "-5,1,0,1,0.6",
-}
-
-_PARAM_CLASSES = {
-    "normal": NormalParams,
-    "inverse-normal": InverseNormalParams,
-    "gompertz": GompertzParams,
-    "mixture": MixtureParams,
-}
-
-
 def _theta_from_naturals(model, values, key):
     """Unconstrained coordinates from a flat list of natural parameters."""
-    if isinstance(model, IsoNormal):
-        if len(values) != model.d:
-            raise ConfigError(f"{key} for {model.name} needs {model.d} values")
-        return model.from_natural(IsoNormalParams(mean=np.asarray(values)))
-    cls = _PARAM_CLASSES[model.name]
     if len(values) != len(model.natural_names):
         raise ConfigError(
             f"{key} for {model.name} needs {len(model.natural_names)} values"
         )
-    return model.from_natural(cls(*values))
+    return model.from_natural_values(values)
 
 
 def _truth_theta(cfg, model):
@@ -266,15 +231,13 @@ def _truth_theta(cfg, model):
     if cfg["data"]:
         return None
     text = cfg["truth"]
-    if not text:
-        if isinstance(model, IsoNormal):
-            text = ",".join(["0.5"] * model.d)
-        else:
-            text = _DEFAULT_TRUTH[model.name]
-    return _theta_from_naturals(model, _float_list(text, "truth"), "truth")
+    values = _float_list(text, "truth") if text else model.default_truth
+    return _theta_from_naturals(model, values, "truth")
 
 
-def _dataset(cfg, model, truth):
+def _dataset(cfg, model, truth, *stream):
+    """The ``--data`` CSV, or a contaminated sample drawn from
+    ``default_rng([seed, *stream, 0])``."""
     if cfg["data"]:
         return Dataset.from_csv(cfg["data"])
     mean = _float_list(cfg["outlier_mean"], "outlier_mean")
@@ -288,7 +251,7 @@ def _dataset(cfg, model, truth):
         n=_as_int(cfg, "n"),
         fixed_count=_as_bool(cfg, "fixed_outlier_count"),
     )
-    rng = np.random.default_rng([_as_int(cfg, "seed"), 0])
+    rng = np.random.default_rng([_as_int(cfg, "seed"), *stream, 0])
     return contaminated_sample(spec, rng)
 
 
@@ -351,51 +314,6 @@ def _monitors(cfg, model, ds, truth, gamma_mode):
                     track_scale=gamma_mode)
 
 
-def _run_single(cfg):
-    """Shared machinery of ``fit`` and ``trace``: one stochastic run."""
-    model = get_model(cfg["model"])
-    truth = _truth_theta(cfg, model)
-    ds = _dataset(cfg, model, truth)
-    theta0 = _initial_theta(cfg, model, ds)
-    proposal = _proposal(cfg)
-    gamma_mode = cfg["divergence"] == "gamma"
-    m = _as_int(cfg, "m")
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    n_steps = _as_int(cfg, "T")
-    if n_steps < 0:
-        raise ConfigError("T must be >= 0")
-    rng = np.random.default_rng([_as_int(cfg, "seed"), 1])
-    monitors = _monitors(cfg, model, ds, truth, gamma_mode)
-
-    if gamma_mode:
-        gamma = _as_float(cfg, "gamma")
-        if gamma <= 0:
-            raise ConfigError("gamma must be positive")
-
-        def grad(psi, rng):
-            return stochastic_grad_gamma(
-                model, psi[:-1], float(np.exp(psi[-1])), ds.points, gamma, m,
-                proposal, rng,
-            ).g
-
-        start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
-    else:
-        beta = _as_float(cfg, "beta")
-        if beta <= 0:
-            raise ConfigError("beta must be positive")
-
-        def grad(th, rng):
-            return stochastic_grad_dpd(model, th, ds.points, beta, m, proposal,
-                                       rng).g
-
-        start = theta0
-
-    result = sgd_run(grad, start, _schedule(cfg), n_steps, rng,
-                     monitors=monitors, cost_per_iter=ds.n + m)
-    return model, ds, result, gamma_mode
-
-
 def _fmt(value):
     if value is None:
         return ""
@@ -440,25 +358,55 @@ def _write_estimate(path, model, result, gamma_mode):
         writer.writerow(row)
 
 
-def cmd_fit(cfg):
+def cmd_fit(cfg, write_estimate=True):
+    """One stochastic run, written as ``data.csv`` (synthetic data only),
+    ``estimate.csv`` and ``trace.csv``; ``trace`` skips ``estimate.csv``."""
+    model = get_model(cfg["model"])
+    truth = _truth_theta(cfg, model)
+    ds = _dataset(cfg, model, truth)
+    theta0 = _initial_theta(cfg, model, ds)
+    proposal = _proposal(cfg)
+    gamma_mode = cfg["divergence"] == "gamma"
+    m = _as_int(cfg, "m")
+    if m < 1:
+        raise ConfigError("m must be >= 1")
+    n_steps = _as_int(cfg, "T")
+    if n_steps < 0:
+        raise ConfigError("T must be >= 0")
+    rng = np.random.default_rng([_as_int(cfg, "seed"), 1])
+    monitors = _monitors(cfg, model, ds, truth, gamma_mode)
+
+    if gamma_mode:
+        gamma = _as_float(cfg, "gamma")
+        if gamma <= 0:
+            raise ConfigError("gamma must be positive")
+
+        def grad(psi, rng):
+            return stochastic_grad_gamma(
+                model, psi[:-1], float(np.exp(psi[-1])), ds.points, gamma, m,
+                proposal, rng,
+            ).g
+
+        start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
+    else:
+        beta = _as_float(cfg, "beta")
+        if beta <= 0:
+            raise ConfigError("beta must be positive")
+
+        def grad(th, rng):
+            return stochastic_grad_dpd(model, th, ds.points, beta, m, proposal,
+                                       rng).g
+
+        start = theta0
+
+    result = sgd_run(grad, start, _schedule(cfg), n_steps, rng,
+                     monitors=monitors, cost_per_iter=ds.n + m)
+
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_echo(cfg, out_dir)
-    model, ds, result, gamma_mode = _run_single(cfg)
     if not cfg["data"]:
         ds.to_csv(os.path.join(out_dir, "data.csv"))
-    _write_estimate(os.path.join(out_dir, "estimate.csv"), model, result, gamma_mode)
-    _write_trace(os.path.join(out_dir, "trace.csv"), model, result)
-    return 2 if result.diverged else 0
-
-
-def cmd_trace(cfg):
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_echo(cfg, out_dir)
-    model, ds, result, gamma_mode = _run_single(cfg)
-    if not cfg["data"]:
-        ds.to_csv(os.path.join(out_dir, "data.csv"))
+    if write_estimate:
+        _write_estimate(os.path.join(out_dir, "estimate.csv"), model, result, gamma_mode)
     _write_trace(os.path.join(out_dir, "trace.csv"), model, result)
     return 2 if result.diverged else 0
 
@@ -466,17 +414,7 @@ def cmd_trace(cfg):
 def _table_cell_run(cfg, model, truth, method, size, rep):
     """One replication of one table cell; returns (mse, diverged)."""
     seed = _as_int(cfg, "seed")
-    mean = _float_list(cfg["outlier_mean"], "outlier_mean")
-    spec = ContaminationSpec(
-        model=model,
-        truth=truth,
-        outlier_mean=np.asarray(mean),
-        outlier_sd=_as_float(cfg, "outlier_sd"),
-        xi=_as_float(cfg, "xi"),
-        n=_as_int(cfg, "n"),
-        fixed_count=_as_bool(cfg, "fixed_outlier_count"),
-    )
-    ds = contaminated_sample(spec, np.random.default_rng([seed, rep, 0]))
+    ds = _dataset(cfg, model, truth, rep)
     theta0 = mle_isonormal(ds)
     schedule = _schedule(cfg)
     n_steps = _as_int(cfg, "T")
@@ -504,9 +442,8 @@ def _table_cell_run(cfg, model, truth, method, size, rep):
 
 
 def cmd_table_compare(cfg):
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_echo(cfg, out_dir)
+    if cfg["data"]:
+        raise ConfigError("table-compare draws its own samples; it takes no --data")
     model = get_model(cfg["model"])
     if not isinstance(model, IsoNormal):
         raise ConfigError("table-compare requires an isonormal<d> model")
@@ -529,7 +466,7 @@ def cmd_table_compare(cfg):
         )
 
     any_diverged = False
-    with open(os.path.join(out_dir, "table.csv"), "w", newline="") as fh:
+    with open(os.path.join(cfg["out_dir"], "table.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "size", "mean_mse", "sd_mse", "complexity"])
         for i, (method, size) in enumerate(cells):
@@ -549,8 +486,6 @@ def cmd_table_compare(cfg):
 
 def cmd_density_curves(cfg):
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_echo(cfg, out_dir)
     model = get_model(cfg["model"])
     if model.dim_x != 1:
         raise ConfigError("density-curves requires a univariate model")
@@ -602,10 +537,12 @@ def main(argv=None):
         cfg = resolve_config(args)
         command = {
             "fit": cmd_fit,
-            "trace": cmd_trace,
+            "trace": lambda cfg: cmd_fit(cfg, write_estimate=False),
             "table-compare": cmd_table_compare,
             "density-curves": cmd_density_curves,
         }[args.command]
+        os.makedirs(cfg["out_dir"], exist_ok=True)
+        _write_config_echo(cfg, cfg["out_dir"])
         return command(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,8 @@ class Dataset:
         has_label = header[-1] == "outlier"
         dim = len(header) - (1 if has_label else 0)
         pts = np.array([[float(v) for v in r[:dim]] for r in body])
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{path}: non-finite value in the data")
         if dim == 1:
             pts = pts[:, 0]
         if has_label:

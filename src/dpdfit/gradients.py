@@ -57,8 +57,6 @@ class GradEstimate:
     """
 
     g: np.ndarray
-    m_used: int
-    draws: np.ndarray | None = None
     draw_terms: np.ndarray | None = None
     draw_weights: np.ndarray | None = None
 
@@ -157,8 +155,6 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng, keep_draws=F
     g = g + terms.mean(axis=0)
     return GradEstimate(
         g=g,
-        m_used=m,
-        draws=y if keep_draws else None,
         draw_terms=terms if keep_draws else None,
         draw_weights=weights if keep_draws else None,
     )
@@ -202,8 +198,6 @@ def stochastic_grad_gamma(
     g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
     return GradEstimate(
         g=g,
-        m_used=m,
-        draws=y if keep_draws else None,
         draw_terms=terms if keep_draws else None,
         draw_weights=weights if keep_draws else None,
     )

@@ -9,8 +9,6 @@ coordinates of the corresponding model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import (
@@ -24,13 +22,6 @@ from .models import (
     NormalMixture2,
     NormalParams,
 )
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iter: int = 100
-    tol: float = 1e-10
-    bracket: tuple = (1e-4, 20.0)
 
 
 def mle_normal(data):
@@ -133,8 +124,8 @@ def _gompertz_profile(x):
     return f_df
 
 
-def mle_gompertz(data, cfg=NewtonConfig()):
-    """Newton-bisection root for the shape, then the closed-form rate."""
+def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
+    """Newton-bisection root for the shape in ``bracket``, then the closed-form rate."""
     x = np.asarray(getattr(data, "points", data), dtype=float)
     if x.shape[0] < 2:
         raise ValueError("need at least two observations")
@@ -142,8 +133,8 @@ def mle_gompertz(data, cfg=NewtonConfig()):
         raise ValueError("Gompertz requires nonnegative data")
     if not np.any(x > 0):
         raise ValueError("all-zero sample")
-    lo, hi = cfg.bracket
-    omega = newton_bisection(_gompertz_profile(x), lo, hi, cfg.tol, cfg.max_iter)
+    lo, hi = bracket
+    omega = newton_bisection(_gompertz_profile(x), lo, hi, tol, max_iter)
     lam = omega / np.expm1(omega * x).mean()
     return Gompertz().from_natural(GompertzParams(omega=float(omega), lam=float(lam)))
 

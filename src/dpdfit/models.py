@@ -32,6 +32,17 @@ def _normal_log_pdf(r2, var):
     return -0.5 * (_LOG_2PI + np.log(var)) - r2 / (2.0 * var)
 
 
+def _sigma_coordinate(sigma):
+    """The coordinate ``c`` of a standard deviation, ``sigma**2 = c**2 +
+    VARIANCE_FLOOR``; ``c**2`` hides the sign, so it is checked here."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    var = sigma**2
+    if var < VARIANCE_FLOOR:
+        raise ValueError(f"variance {var} below floor {VARIANCE_FLOOR}")
+    return np.sqrt(var - VARIANCE_FLOOR)
+
+
 def _columns(*cols):
     """Equal-length 1-D arrays as the columns of one C-ordered array;
     ``np.stack(cols, axis=-1)``, at a third of its overhead."""
@@ -92,7 +103,9 @@ class Model:
 
     ``theta`` is always a flat float array in the unconstrained space,
     ``x`` an array of observations: shape ``(n,)`` for scalar families,
-    ``(n, d)`` for the d-variate one.
+    ``(n, d)`` for the d-variate one.  ``params_cls`` is the dataclass of
+    the natural parameters and ``default_truth`` their values when a
+    synthetic run names none.
     """
 
     name: str = ""
@@ -100,6 +113,8 @@ class Model:
     dim_x: int = 1
     support: str = "real"  # "real" or "positive"
     natural_names: tuple = ()
+    params_cls: type = None
+    default_truth: tuple = ()
 
     def log_pdf(self, theta, x):
         raise NotImplementedError
@@ -137,6 +152,11 @@ class Model:
 
     def from_natural(self, params):
         raise NotImplementedError
+
+    def from_natural_values(self, values):
+        """Unconstrained coordinates from a flat sequence of natural
+        parameters; the inverse of :meth:`natural_values`."""
+        return self.from_natural(self.params_cls(*values))
 
     def natural_values(self, theta):
         """Natural parameters of ``theta`` as a flat float array."""
@@ -191,6 +211,8 @@ class Normal1D(Model):
     name = "normal"
     dim_param = 2
     natural_names = ("mu", "sigma")
+    params_cls = NormalParams
+    default_truth = (0.0, 1.0)
 
     def _moments(self, theta):
         return theta[0], theta[1] ** 2 + VARIANCE_FLOOR
@@ -215,26 +237,26 @@ class Normal1D(Model):
         return NormalParams(mu=float(mu), sigma=float(np.sqrt(var)))
 
     def from_natural(self, params):
-        var = params.sigma**2
-        if var < VARIANCE_FLOOR:
-            raise ValueError(f"variance {var} below floor {VARIANCE_FLOOR}")
-        return np.array([params.mu, np.sqrt(var - VARIANCE_FLOOR)])
+        return np.array([params.mu, _sigma_coordinate(params.sigma)])
 
 
 class IsoNormal(Model):
     """d-variate normal with unknown mean and identity covariance."""
 
     name = "isonormal"
-    support = "real"
+    params_cls = IsoNormalParams
 
     def __init__(self, d):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        # At d = 1 points would be (n,) arrays, which the (n, d) code
+        # below reads as one point of dimension n.
+        if d < 2:
+            raise ValueError(f"isonormal needs dimension >= 2, got {d}; use normal for d = 1")
         self.d = int(d)
         self.dim_param = self.d
         self.dim_x = self.d
         self.name = f"isonormal{d}"
         self.natural_names = tuple(f"mu_{i + 1}" for i in range(self.d))
+        self.default_truth = (0.5,) * self.d
 
     def log_pdf(self, theta, x):
         theta = self._check_theta(theta)
@@ -258,8 +280,8 @@ class IsoNormal(Model):
             raise ValueError(f"mean must have shape ({self.d},)")
         return mean.copy()
 
-    def natural_values(self, theta):
-        return self._check_theta(theta).copy()
+    def from_natural_values(self, values):
+        return self.from_natural(IsoNormalParams(mean=values))
 
     def __repr__(self):
         return f"IsoNormal({self.d})"
@@ -272,6 +294,8 @@ class InverseNormal(Model):
     dim_param = 2
     support = "positive"
     natural_names = ("mu", "lam")
+    params_cls = InverseNormalParams
+    default_truth = (1.0, 3.0)
 
     def _params(self, theta):
         return np.exp(theta[0]), np.exp(theta[1])
@@ -326,6 +350,8 @@ class Gompertz(Model):
     dim_param = 2
     support = "positive"
     natural_names = ("omega", "lam")
+    params_cls = GompertzParams
+    default_truth = (1.0, 0.1)
 
     def _params(self, theta):
         return np.exp(theta[0]), np.exp(theta[1])
@@ -391,6 +417,8 @@ class NormalMixture2(Model):
     name = "mixture"
     dim_param = 5
     natural_names = ("mu1", "sigma1", "mu2", "sigma2", "alpha")
+    params_cls = MixtureParams
+    default_truth = (-5.0, 1.0, 0.0, 1.0, 0.6)
 
     def _params(self, theta):
         alpha = 1.0 / (1.0 + np.exp(-theta[0]))
@@ -439,16 +467,13 @@ class NormalMixture2(Model):
     def from_natural(self, params):
         if not 0.0 < params.alpha < 1.0:
             raise ValueError("mixing weight must lie strictly inside (0, 1)")
-        for s in (params.sigma1, params.sigma2):
-            if s**2 < VARIANCE_FLOOR:
-                raise ValueError(f"variance {s**2} below floor {VARIANCE_FLOOR}")
         return np.array(
             [
                 np.log(params.alpha) - np.log1p(-params.alpha),
                 params.mu1,
-                np.sqrt(params.sigma1**2 - VARIANCE_FLOOR),
+                _sigma_coordinate(params.sigma1),
                 params.mu2,
-                np.sqrt(params.sigma2**2 - VARIANCE_FLOOR),
+                _sigma_coordinate(params.sigma2),
             ]
         )
 
@@ -462,23 +487,25 @@ class NormalMixture2(Model):
         )
 
 
+_FAMILIES = {
+    "normal": Normal1D,
+    "inverse-normal": InverseNormal,
+    "invnormal": InverseNormal,
+    "gompertz": Gompertz,
+    "mixture": NormalMixture2,
+}
+
+
 def get_model(name):
     """Look up a model by its registry name.
 
-    Accepts ``normal``, ``inverse-normal``, ``gompertz``, ``mixture``,
-    and ``isonormal<d>`` (for example ``isonormal3``).
+    Accepts the names in ``_FAMILIES`` and ``isonormal<d>`` for d >= 2
+    (for example ``isonormal3``).
     """
     name = name.strip().lower()
-    if name == "normal":
-        return Normal1D()
-    if name in ("inverse-normal", "invnormal"):
-        return InverseNormal()
-    if name == "gompertz":
-        return Gompertz()
-    if name == "mixture":
-        return NormalMixture2()
-    if name.startswith("isonormal"):
-        suffix = name[len("isonormal") :]
-        if suffix.isdigit():
-            return IsoNormal(int(suffix))
+    if name in _FAMILIES:
+        return _FAMILIES[name]()
+    suffix = name[len("isonormal"):]
+    if name.startswith("isonormal") and suffix.isdigit():
+        return IsoNormal(int(suffix))
     raise ValueError(f"unknown model {name!r}")

@@ -85,6 +85,33 @@ class TestFit:
         assert err.startswith("error: ") and "no data rows" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_csv_with_non_finite_value_exits_one(self, tmp_path, capsys, value):
+        path = tmp_path / "input.csv"
+        path.write_text(f"x_1\n0.5\n{value}\n1.5\n")
+        rc = main(["fit", "--data", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: non-finite value in the data\n"
+
+    @pytest.mark.parametrize("model,init", [
+        ("normal", "0,-1"), ("normal", "0,0"), ("normal", "0,nan"),
+        ("mixture", "-5,1,0,-1,0.6"),
+    ])
+    def test_init_with_invalid_sigma_exits_one(self, tmp_path, capsys, model, init):
+        rc = main(["fit", "--model", model, f"--init={init}",
+                   "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma must be finite and > 0") and err.count("\n") == 1
+        assert not (tmp_path / "estimate.csv").exists()
+
+    def test_isonormal1_exits_one(self, tmp_path, capsys):
+        rc = main(["fit", "--model", "isonormal1", "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "use normal for d = 1" in err and err.count("\n") == 1
+
     def test_divergence_exits_two(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--eta0", "1e12",
                    "--out-dir", str(tmp_path)] + FAST)
@@ -174,6 +201,17 @@ class TestTableCompare:
         assert rows[0][:2] == ["sgd", "5"] and rows[0][4] == str(20 * 105)
         assert rows[1][:2] == ["gd-ni", "9"] and rows[1][4] == str(20 * 109)
         assert float(rows[0][2]) >= 0.0
+
+    def test_rejects_data(self, tmp_path, capsys):
+        """table-compare draws one sample per replication; it reads no CSV."""
+        path = tmp_path / "input.csv"
+        path.write_text("x_1,x_2\n0.5,0.5\n")
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--data", str(path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--data" in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / "table.csv").exists()
 
     def test_requires_isonormal(self, tmp_path):
         rc = main(["table-compare", "--model", "normal",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ class TestContaminatedSample:
 
 
 class TestDatasetCsv:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "input.csv"
+        path.write_text(f"x_1,x_2\n1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite value")):
+            Dataset.from_csv(path)
+
     def test_roundtrip_scalar(self, tmp_path):
         ds = contaminated_sample(normal_spec(n=200), np.random.default_rng(5))
         path = tmp_path / "data.csv"

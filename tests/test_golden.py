@@ -1,8 +1,10 @@
-"""Golden digests of the scalar presets' ``trace.csv``.
+"""Golden digests of preset outputs.
 
-Speed-ups of the model kernels and gradient estimators must leave every
-preset output byte-identical.  These SHA-256 digests were recorded at
-the default seed before the fused ``log_pdf_and_score`` kernels; change
+Speed-ups and refactors must leave every preset output byte-identical.
+These SHA-256 digests were recorded at the default seed: the ``trace.csv``
+ones before the fused ``log_pdf_and_score`` kernels, the ``estimate.csv``
+and ``table.csv`` ones before ``fit``/``trace`` shared one run path and
+``table-compare`` drew its samples through the ``fit`` data path.  Change
 them only for an intended numeric change, and say so in CHANGES.md.
 """
 
@@ -29,3 +31,26 @@ def test_trace_digest(run, tmp_path):
     assert rc == 0
     digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[run]
+
+
+# (command line, output file) -> digest
+OUTPUTS = {
+    ("fit --config paper-4.1-i", "estimate.csv"):
+        "febe9eddead37245950253d56c13565af52adad46d22f6b06ec3cac32662c56d",
+    ("fit --config paper-4.1-ii", "estimate.csv"):
+        "addb54c6bdce1ae8e6f2c4acc2613907ca6be357cc2f076570f3e589e3a37cfd",
+    ("fit --config paper-4.1-iii", "estimate.csv"):
+        "9aeb299d64240da0361cb891aa7d00f80eb1fcf19ee3ebea648b975e84cc93de",
+    ("fit --config paper-4.1-iv", "estimate.csv"):
+        "d646ce760bd9637b3c1cd589d0eed480ce87c6f344b2d378348339cefbf6ef2d",
+    ("table-compare --config paper-4.2-d2 --replications 2 --T 30", "table.csv"):
+        "4a72efaa122f43a04f282b9d30c7c8162c70be896783e5f2b8edd1d9a1403978",
+}
+
+
+@pytest.mark.parametrize("run,name", sorted(OUTPUTS), ids=lambda v: v)
+def test_output_digest(run, name, tmp_path):
+    rc = main(run.split() + ["--out-dir", str(tmp_path)])
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == OUTPUTS[run, name]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpdfit.mle import (
-    NewtonConfig,
     em_mixture,
     mle_gompertz,
     mle_inverse_normal,
@@ -88,7 +87,7 @@ class TestMleGompertz:
         truth = m.from_natural(GompertzParams(omega=1.0, lam=0.1))
         x = m.sample(truth, np.random.default_rng(4), 500)
         with pytest.raises(ValueError):
-            mle_gompertz(x, NewtonConfig(bracket=(10.0, 20.0)))
+            mle_gompertz(x, bracket=(10.0, 20.0))
 
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):

@@ -156,7 +156,23 @@ class TestScore:
 
 class TestKernel:
     """``log_pdf_and_score`` is the one kernel behind ``score``, and agrees
-    exactly with the separately written ``log_pdf``."""
+    exactly with the separately written ``log_pdf``; the registry maps of
+    every family invert each other."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_natural_values_roundtrip(self, name):
+        model = get_model(name)
+        assert len(model.default_truth) == len(model.natural_names)
+        model.from_natural_values(model.default_truth)
+
+        @PROPERTY
+        @given(th=thetas(model))
+        def check(th):
+            values = model.natural_values(th)  # valid natural parameters
+            back = model.natural_values(model.from_natural_values(values))
+            np.testing.assert_allclose(back, values, rtol=1e-12, atol=1e-12)
+
+        check()
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_matches_log_pdf_and_score(self, name):
@@ -304,6 +320,14 @@ class TestReparameterization:
         with pytest.raises(ValueError):
             NormalMixture2().from_natural(MixtureParams(0, 1e-4, 1, 1, 0.5))
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_not_finite_and_positive_rejected(self, sigma):
+        """``c**2`` would hide a negative sigma; nan would pass the floor test."""
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            Normal1D().from_natural(NormalParams(mu=0.0, sigma=sigma))
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            NormalMixture2().from_natural(MixtureParams(0, 1, 1, sigma, 0.5))
+
 
 class TestNormalization:
     """Every density integrates to one over a wide grid."""
@@ -351,3 +375,9 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_model("cauchy")
+
+    @pytest.mark.parametrize("name", ["isonormal1", "isonormal0"])
+    def test_isonormal_below_two_dimensions_rejected(self, name):
+        """At d = 1 the (n, d) code would read n points as one point."""
+        with pytest.raises(ValueError, match="use normal for d = 1"):
+            get_model(name)
