@@ -13,11 +13,9 @@ from .divergence import (
     ClosedForm,
     Lattice,
     ObjectiveValue,
-    closed_form_r,
     empirical_dpce,
     empirical_gce,
     empirical_power_term,
-    has_closed_form,
     lattice_r,
 )
 from .gradients import (
@@ -90,7 +88,6 @@ __all__ = [
     "StepDecay",
     "TraceRecord",
     "VARIANCE_FLOOR",
-    "closed_form_r",
     "contaminated_sample",
     "em_mixture",
     "empirical_dpce",
@@ -98,7 +95,6 @@ __all__ = [
     "empirical_power_term",
     "gd_run",
     "get_model",
-    "has_closed_form",
     "lattice_grad_dpd",
     "lattice_r",
     "mle_gompertz",

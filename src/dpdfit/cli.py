@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
-from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce, has_closed_form
+from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import IsoNormal, get_model
@@ -182,9 +183,12 @@ def resolve_config(args):
 
 def _as_float(cfg, key):
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+    return value
 
 
 def _as_int(cfg, key):
@@ -203,11 +207,15 @@ def _as_bool(cfg, key):
     raise ConfigError(f"{key} must be true/false, got {cfg[key]!r}")
 
 
-def _float_list(text, key):
+def _float_list(text, key, finite=True):
+    """Comma-separated numbers, all finite unless ``finite=False``."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"{key} must be comma-separated numbers") from None
+    if finite and not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return values
 
 
 def _int_list(text, key):
@@ -235,13 +243,25 @@ def _truth_theta(cfg, model):
     return _theta_from_naturals(model, values, "truth")
 
 
+def _check_point_shape(model, shape, source, shared=False):
+    """ConfigError unless ``shape`` is that of one point of ``model`` or,
+    with ``shared``, one value for every coordinate."""
+    if shape == model.point_shape or (shared and shape == (1,)):
+        return
+    need = f"1 or {model.dim_x}" if shared and model.dim_x > 1 else f"{model.dim_x}"
+    raise ConfigError(f"{source} has {math.prod(shape)} value(s) per point, "
+                      f"but {model.name} needs {need}")
+
+
 def _dataset(cfg, model, truth, *stream):
     """The ``--data`` CSV, or a contaminated sample drawn from
     ``default_rng([seed, *stream, 0])``."""
     if cfg["data"]:
-        return Dataset.from_csv(cfg["data"])
-    mean = _float_list(cfg["outlier_mean"], "outlier_mean")
-    outlier_mean = np.asarray(mean) if model.dim_x > 1 else mean[0]
+        ds = Dataset.from_csv(cfg["data"])
+        _check_point_shape(model, ds.points.shape[1:], cfg["data"])
+        return ds
+    outlier_mean = np.asarray(_float_list(cfg["outlier_mean"], "outlier_mean"))
+    _check_point_shape(model, outlier_mean.shape, "--outlier-mean", shared=True)
     spec = ContaminationSpec(
         model=model,
         truth=truth,
@@ -258,7 +278,8 @@ def _dataset(cfg, model, truth, *stream):
 def _initial_theta(cfg, model, ds):
     choice = cfg["init"]
     if choice != "mle":
-        return _theta_from_naturals(model, _float_list(choice, "init"), "init")
+        # from_natural checks the values and names the parameter at fault
+        return _theta_from_naturals(model, _float_list(choice, "init", finite=False), "init")
     if isinstance(model, IsoNormal):
         return mle_isonormal(ds)
     if model.name == "normal":
@@ -272,15 +293,17 @@ def _initial_theta(cfg, model, ds):
     raise ConfigError(f"no MLE initializer for {model.name}")
 
 
-def _proposal(cfg):
+def _proposal(cfg, model):
     text = cfg["proposal"].strip()
     if text == "current":
         return CurrentModel()
     if text.startswith("normal:"):
-        parts = _float_list(text[len("normal:"):], "proposal")
+        # FixedNormal checks the values and names them
+        parts = _float_list(text[len("normal:"):], "proposal", finite=False)
         if len(parts) < 2:
             raise ConfigError("proposal normal:<mean...>,<sd> needs mean and sd")
-        mean = parts[0] if len(parts) == 2 else np.asarray(parts[:-1])
+        mean = np.asarray(parts[:-1])
+        _check_point_shape(model, mean.shape, "--proposal normal: mean", shared=True)
         return FixedNormal(mean=mean, sd=parts[-1])
     raise ConfigError(f"unknown proposal {cfg['proposal']!r}")
 
@@ -293,9 +316,22 @@ def _schedule(cfg):
     )
 
 
+def _dpd_sgd(cfg, model, ds, theta0, beta, m, proposal, *stream, monitors=None):
+    """Stochastic DPD descent from ``theta0`` with ``m`` proposal draws a
+    step, on the stream ``default_rng([seed, *stream, 1])``, at a cost of
+    ``n + m`` density evaluations a step."""
+
+    def grad(th, rng):
+        return stochastic_grad_dpd(model, th, ds.points, beta, m, proposal, rng).g
+
+    rng = np.random.default_rng([_as_int(cfg, "seed"), *stream, 1])
+    return sgd_run(grad, theta0, _schedule(cfg), _as_int(cfg, "T"), rng,
+                   monitors=monitors, cost_per_iter=ds.n + m)
+
+
 def _monitors(cfg, model, ds, truth, gamma_mode):
     objective = None
-    if has_closed_form(model):
+    if model.closed_form_r is not None:
         backend = ClosedForm()
         if gamma_mode:
             gamma = _as_float(cfg, "gamma")
@@ -365,7 +401,7 @@ def cmd_fit(cfg, write_estimate=True):
     truth = _truth_theta(cfg, model)
     ds = _dataset(cfg, model, truth)
     theta0 = _initial_theta(cfg, model, ds)
-    proposal = _proposal(cfg)
+    proposal = _proposal(cfg, model)
     gamma_mode = cfg["divergence"] == "gamma"
     m = _as_int(cfg, "m")
     if m < 1:
@@ -373,7 +409,6 @@ def cmd_fit(cfg, write_estimate=True):
     n_steps = _as_int(cfg, "T")
     if n_steps < 0:
         raise ConfigError("T must be >= 0")
-    rng = np.random.default_rng([_as_int(cfg, "seed"), 1])
     monitors = _monitors(cfg, model, ds, truth, gamma_mode)
 
     if gamma_mode:
@@ -388,19 +423,14 @@ def cmd_fit(cfg, write_estimate=True):
             ).g
 
         start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
+        result = sgd_run(grad, start, _schedule(cfg), n_steps,
+                         np.random.default_rng([_as_int(cfg, "seed"), 1]),
+                         monitors=monitors, cost_per_iter=ds.n + m)
     else:
         beta = _as_float(cfg, "beta")
         if beta <= 0:
             raise ConfigError("beta must be positive")
-
-        def grad(th, rng):
-            return stochastic_grad_dpd(model, th, ds.points, beta, m, proposal,
-                                       rng).g
-
-        start = theta0
-
-    result = sgd_run(grad, start, _schedule(cfg), n_steps, rng,
-                     monitors=monitors, cost_per_iter=ds.n + m)
+        result = _dpd_sgd(cfg, model, ds, theta0, beta, m, proposal, monitors=monitors)
 
     out_dir = cfg["out_dir"]
     if not cfg["data"]:
@@ -413,23 +443,17 @@ def cmd_fit(cfg, write_estimate=True):
 
 def _table_cell_run(cfg, model, truth, method, size, rep):
     """One replication of one table cell; returns (mse, diverged)."""
-    seed = _as_int(cfg, "seed")
     ds = _dataset(cfg, model, truth, rep)
     theta0 = mle_isonormal(ds)
-    schedule = _schedule(cfg)
-    n_steps = _as_int(cfg, "T")
     beta = _as_float(cfg, "beta")
     monitors = Monitors(theta_star=np.asarray(truth, dtype=float))
 
     if method == "sgd":
-        def grad(th, rng):
-            return stochastic_grad_dpd(model, th, ds.points, beta, size,
-                                       CurrentModel(), rng).g
-
-        result = sgd_run(grad, theta0, schedule, n_steps,
-                         np.random.default_rng([seed, rep, 1]),
-                         monitors=monitors, cost_per_iter=ds.n + size)
+        result = _dpd_sgd(cfg, model, ds, theta0, beta, size, CurrentModel(), rep,
+                          monitors=monitors)
     else:
+        schedule = _schedule(cfg)
+        n_steps = _as_int(cfg, "T")
         backend = Lattice(extent=_as_float(cfg, "grid_extent"), nodes=size)
         omega = float(np.mean([schedule.at(t) for t in range(1, n_steps + 1)]))
 
@@ -494,24 +518,15 @@ def cmd_density_curves(cfg):
     if not cfg["data"]:
         ds.to_csv(os.path.join(out_dir, "data.csv"))
     theta_mle = _initial_theta(cfg, model, ds)
-    proposal = _proposal(cfg)
-    n_steps = _as_int(cfg, "T")
+    proposal = _proposal(cfg, model)
     m = _as_int(cfg, "m")
-    schedule = _schedule(cfg)
 
     fits = {}
     diverged = False
     for beta in _float_list(cfg["betas"], "betas"):
         if beta <= 0:
             raise ConfigError("betas must be positive")
-
-        def grad(th, rng, beta=beta):
-            return stochastic_grad_dpd(model, th, ds.points, beta, m, proposal,
-                                       rng).g
-
-        result = sgd_run(grad, theta_mle, schedule, n_steps,
-                         np.random.default_rng([_as_int(cfg, "seed"), 1]),
-                         cost_per_iter=ds.n + m)
+        result = _dpd_sgd(cfg, model, ds, theta_mle, beta, m, proposal)
         fits[beta] = result.final_params
         diverged = diverged or result.diverged
 

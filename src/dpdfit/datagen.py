@@ -27,7 +27,7 @@ class Dataset:
         return self.points.shape[0]
 
     def to_csv(self, path):
-        points = np.atleast_2d(self.points.T).T  # (n,) -> (n, 1)
+        points = self.points.reshape(self.n, -1)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -79,8 +79,10 @@ class ContaminationSpec:
             raise ValueError("contamination ratio must lie in [0, 1)")
         if self.n < 1:
             raise ValueError("need at least one observation")
-        if self.outlier_sd < 0:
-            raise ValueError("outlier spread must be nonnegative")
+        if not (np.isfinite(self.outlier_sd) and self.outlier_sd >= 0):
+            raise ValueError(
+                f"outlier spread must be finite and >= 0, got {self.outlier_sd}"
+            )
 
 
 def contaminated_sample(spec, rng):
@@ -98,14 +100,11 @@ def contaminated_sample(spec, rng):
         labels = rng.random(n) < spec.xi
     k = int(labels.sum())
 
+    shape = spec.model.point_shape
     inliers = spec.model.sample(spec.truth, rng, n - k)
     mean = np.asarray(spec.outlier_mean, dtype=float)
-    if spec.model.dim_x == 1:
-        outliers = float(mean) + spec.outlier_sd * rng.standard_normal(k)
-        points = np.empty(n)
-    else:
-        outliers = mean + spec.outlier_sd * rng.standard_normal((k, spec.model.dim_x))
-        points = np.empty((n, spec.model.dim_x))
+    outliers = mean + spec.outlier_sd * rng.standard_normal((k, *shape))
+    points = np.empty((n, *shape))
     points[~labels] = inliers
     points[labels] = outliers
     return Dataset(points=points, is_outlier=labels)

@@ -2,8 +2,9 @@
 
 The robust objective splits into an empirical average over the data and
 an integral of the (1+beta)-th power of the model density.  The integral
-term is available in closed form for the normal families and through a
-regular-grid quadrature for everything else.  All powering goes through
+term is available in closed form for the families that define
+``closed_form_r`` (the normal ones) and through a regular-grid quadrature
+for everything else.  All powering goes through
 ``exp(beta * log_pdf)`` so that points of zero density contribute zero
 instead of underflowing to NaN.
 """
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import IsoNormal, Normal1D
-
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Exact integral term; only normal families support it."""
+    """Exact integral term, for the families that define ``closed_form_r``."""
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,8 @@ class Lattice:
     nodes: int
 
     def __post_init__(self):
-        if self.extent <= 0:
-            raise ValueError("lattice extent must be positive")
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"lattice extent must be finite and > 0, got {self.extent}")
         if self.nodes < 2:
             raise ValueError("lattice needs at least 2 nodes per axis")
 
@@ -53,58 +52,30 @@ class ObjectiveValue:
     r_term: float
 
 
-def has_closed_form(model):
-    return isinstance(model, (Normal1D, IsoNormal))
-
-
-def _data_array(data):
-    return np.asarray(getattr(data, "points", data), dtype=float)
+def _data_points(data):
+    x = np.asarray(getattr(data, "points", data), dtype=float)
+    if x.shape[0] == 0:
+        raise ValueError("empty dataset")
+    return x
 
 
 def empirical_power_term(model, theta, data, beta):
     """Data-side term ``-(beta * n)^{-1} sum_i p(x_i)**beta``."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    x = _data_array(data)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
+    x = _data_points(data)
     lp = model.log_pdf(theta, x)
     return -float(np.exp(beta * lp).mean()) / beta
-
-
-def closed_form_r(model, theta, beta):
-    """Exact integral term for the families that admit one.
-
-    Normal: ``(2 pi sigma^2)^{-beta/2} (1+beta)^{-3/2}``.  The d-variate
-    unit-covariance family multiplies d univariate factors, giving
-    ``(2 pi)^{-d beta / 2} (1+beta)^{-(d+2)/2}``.
-    """
-    if isinstance(model, Normal1D):
-        sigma = model.to_natural(theta).sigma
-        return float(
-            (2.0 * np.pi * sigma**2) ** (-beta / 2.0) * (1.0 + beta) ** (-1.5)
-        )
-    if isinstance(model, IsoNormal):
-        d = model.d
-        return float(
-            (2.0 * np.pi) ** (-d * beta / 2.0) * (1.0 + beta) ** (-(d + 2) / 2.0)
-        )
-    raise ValueError(f"no closed-form integral term for {model.name}")
 
 
 def lattice_points(model, backend):
     """Quadrature nodes and the (scalar) weight shared by all of them."""
     extent, m = backend.extent, backend.nodes
-    if model.dim_x == 1:
-        if model.support == "positive":
-            pts = np.linspace(0.0, extent, m)
-            return pts, extent / (m - 1)
-        pts = np.linspace(-extent, extent, m)
-        return pts, 2.0 * extent / (m - 1)
-    axis = np.linspace(-extent, extent, m)
+    lo = 0.0 if model.support == "positive" else -extent
+    axis = np.linspace(lo, extent, m)
     grids = np.meshgrid(*([axis] * model.dim_x), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, model.dim_x)
-    return pts, (2.0 * extent / (m - 1)) ** model.dim_x
+    pts = np.stack(grids, axis=-1).reshape(-1, *model.point_shape)
+    return pts, ((extent - lo) / (m - 1)) ** model.dim_x
 
 
 def lattice_r(model, theta, beta, backend):
@@ -117,7 +88,9 @@ def lattice_r(model, theta, beta, backend):
 def integral_r(model, theta, beta, backend):
     """Integral term through whichever backend is configured."""
     if isinstance(backend, ClosedForm):
-        return closed_form_r(model, theta, beta)
+        if model.closed_form_r is None:
+            raise ValueError(f"no closed-form integral term for {model.name}")
+        return model.closed_form_r(theta, beta)
     if isinstance(backend, Lattice):
         return lattice_r(model, theta, beta, backend)
     raise ValueError(f"unsupported integral backend {backend!r}")
@@ -141,9 +114,7 @@ def empirical_gce(model, theta, data, gamma, backend, scale=1.0):
         raise ValueError("gamma must be positive")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    x = _data_array(data)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
+    x = _data_points(data)
     log_c = np.log(scale)
     mean_pow = np.exp(gamma * (model.log_pdf(theta, x) + log_c)).mean()
     if mean_pow <= 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import lattice_points
+from .divergence import _data_points, lattice_points
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -61,13 +61,6 @@ class GradEstimate:
     draw_weights: np.ndarray | None = None
 
 
-def _data_points(data):
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
-    return x
-
-
 def _weighted_score_sum(model, theta, x, power):
     """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``.
 
@@ -104,12 +97,8 @@ def _draw_proposal(model, theta, proposal, m, rng):
                 f"fixed normal proposal does not cover the support of {model.name}"
             )
         mean = np.asarray(proposal.mean, dtype=float)
-        if model.dim_x == 1:
-            y = float(mean) + proposal.sd * rng.standard_normal(m)
-            resid = (y - float(mean)) ** 2
-        else:
-            y = mean + proposal.sd * rng.standard_normal((m, model.dim_x))
-            resid = ((y - mean) ** 2).sum(axis=-1)
+        y = mean + proposal.sd * rng.standard_normal((m, *model.point_shape))
+        resid = ((y - mean) ** 2).reshape(m, -1).sum(axis=-1)
         log_q = -0.5 * model.dim_x * (_LOG_2PI + 2.0 * np.log(proposal.sd)) - resid / (
             2.0 * proposal.sd**2
         )

@@ -102,10 +102,11 @@ class Model:
     """Common interface of all density families.
 
     ``theta`` is always a flat float array in the unconstrained space,
-    ``x`` an array of observations: shape ``(n,)`` for scalar families,
-    ``(n, d)`` for the d-variate one.  ``params_cls`` is the dataclass of
-    the natural parameters and ``default_truth`` their values when a
-    synthetic run names none.
+    ``x`` an array of observations of shape ``(n, *point_shape)``.
+    ``params_cls`` is the dataclass of the natural parameters and
+    ``default_truth`` their values when a synthetic run names none.
+    A family whose integral term ``int p**(1+beta) / (1+beta)`` has a
+    closed form defines it as ``closed_form_r(theta, beta)``.
     """
 
     name: str = ""
@@ -115,6 +116,13 @@ class Model:
     natural_names: tuple = ()
     params_cls: type = None
     default_truth: tuple = ()
+    closed_form_r = None
+
+    @property
+    def point_shape(self):
+        """Shape of one observation: ``()`` for scalar families, ``(d,)``
+        for the d-variate one."""
+        return () if self.dim_x == 1 else (self.dim_x,)
 
     def log_pdf(self, theta, x):
         raise NotImplementedError
@@ -232,6 +240,13 @@ class Normal1D(Model):
         mu, var = self._moments(self._check_theta(theta))
         return mu + np.sqrt(var) * rng.standard_normal(size)
 
+    def closed_form_r(self, theta, beta):
+        """``(2 pi sigma^2)^{-beta/2} (1+beta)^{-3/2}``."""
+        sigma = self.to_natural(theta).sigma
+        return float(
+            (2.0 * np.pi * sigma**2) ** (-beta / 2.0) * (1.0 + beta) ** (-1.5)
+        )
+
     def to_natural(self, theta):
         mu, var = self._moments(self._check_theta(theta))
         return NormalParams(mu=float(mu), sigma=float(np.sqrt(var)))
@@ -270,6 +285,13 @@ class IsoNormal(Model):
     def sample(self, theta, rng, size):
         theta = self._check_theta(theta)
         return theta + rng.standard_normal((size, self.d))
+
+    def closed_form_r(self, theta, beta):
+        """``(2 pi)^{-d beta / 2} (1+beta)^{-(d+2)/2}``, d unit-variance factors."""
+        d = self.d
+        return float(
+            (2.0 * np.pi) ** (-d * beta / 2.0) * (1.0 + beta) ** (-(d + 2) / 2.0)
+        )
 
     def to_natural(self, theta):
         return IsoNormalParams(mean=self._check_theta(theta).copy())

@@ -30,8 +30,8 @@ class StepDecay:
     period: int
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not (np.isfinite(self.eta0) and self.eta0 > 0):
+            raise ValueError(f"eta0 must be finite and > 0, got {self.eta0}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError("decay rate must lie in (0, 1)")
         if self.period < 1:

@@ -9,7 +9,7 @@ import pytest
 
 from dpdfit.cli import main
 from dpdfit.datagen import Dataset
-from dpdfit.divergence import Lattice, closed_form_r, empirical_power_term, lattice_r
+from dpdfit.divergence import Lattice, empirical_power_term, lattice_r
 from dpdfit.gradients import CurrentModel, stochastic_grad_dpd
 from dpdfit.mle import em_mixture, mle_gompertz, mle_inverse_normal, mle_normal
 from dpdfit.models import (
@@ -76,7 +76,7 @@ def test_criterion_01_gradient_unbiasedness():
         x = m.sample(theta, rng, 200) + rng.uniform(-0.5, 0.5)
         exact = fd_grad(
             lambda t: empirical_power_term(m, t, x, beta)
-            + closed_form_r(m, t, beta),
+            + m.closed_form_r(t, beta),
             theta,
         )
         # averaging 1e5 batch-m estimates equals one batch of 1e5 * m draws
@@ -101,7 +101,7 @@ def test_criterion_02_quadrature_matches_closed_form():
         theta = np.array([rng.uniform(-2, 2), rng.uniform(0.5, 1.3)])
         for beta in (0.1, 0.5, 1.0):
             err = abs(lattice_r(m, theta, beta, backend)
-                      - closed_form_r(m, theta, beta))
+                      - m.closed_form_r(theta, beta))
             worst = max(worst, err)
     msg = report(2, "lattice vs closed form", worst < 1e-4,
                  f"max error = {worst:.2e} (bound 1e-4)")

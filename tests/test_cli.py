@@ -106,6 +106,53 @@ class TestFit:
         assert err.startswith("error: sigma must be finite and > 0") and err.count("\n") == 1
         assert not (tmp_path / "estimate.csv").exists()
 
+    @pytest.mark.parametrize("key,args", [
+        ("eta0", ["fit", "--eta0", "nan"]),
+        ("beta", ["fit", "--beta", "nan"]),
+        ("beta", ["fit", "--beta", "inf"]),
+        ("gamma", ["fit", "--divergence", "gamma", "--gamma", "nan"]),
+        ("outlier_sd", ["fit", "--outlier-sd", "nan"]),
+        ("outlier_mean", ["fit", "--outlier-mean", "inf"]),
+        ("betas", ["density-curves", "--betas", "0.5,nan"]),
+        ("grid_extent", ["table-compare", "--config", "paper-4.2-d2",
+                         "--replications", "2", "--grid-extent", "nan"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, key, args):
+        rc = main(args + ["--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model,flag,value,message", [
+        ("normal", "--proposal", "normal:0,0,1",
+         "--proposal normal: mean has 2 value(s) per point, but normal needs 1"),
+        ("normal", "--outlier-mean", "1,2",
+         "--outlier-mean has 2 value(s) per point, but normal needs 1"),
+        ("isonormal2", "--outlier-mean", "1,2,3",
+         "--outlier-mean has 3 value(s) per point, but isonormal2 needs 1 or 2"),
+    ], ids=["normal-proposal", "normal-outlier-mean", "isonormal2-outlier-mean"])
+    def test_point_size_mismatch_exits_one(self, tmp_path, capsys, model, flag, value,
+                                           message):
+        rc = main(["fit", "--model", model, f"{flag}={value}",
+                   "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("model,content,size,need", [
+        ("normal", "x_1,x_2\n0.5,1.0\n1.5,2.0\n-0.5,0.0\n", 2, 1),
+        ("isonormal2", "x_1\n0.5\n1.5\n-0.5\n", 1, 2),
+    ], ids=["normal-2-columns", "isonormal2-1-column"])
+    def test_csv_of_wrong_dimension_exits_one(self, tmp_path, capsys, model, content,
+                                              size, need):
+        path = tmp_path / "input.csv"
+        path.write_text(content)
+        rc = main(["fit", "--model", model, "--data", str(path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} has {size} value(s) per point, but {model} needs {need}\n")
+
     def test_isonormal1_exits_one(self, tmp_path, capsys):
         rc = main(["fit", "--model", "isonormal1", "--out-dir", str(tmp_path)] + FAST)
         assert rc == 1

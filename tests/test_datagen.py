@@ -74,6 +74,9 @@ class TestContaminatedSample:
             normal_spec(xi=1.0)
         with pytest.raises(ValueError):
             normal_spec(n=0)
+        for sd in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="outlier spread"):
+                normal_spec(outlier_sd=sd)
 
 
 class TestDatasetCsv:

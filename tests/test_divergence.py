@@ -5,10 +5,10 @@ from scipy import integrate
 from dpdfit.divergence import (
     ClosedForm,
     Lattice,
-    closed_form_r,
     empirical_dpce,
     empirical_gce,
     empirical_power_term,
+    integral_r,
     lattice_points,
     lattice_r,
 )
@@ -67,12 +67,12 @@ class TestClosedFormR:
     def test_standard_normal_beta_one(self):
         m = Normal1D()
         th = m.from_natural(NormalParams(mu=0.0, sigma=1.0))
-        assert closed_form_r(m, th, 1.0) == pytest.approx(0.141047395886939, abs=1e-10)
+        assert m.closed_form_r(th, 1.0) == pytest.approx(0.141047395886939, abs=1e-10)
 
     def test_standard_normal_beta_half(self):
         m = Normal1D()
         th = m.from_natural(NormalParams(mu=0.0, sigma=1.0))
-        assert closed_form_r(m, th, 0.5) == pytest.approx(0.34381, abs=5e-6)
+        assert m.closed_form_r(th, 0.5) == pytest.approx(0.34381, abs=5e-6)
 
     def test_against_quadrature_oracle(self):
         m = Normal1D()
@@ -81,7 +81,7 @@ class TestClosedFormR:
             th = np.array([rng.uniform(-2, 2), rng.uniform(0.5, 2.0)])
             beta = rng.uniform(0.1, 1.0)
             ref = quad_r(m, th, beta, -40, 40)
-            assert closed_form_r(m, th, beta) == pytest.approx(ref, abs=1e-6)
+            assert m.closed_form_r(th, beta) == pytest.approx(ref, abs=1e-6)
 
     def test_isonormal_against_univariate_product(self):
         # the d-variate unit-covariance integral is the d-th power of the
@@ -91,21 +91,22 @@ class TestClosedFormR:
         for d in (2, 3, 4):
             m = IsoNormal(d)
             for beta in (0.1, 0.5, 1.0):
-                one_dim_integral = (1.0 + beta) * closed_form_r(m1, th1, beta)
+                one_dim_integral = (1.0 + beta) * m1.closed_form_r(th1, beta)
                 expected = one_dim_integral**d / (1.0 + beta)
-                assert closed_form_r(m, np.zeros(d), beta) == pytest.approx(
+                assert m.closed_form_r(np.zeros(d), beta) == pytest.approx(
                     expected, rel=1e-12
                 )
 
     def test_small_beta_limit_is_one(self):
         m = Normal1D()
         th = m.from_natural(NormalParams(mu=0.4, sigma=1.3))
-        assert closed_form_r(m, th, 1e-8) == pytest.approx(1.0, abs=1e-6)
+        assert m.closed_form_r(th, 1e-8) == pytest.approx(1.0, abs=1e-6)
 
     def test_unsupported_family(self):
         g = Gompertz()
-        with pytest.raises(ValueError):
-            closed_form_r(g, np.zeros(2), 0.5)
+        assert g.closed_form_r is None
+        with pytest.raises(ValueError, match="no closed-form integral term for gompertz"):
+            integral_r(g, np.zeros(2), 0.5, ClosedForm())
 
 
 class TestLatticeR:
@@ -118,6 +119,21 @@ class TestLatticeR:
         pts, w = lattice_points(Gompertz(), Lattice(extent=6.0, nodes=4))
         np.testing.assert_allclose(pts, [0.0, 2.0, 4.0, 6.0])
         assert w == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("model", [Gompertz(), Normal1D(), IsoNormal(3)], ids=repr)
+    def test_matches_explicit_formulas(self, model):
+        extent, m = 2.3, 7
+        lo = 0.0 if model.support == "positive" else -extent
+        axis = np.linspace(lo, extent, m)
+        if model.dim_x == 1:
+            expected = axis
+        else:
+            grids = np.meshgrid(*([axis] * model.dim_x), indexing="ij")
+            expected = np.stack(grids, axis=-1).reshape(-1, model.dim_x)
+        pts, w = lattice_points(model, Lattice(extent=extent, nodes=m))
+        assert pts.shape == expected.shape
+        np.testing.assert_array_equal(pts, expected)
+        assert w == ((extent - lo) / (m - 1)) ** model.dim_x
 
     def test_multivariate_grid(self):
         m = IsoNormal(2)
@@ -133,7 +149,7 @@ class TestLatticeR:
         for _ in range(10):
             th = np.array([rng.uniform(-2, 2), rng.uniform(0.5, 1.3)])
             for beta in (0.1, 0.5, 1.0):
-                err = abs(lattice_r(m, th, beta, backend) - closed_form_r(m, th, beta))
+                err = abs(lattice_r(m, th, beta, backend) - m.closed_form_r(th, beta))
                 assert err < 1e-4
 
     def test_gompertz_normalization_at_beta_zero(self):
@@ -150,7 +166,7 @@ class TestLatticeR:
         for _ in range(10):
             th = np.array([rng.uniform(-1, 1), rng.uniform(0.02, 0.1)])
             for beta in (0.1, 0.5, 1.0):
-                exact = closed_form_r(m, th, beta)
+                exact = m.closed_form_r(th, beta)
                 errs = [
                     abs(lattice_r(m, th, beta, Lattice(8.0, n)) - exact)
                     for n in (100, 1000, 10_000)
@@ -159,8 +175,9 @@ class TestLatticeR:
                 assert errs[2] <= errs[1] + 1e-13
 
     def test_bad_backend_parameters(self):
-        with pytest.raises(ValueError):
-            Lattice(extent=0.0, nodes=10)
+        for extent in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Lattice(extent=extent, nodes=10)
         with pytest.raises(ValueError):
             Lattice(extent=1.0, nodes=1)
 

@@ -4,8 +4,11 @@ Speed-ups and refactors must leave every preset output byte-identical.
 These SHA-256 digests were recorded at the default seed: the ``trace.csv``
 ones before the fused ``log_pdf_and_score`` kernels, the ``estimate.csv``
 and ``table.csv`` ones before ``fit``/``trace`` shared one run path and
-``table-compare`` drew its samples through the ``fit`` data path.  Change
-them only for an intended numeric change, and say so in CHANGES.md.
+``table-compare`` drew its samples through the ``fit`` data path, and the
+``data.csv``, ``curves.csv``, fixed-normal ``trace.csv`` and gamma
+``estimate.csv`` ones before every family took one shape-generic point
+path and the stochastic descents one run helper.  Change them only for an
+intended numeric change, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -45,6 +48,16 @@ OUTPUTS = {
         "d646ce760bd9637b3c1cd589d0eed480ce87c6f344b2d378348339cefbf6ef2d",
     ("table-compare --config paper-4.2-d2 --replications 2 --T 30", "table.csv"):
         "4a72efaa122f43a04f282b9d30c7c8162c70be896783e5f2b8edd1d9a1403978",
+    ("fit --config paper-4.1-i", "data.csv"):
+        "e0635fe8666a656887cde3e0792fe9ba7a7ff726a0627b7d7ac5a969f1a9aefc",
+    ("density-curves --config paper-4.1-iii --T 200", "curves.csv"):
+        "4dd15be4e931d37c3d927f20bc5370d99eaf5af2b1480e7d5a4604ee0b88e1a9",
+    ("fit --config paper-4.1-i --proposal normal:0,3 --T 200", "trace.csv"):
+        "791f22152361a7a59d1bd3aab088a9ee652abadfd559ab4e0269fd299dfeaacb",
+    ("fit --model isonormal3 --proposal normal:0,0,0,2 --T 100", "trace.csv"):
+        "98795c69825b0328886dda2bedcc8d199dda3f59a13b8cd1725726008e56783d",
+    ("fit --config paper-4.1-ii --divergence gamma --T 200", "estimate.csv"):
+        "1e8dc493435b34c9a96dc7a0aa9bc6686fc27f63cbd94b610b686069d46e7204",
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpdfit.divergence import Lattice, closed_form_r, empirical_power_term, lattice_r
+from dpdfit.divergence import Lattice, empirical_power_term, lattice_r
 from dpdfit.gradients import (
     CurrentModel,
     FixedNormal,
@@ -35,7 +35,7 @@ def exact_dpd_grad(model, theta, x, beta):
     """Oracle: finite differences of the exactly computable objective."""
     return fd_grad(
         lambda t: empirical_power_term(model, t, x, beta)
-        + closed_form_r(model, t, beta),
+        + model.closed_form_r(t, beta),
         theta,
     )
 
@@ -291,7 +291,7 @@ class TestStochasticGradGamma:
             th, log_c = psi[:2], psi[2]
             cc = np.exp(log_c)
             first = cc**gamma * empirical_power_term(m, th, x, gamma)
-            return first + cc ** (1 + gamma) * closed_form_r(m, th, gamma)
+            return first + cc ** (1 + gamma) * m.closed_form_r(th, gamma)
 
         exact = fd_grad(scaled_objective, np.concatenate([theta, [np.log(c)]]))
         total = 400_000

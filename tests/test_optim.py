@@ -28,8 +28,9 @@ class TestSchedules:
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
     def test_invalid_schedule_parameters(self):
-        with pytest.raises(ValueError):
-            StepDecay(eta0=0.0, rate=0.7, period=10)
+        for eta0 in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                StepDecay(eta0=eta0, rate=0.7, period=10)
         with pytest.raises(ValueError):
             StepDecay(eta0=1.0, rate=1.0, period=10)
         with pytest.raises(ValueError):
