@@ -231,7 +231,10 @@ def _theta_from_naturals(model, values, key):
         raise ConfigError(
             f"{key} for {model.name} needs {len(model.natural_names)} values"
         )
-    return model.from_natural_values(values)
+    theta = model.from_natural_values(values)  # names an invalid scale or weight
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} must be finite, got {','.join(map(repr, values))}")
+    return theta
 
 
 def _truth_theta(cfg, model):
@@ -441,8 +444,9 @@ def cmd_fit(cfg, write_estimate=True):
     return 2 if result.diverged else 0
 
 
-def _table_cell_run(cfg, model, truth, method, size, rep):
-    """One replication of one table cell; returns (mse, diverged)."""
+def _table_cell_run(cfg, model, truth, lattices, method, size, rep):
+    """One replication of one table cell; returns (mse, diverged).
+    ``lattices`` maps each ``gd-ni`` size to its quadrature grid."""
     ds = _dataset(cfg, model, truth, rep)
     theta0 = mle_isonormal(ds)
     beta = _as_float(cfg, "beta")
@@ -454,7 +458,7 @@ def _table_cell_run(cfg, model, truth, method, size, rep):
     else:
         schedule = _schedule(cfg)
         n_steps = _as_int(cfg, "T")
-        backend = Lattice(extent=_as_float(cfg, "grid_extent"), nodes=size)
+        backend = lattices[size]
         omega = float(np.mean([schedule.at(t) for t in range(1, n_steps + 1)]))
 
         def grad(th):
@@ -476,17 +480,21 @@ def cmd_table_compare(cfg):
     if reps < 1:
         raise ConfigError("replications must be >= 1")
     n_steps = _as_int(cfg, "T")
+    if n_steps < 1:
+        raise ConfigError("T must be >= 1 for table-compare")
     n = _as_int(cfg, "n")
 
     m_values = _int_list(cfg["m_values"] or cfg["m"], "m_values")
     big_m_values = _int_list(cfg["big_m_values"] or cfg["big_m"], "big_m_values")
     cells = [("sgd", m) for m in m_values]
     cells += [("gd-ni", mm) for mm in big_m_values]
+    extent = _as_float(cfg, "grid_extent")
+    lattices = {mm: Lattice(extent=extent, nodes=mm) for mm in big_m_values}
 
     jobs = [(method, size, rep) for method, size in cells for rep in range(reps)]
     with ThreadPoolExecutor(max_workers=min(8, reps)) as pool:
         outcomes = list(
-            pool.map(lambda job: _table_cell_run(cfg, model, truth, *job), jobs)
+            pool.map(lambda job: _table_cell_run(cfg, model, truth, lattices, *job), jobs)
         )
 
     any_diverged = False

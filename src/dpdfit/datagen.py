@@ -7,12 +7,15 @@ form, but estimators never see them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import Model
+
+# rows formatted per write in to_csv, so that the text of a large dataset
+# never has to exist in memory all at once
+_BLOCK_ROWS = 65536
 
 
 @dataclass
@@ -27,33 +30,53 @@ class Dataset:
         return self.points.shape[0]
 
     def to_csv(self, path):
+        """Write ``x_1..x_d,outlier`` rows with ``\\r\\n`` line ends, each
+        value as its shortest round-trip ``repr`` and each label as 0/1."""
         points = self.points.reshape(self.n, -1)
+        header = [f"x_{i + 1}" for i in range(points.shape[1])] + ["outlier"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x_{i + 1}" for i in range(points.shape[1])] + ["outlier"]
-            )
-            for row, lab in zip(points, self.is_outlier):
-                writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+            fh.write(",".join(header) + "\r\n")
+            for start in range(0, self.n, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                columns = [map(repr, col) for col in points[block].T.tolist()]
+                columns.append(map(str, self.is_outlier[block].astype(int).tolist()))
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2:
-            raise ValueError(f"{path}: no data rows")
-        header, body = rows[0], rows[1:]
+        """Read what :meth:`to_csv` writes.  The ``outlier`` column may be
+        left out; empty lines are skipped.  A file without data rows, with
+        a value that is not a finite number, with a row whose column count
+        differs from the header's, or with a label other than 0 or 1
+        raises ``ValueError`` naming ``path``."""
+        try:
+            with open(path, newline="") as fh:
+                header = fh.readline().rstrip("\r\n").split(",")
+                body = fh.tell()
+                if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+                    raise ValueError("no data rows")
+                fh.seek(body)
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            # numpy follows a column-count message with advice on its own
+            # ``usecols`` argument, after a ';'
+            raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from None
+        if values.shape[1] != len(header):
+            raise ValueError(f"{path}: {values.shape[1]} columns in the data rows, "
+                             f"{len(header)} in the header")
         has_label = header[-1] == "outlier"
         dim = len(header) - (1 if has_label else 0)
-        pts = np.array([[float(v) for v in r[:dim]] for r in body])
+        # contiguous, as sums over a strided column can round differently
+        pts = np.ascontiguousarray(values[:, 0] if dim == 1 else values[:, :dim])
         if not np.isfinite(pts).all():
             raise ValueError(f"{path}: non-finite value in the data")
-        if dim == 1:
-            pts = pts[:, 0]
         if has_label:
-            labels = np.array([bool(int(r[dim])) for r in body])
+            labels = values[:, dim]
+            if not np.isin(labels, (0, 1)).all():
+                raise ValueError(f"{path}: outlier labels must be 0 or 1")
+            labels = labels == 1
         else:
-            labels = np.zeros(len(body), dtype=bool)
+            labels = np.zeros(len(values), dtype=bool)
         return cls(points=pts, is_outlier=labels)
 
 

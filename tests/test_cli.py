@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import dpdfit
+from dpdfit import cli
 from dpdfit.cli import PRESETS, main
 from dpdfit.datagen import Dataset
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
 
 
 def read_csv(path):
@@ -75,7 +78,8 @@ class TestFit:
         rc = main(["fit", "--model", "cauchy", "--out-dir", str(tmp_path)])
         assert rc == 1
 
-    @pytest.mark.parametrize("content", ["", "x_1,outlier\n"], ids=["empty", "header-only"])
+    @pytest.mark.parametrize("content", ["", "x_1,outlier\n", "x_1,outlier\r\n\r\n\n"],
+                             ids=["empty", "header-only", "header-and-blank-lines"])
     def test_csv_without_rows_exits_one(self, tmp_path, capsys, content):
         path = tmp_path / "input.csv"
         path.write_text(content)
@@ -93,6 +97,28 @@ class TestFit:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: non-finite value in the data\n"
+
+    @pytest.mark.parametrize("model,content,message", [
+        ("normal", "x_1,outlier\n0.5,0\n1.5\n", "number of columns changed from 2 to 1"),
+        ("normal", "x_1\n0.5\n1.5,2.0\n", "number of columns changed from 1 to 2"),
+        ("normal", "x_1\n0.5,1.0\n1.5,2.0\n", "2 columns in the data rows, 1 in the header"),
+        ("isonormal2", "x_1,x_2,outlier\n0.5,1.0\n1.5,2.0\n",
+         "2 columns in the data rows, 3 in the header"),
+        ("normal", "x_1\n0.5\nabc\n", "could not convert string 'abc'"),
+        ("normal", "x_1,outlier\n0.5,0\n1.5,0.5\n", "outlier labels must be 0 or 1"),
+        ("normal", "x_1,outlier\n0.5,0\n1.5,nan\n", "outlier labels must be 0 or 1"),
+    ], ids=["short-row", "long-row", "every-row-long", "label-missing", "not-a-number",
+            "label-0.5", "label-nan"])
+    def test_malformed_csv_exits_one(self, tmp_path, capsys, model, content, message):
+        path = tmp_path / "input.csv"
+        path.write_text(content)
+        rc = main(["fit", "--model", model, "--data", str(path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
     @pytest.mark.parametrize("model,init", [
         ("normal", "0,-1"), ("normal", "0,0"), ("normal", "0,nan"),
@@ -113,6 +139,8 @@ class TestFit:
         ("gamma", ["fit", "--divergence", "gamma", "--gamma", "nan"]),
         ("outlier_sd", ["fit", "--outlier-sd", "nan"]),
         ("outlier_mean", ["fit", "--outlier-mean", "inf"]),
+        ("init", ["fit", "--init=nan,1"]),
+        ("init", ["fit", "--model", "isonormal2", "--init=0.5,inf"]),
         ("betas", ["density-curves", "--betas", "0.5,nan"]),
         ("grid_extent", ["table-compare", "--config", "paper-4.2-d2",
                          "--replications", "2", "--grid-extent", "nan"]),
@@ -259,6 +287,24 @@ class TestTableCompare:
         err = capsys.readouterr().err
         assert "--data" in err and err.count("\n") == 1
         assert not (tmp_path / "out" / "table.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--T", "0", "T must be >= 1 for table-compare"),
+        ("--grid-extent", "nan", "grid_extent must be finite"),
+        ("--grid-extent", "0", "lattice extent must be finite and > 0"),
+    ])
+    def test_bad_value_exits_one_before_any_cell_runs(self, tmp_path, capsys,
+                                                      monkeypatch, flag, value, message):
+        def cell(*args):
+            raise AssertionError("a table cell ran")
+
+        monkeypatch.setattr(cli, "_table_cell_run", cell)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--replications", "2",
+                   f"{flag}={value}", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "table.csv").exists()
 
     def test_requires_isonormal(self, tmp_path):
         rc = main(["table-compare", "--model", "normal",

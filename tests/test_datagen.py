@@ -2,9 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpdfit.datagen import ContaminationSpec, Dataset, contaminated_sample
 from dpdfit.models import IsoNormal, Normal1D, NormalParams
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
 
 
 def normal_spec(**overrides):
@@ -87,6 +91,13 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite value")):
             Dataset.from_csv(path)
 
+    def test_blank_lines_and_line_ends(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"x_1,outlier\r\n0.5,0\r\n\r\n1.5,1\n\n-0.25,0\r\n\r\n")
+        ds = Dataset.from_csv(path)
+        assert ds.points.tolist() == [0.5, 1.5, -0.25]
+        assert ds.is_outlier.tolist() == [False, True, False]
+
     def test_roundtrip_scalar(self, tmp_path):
         ds = contaminated_sample(normal_spec(n=200), np.random.default_rng(5))
         path = tmp_path / "data.csv"
@@ -107,3 +118,44 @@ class TestDatasetCsv:
         back = Dataset.from_csv(path)
         np.testing.assert_array_equal(back.points, ds.points)
         np.testing.assert_array_equal(back.is_outlier, ds.is_outlier)
+
+
+# Finite doubles, with the extremes the shortest round-trip repr must
+# reproduce: the smallest subnormal, a larger subnormal, +-max and -0.0.
+EXTREMES = [5e-324, -5e-324, 2.5e-310, 1.7976931348623157e308,
+            -1.7976931348623157e308, -0.0, 0.0]
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+
+
+@st.composite
+def datasets(draw):
+    """Datasets of either point shape: ``(n,)`` for d = 1, else ``(n, d)``."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 20))
+    values = draw(st.lists(DOUBLES, min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    points = np.array(values, dtype=float).reshape((n,) if d == 1 else (n, d))
+    return Dataset(points=points, is_outlier=np.array(labels, dtype=bool))
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    @example(Dataset(points=np.array(EXTREMES), is_outlier=np.zeros(7, dtype=bool)))
+    @example(Dataset(points=np.array(EXTREMES[:6]).reshape(3, 2),
+                     is_outlier=np.array([True, False, True])))
+    def test_bitwise_round_trip_and_repr_text(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        ds.to_csv(path)
+        back = Dataset.from_csv(path)
+        assert back.points.shape == ds.points.shape
+        assert np.array_equal(back.points.view(np.int64), ds.points.view(np.int64))
+        assert np.array_equal(back.is_outlier, ds.is_outlier)
+
+        lines = path.read_bytes().decode().split("\r\n")
+        d = 1 if ds.points.ndim == 1 else ds.points.shape[1]
+        assert lines[0] == ",".join([f"x_{i + 1}" for i in range(d)] + ["outlier"])
+        assert lines[-1] == ""  # every row, the last included, ends in \r\n
+        rows = ds.points.reshape(ds.n, -1)
+        for line, row, label in zip(lines[1:-1], rows, ds.is_outlier, strict=True):
+            assert line == ",".join([repr(float(v)) for v in row] + [str(int(label))])

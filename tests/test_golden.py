@@ -7,7 +7,9 @@ and ``table.csv`` ones before ``fit``/``trace`` shared one run path and
 ``table-compare`` drew its samples through the ``fit`` data path, and the
 ``data.csv``, ``curves.csv``, fixed-normal ``trace.csv`` and gamma
 ``estimate.csv`` ones before every family took one shape-generic point
-path and the stochastic descents one run helper.  Change them only for an
+path and the stochastic descents one run helper, and the ``isonormal3`` and
+``paper-4.2-d2`` ``data.csv`` ones before ``Dataset`` wrote its CSV in
+blocks and read it with ``np.loadtxt``.  Change them only for an
 intended numeric change, and say so in CHANGES.md.
 """
 
@@ -16,6 +18,8 @@ import hashlib
 import pytest
 
 from dpdfit.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
 
 GOLDEN = {
     "paper-4.1-i": "43c093cd8aa34aecf6b1e6ec7ae1d28466bb33d1b0e38e09c1f2f3bd77712c2c",
@@ -58,6 +62,10 @@ OUTPUTS = {
         "98795c69825b0328886dda2bedcc8d199dda3f59a13b8cd1725726008e56783d",
     ("fit --config paper-4.1-ii --divergence gamma --T 200", "estimate.csv"):
         "1e8dc493435b34c9a96dc7a0aa9bc6686fc27f63cbd94b610b686069d46e7204",
+    ("fit --model isonormal3 --T 5", "data.csv"):
+        "7e690562070c30896539a079474c3d68f55a502dde02da4525387a4ba3637872",
+    ("fit --config paper-4.2-d2 --T 5", "data.csv"):
+        "689030a97f945dbc722a4629feb44704f6d7b9b9217ad870f7ed09c3b20c3c15",
 }
 
 
