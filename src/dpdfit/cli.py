@@ -7,11 +7,11 @@ trace           per-iteration monitoring run (exact objective, scale, MSE)
 table-compare   stochastic descent vs numerical-integration descent grid
 density-curves  gridded density of the MLE and each robust fit, for plotting
 
-Every run writes ``config.echo`` with the fully resolved configuration.
 Configuration precedence: command-line flags > ``--config`` file or
-named preset > built-in defaults.  Config files are plain
-``key = value`` lines; ``--config`` also accepts one of the named
-presets listed in ``PRESETS``.
+named preset > built-in defaults.  Config files are plain ``key = value``
+lines; ``--config`` also accepts one of the ``PRESETS``.  ``read_config``
+checks the resolved configuration before anything is written; every run
+then writes it to ``config.echo``.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical
 divergence.
@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
-from .models import IsoNormal, get_model
+from .models import IsoNormal, Model, get_model
 from .optim import Monitors, StepDecay, gd_run, sgd_run
 
 
@@ -140,9 +141,7 @@ def _build_parser():
                        help="config file path or preset name")
         for key in DEFAULTS:
             flag = "--" + key.replace("_", "-")
-            if key == "divergence":
-                p.add_argument(flag, choices=["dpd", "gamma"], default=None)
-            elif key == "fixed_outlier_count":
+            if key == "fixed_outlier_count":
                 p.add_argument(flag, action="store_const", const="true", default=None)
             else:
                 p.add_argument(flag, default=None)
@@ -181,48 +180,34 @@ def resolve_config(args):
     return cfg
 
 
-def _as_float(cfg, key):
+def _number(text, key, kind=float, above=None, finite=True):
+    """``text`` as one ``kind``: finite unless ``finite=False``, and
+    greater than ``above`` when that is given."""
     try:
-        value = float(cfg[key])
+        value = kind(text)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from None
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    if above is not None and value <= above:
+        bound = f">= {above + 1}" if kind is int else f"> {above}"
+        raise ConfigError(f"{key} must be {bound}, got {text!r}")
     return value
 
 
-def _as_int(cfg, key):
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
+def _numbers(text, key, kind=float, above=None, finite=True):
+    """Comma-separated :func:`_number` values; empty items are skipped."""
+    return [_number(v, key, kind, above, finite) for v in text.split(",") if v.strip()]
 
 
-def _as_bool(cfg, key):
-    v = cfg[key].strip().lower()
+def _as_bool(text, key):
+    v = text.strip().lower()
     if v in ("true", "1", "yes"):
         return True
     if v in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true/false, got {cfg[key]!r}")
-
-
-def _float_list(text, key, finite=True):
-    """Comma-separated numbers, all finite unless ``finite=False``."""
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated numbers") from None
-    if finite and not all(map(math.isfinite, values)):
-        raise ConfigError(f"{key} must be finite, got {text!r}")
-    return values
-
-
-def _int_list(text, key):
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated integers") from None
+    raise ConfigError(f"{key} must be true/false, got {text!r}")
 
 
 def _theta_from_naturals(model, values, key):
@@ -237,15 +222,6 @@ def _theta_from_naturals(model, values, key):
     return theta
 
 
-def _truth_theta(cfg, model):
-    """Unconstrained true parameters, or None when fitting foreign data."""
-    if cfg["data"]:
-        return None
-    text = cfg["truth"]
-    values = _float_list(text, "truth") if text else model.default_truth
-    return _theta_from_naturals(model, values, "truth")
-
-
 def _check_point_shape(model, shape, source, shared=False):
     """ConfigError unless ``shape`` is that of one point of ``model`` or,
     with ``shared``, one value for every coordinate."""
@@ -256,33 +232,115 @@ def _check_point_shape(model, shape, source, shared=False):
                       f"but {model.name} needs {need}")
 
 
-def _dataset(cfg, model, truth, *stream):
+def _proposal(text, model):
+    text = text.strip()
+    if text == "current":
+        return CurrentModel()
+    if text.startswith("normal:"):
+        # FixedNormal checks the values and names them
+        parts = _numbers(text[len("normal:"):], "proposal", finite=False)
+        if len(parts) < 2:
+            raise ConfigError("proposal normal:<mean...>,<sd> needs mean and sd")
+        mean = np.asarray(parts[:-1])
+        _check_point_shape(model, mean.shape, "--proposal normal: mean", shared=True)
+        if model.support != "real":  # else found only at the first descent step
+            raise ConfigError("fixed normal proposal does not cover the support "
+                              f"of {model.name}")
+        return FixedNormal(mean=mean, sd=parts[-1])
+    raise ConfigError(f"unknown proposal {text!r}")
+
+
+@dataclass(frozen=True)
+class Run:
+    """A resolved configuration, every value typed and checked.  ``truth``
+    and ``spec`` are None with ``--data``, ``init`` None for the MLE start;
+    ``lattices`` holds the grid of each ``big_m_values`` size, in order."""
+
+    model: Model
+    truth: np.ndarray | None
+    spec: ContaminationSpec | None
+    init: np.ndarray | None
+    proposal: CurrentModel | FixedNormal
+    schedule: StepDecay
+    beta: float
+    gamma: float
+    m: int
+    T: int
+    n: int
+    seed: int
+    replications: int
+    betas: list
+    m_values: list
+    lattices: tuple
+    gamma_mode: bool
+    data: str
+    out_dir: str
+
+
+def read_config(cfg):
+    """The :class:`Run` of a resolved configuration: every key is read and
+    checked whatever the subcommand, but ``--data`` leaves the synthetic-data
+    keys (``truth``, ``xi``, ``outlier_*``, ``fixed_outlier_count``) unread."""
+
+    def num(key, kind=float, above=None):
+        return _number(cfg[key], key, kind, above)
+
+    model = get_model(cfg["model"])
+    if cfg["divergence"] not in ("dpd", "gamma"):
+        raise ConfigError(f"divergence must be dpd or gamma, got {cfg['divergence']!r}")
+    n = num("n", int, above=0)
+    truth = spec = init = None
+    if not cfg["data"]:
+        values = _numbers(cfg["truth"], "truth") if cfg["truth"] else model.default_truth
+        truth = _theta_from_naturals(model, values, "truth")
+        outlier_mean = np.asarray(_numbers(cfg["outlier_mean"], "outlier_mean"))
+        _check_point_shape(model, outlier_mean.shape, "--outlier-mean", shared=True)
+        spec = ContaminationSpec(
+            model=model, truth=truth, outlier_mean=outlier_mean,
+            outlier_sd=num("outlier_sd"), xi=num("xi"), n=n,
+            fixed_count=_as_bool(cfg["fixed_outlier_count"], "fixed_outlier_count"),
+        )
+    if cfg["init"] != "mle":
+        # from_natural checks the values and names the parameter at fault
+        values = _numbers(cfg["init"], "init", finite=False)
+        init = _theta_from_naturals(model, values, "init")
+    extent = num("grid_extent")
+    big_m_values = _numbers(cfg["big_m_values"] or cfg["big_m"], "big_m_values", int)
+    return Run(
+        model=model, truth=truth, spec=spec, init=init,
+        proposal=_proposal(cfg["proposal"], model),
+        schedule=StepDecay(eta0=num("eta0"), rate=num("decay_rate"),
+                           period=num("decay_period", int)),
+        beta=num("beta", above=0),
+        gamma=num("gamma", above=0),
+        m=num("m", int, above=0),
+        T=num("T", int, above=-1),
+        n=n,
+        seed=num("seed", int, above=-1),
+        replications=num("replications", int, above=0),
+        betas=_numbers(cfg["betas"], "betas", above=0),
+        m_values=_numbers(cfg["m_values"] or cfg["m"], "m_values", int, above=0),
+        lattices=tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values),
+        gamma_mode=cfg["divergence"] == "gamma",
+        data=cfg["data"],
+        out_dir=cfg["out_dir"],
+    )
+
+
+def _dataset(run, *stream):
     """The ``--data`` CSV, or a contaminated sample drawn from
     ``default_rng([seed, *stream, 0])``."""
-    if cfg["data"]:
-        ds = Dataset.from_csv(cfg["data"])
-        _check_point_shape(model, ds.points.shape[1:], cfg["data"])
+    if run.data:
+        ds = Dataset.from_csv(run.data)
+        _check_point_shape(run.model, ds.points.shape[1:], run.data)
         return ds
-    outlier_mean = np.asarray(_float_list(cfg["outlier_mean"], "outlier_mean"))
-    _check_point_shape(model, outlier_mean.shape, "--outlier-mean", shared=True)
-    spec = ContaminationSpec(
-        model=model,
-        truth=truth,
-        outlier_mean=outlier_mean,
-        outlier_sd=_as_float(cfg, "outlier_sd"),
-        xi=_as_float(cfg, "xi"),
-        n=_as_int(cfg, "n"),
-        fixed_count=_as_bool(cfg, "fixed_outlier_count"),
-    )
-    rng = np.random.default_rng([_as_int(cfg, "seed"), *stream, 0])
-    return contaminated_sample(spec, rng)
+    return contaminated_sample(run.spec, np.random.default_rng([run.seed, *stream, 0]))
 
 
-def _initial_theta(cfg, model, ds):
-    choice = cfg["init"]
-    if choice != "mle":
-        # from_natural checks the values and names the parameter at fault
-        return _theta_from_naturals(model, _float_list(choice, "init", finite=False), "init")
+def _initial_theta(run, ds):
+    model = run.model
+    if run.init is not None:
+        return run.init
     if isinstance(model, IsoNormal):
         return mle_isonormal(ds)
     if model.name == "normal":
@@ -292,65 +350,35 @@ def _initial_theta(cfg, model, ds):
     if model.name == "gompertz":
         return mle_gompertz(ds)
     if model.name == "mixture":
-        return mle_mixture(ds, rng=np.random.default_rng([_as_int(cfg, "seed"), 2]))
+        return mle_mixture(ds, rng=np.random.default_rng([run.seed, 2]))
     raise ConfigError(f"no MLE initializer for {model.name}")
 
 
-def _proposal(cfg, model):
-    text = cfg["proposal"].strip()
-    if text == "current":
-        return CurrentModel()
-    if text.startswith("normal:"):
-        # FixedNormal checks the values and names them
-        parts = _float_list(text[len("normal:"):], "proposal", finite=False)
-        if len(parts) < 2:
-            raise ConfigError("proposal normal:<mean...>,<sd> needs mean and sd")
-        mean = np.asarray(parts[:-1])
-        _check_point_shape(model, mean.shape, "--proposal normal: mean", shared=True)
-        return FixedNormal(mean=mean, sd=parts[-1])
-    raise ConfigError(f"unknown proposal {cfg['proposal']!r}")
+def _sgd(run, ds, grad, theta0, m, *stream, monitors=None):
+    """Descent on ``default_rng([seed, *stream, 1])``, ``n + m`` evaluations a step."""
+    rng = np.random.default_rng([run.seed, *stream, 1])
+    return sgd_run(grad, theta0, run.schedule, run.T, rng, monitors=monitors,
+                   cost_per_iter=ds.n + m)
 
 
-def _schedule(cfg):
-    return StepDecay(
-        eta0=_as_float(cfg, "eta0"),
-        rate=_as_float(cfg, "decay_rate"),
-        period=_as_int(cfg, "decay_period"),
-    )
-
-
-def _dpd_sgd(cfg, model, ds, theta0, beta, m, proposal, *stream, monitors=None):
-    """Stochastic DPD descent from ``theta0`` with ``m`` proposal draws a
-    step, on the stream ``default_rng([seed, *stream, 1])``, at a cost of
-    ``n + m`` density evaluations a step."""
-
+def _dpd_sgd(run, ds, theta0, beta, m, proposal, *stream, monitors=None):
+    """Stochastic DPD descent with ``m`` proposal draws a step."""
     def grad(th, rng):
-        return stochastic_grad_dpd(model, th, ds.points, beta, m, proposal, rng).g
-
-    rng = np.random.default_rng([_as_int(cfg, "seed"), *stream, 1])
-    return sgd_run(grad, theta0, _schedule(cfg), _as_int(cfg, "T"), rng,
-                   monitors=monitors, cost_per_iter=ds.n + m)
+        return stochastic_grad_dpd(run.model, th, ds.points, beta, m, proposal, rng).g
+    return _sgd(run, ds, grad, theta0, m, *stream, monitors=monitors)
 
 
-def _monitors(cfg, model, ds, truth, gamma_mode):
-    objective = None
-    if model.closed_form_r is not None:
-        backend = ClosedForm()
-        if gamma_mode:
-            gamma = _as_float(cfg, "gamma")
-
-            def objective(psi):
-                return empirical_gce(model, psi[:-1], ds.points, gamma, backend)
-
-        else:
-            beta = _as_float(cfg, "beta")
-
-            def objective(th):
-                return empirical_dpce(model, th, ds.points, beta, backend).value
-
-    theta_star = None if truth is None else np.asarray(truth, dtype=float)
-    return Monitors(objective=objective, theta_star=theta_star,
-                    track_scale=gamma_mode)
+def _monitors(run, ds):
+    """Exact objective (closed-form families only), distance to the truth, scale."""
+    model, objective, backend = run.model, None, ClosedForm()
+    if model.closed_form_r is not None and run.gamma_mode:
+        def objective(psi):
+            return empirical_gce(model, psi[:-1], ds.points, run.gamma, backend)
+    elif model.closed_form_r is not None:
+        def objective(th):
+            return empirical_dpce(model, th, ds.points, run.beta, backend).value
+    return Monitors(objective=objective, theta_star=run.truth,
+                    track_scale=run.gamma_mode)
 
 
 def _fmt(value):
@@ -397,160 +425,106 @@ def _write_estimate(path, model, result, gamma_mode):
         writer.writerow(row)
 
 
-def cmd_fit(cfg, write_estimate=True):
+def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
     ``estimate.csv`` and ``trace.csv``; ``trace`` skips ``estimate.csv``."""
-    model = get_model(cfg["model"])
-    truth = _truth_theta(cfg, model)
-    ds = _dataset(cfg, model, truth)
-    theta0 = _initial_theta(cfg, model, ds)
-    proposal = _proposal(cfg, model)
-    gamma_mode = cfg["divergence"] == "gamma"
-    m = _as_int(cfg, "m")
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    n_steps = _as_int(cfg, "T")
-    if n_steps < 0:
-        raise ConfigError("T must be >= 0")
-    monitors = _monitors(cfg, model, ds, truth, gamma_mode)
-
-    if gamma_mode:
-        gamma = _as_float(cfg, "gamma")
-        if gamma <= 0:
-            raise ConfigError("gamma must be positive")
-
+    model = run.model
+    ds = _dataset(run)
+    theta0 = _initial_theta(run, ds)
+    monitors = _monitors(run, ds)
+    if run.gamma_mode:
         def grad(psi, rng):
             return stochastic_grad_gamma(
-                model, psi[:-1], float(np.exp(psi[-1])), ds.points, gamma, m,
-                proposal, rng,
+                model, psi[:-1], float(np.exp(psi[-1])), ds.points, run.gamma, run.m,
+                run.proposal, rng,
             ).g
 
         start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
-        result = sgd_run(grad, start, _schedule(cfg), n_steps,
-                         np.random.default_rng([_as_int(cfg, "seed"), 1]),
-                         monitors=monitors, cost_per_iter=ds.n + m)
+        result = _sgd(run, ds, grad, start, run.m, monitors=monitors)
     else:
-        beta = _as_float(cfg, "beta")
-        if beta <= 0:
-            raise ConfigError("beta must be positive")
-        result = _dpd_sgd(cfg, model, ds, theta0, beta, m, proposal, monitors=monitors)
-
-    out_dir = cfg["out_dir"]
-    if not cfg["data"]:
-        ds.to_csv(os.path.join(out_dir, "data.csv"))
+        result = _dpd_sgd(run, ds, theta0, run.beta, run.m, run.proposal,
+                          monitors=monitors)
+    if not run.data:
+        ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate:
-        _write_estimate(os.path.join(out_dir, "estimate.csv"), model, result, gamma_mode)
-    _write_trace(os.path.join(out_dir, "trace.csv"), model, result)
+        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model, result,
+                        run.gamma_mode)
+    _write_trace(os.path.join(run.out_dir, "trace.csv"), model, result)
     return 2 if result.diverged else 0
 
 
-def _table_cell_run(cfg, model, truth, lattices, method, size, rep):
-    """One replication of one table cell; returns (mse, diverged).
-    ``lattices`` maps each ``gd-ni`` size to its quadrature grid."""
-    ds = _dataset(cfg, model, truth, rep)
+def _table_cell_run(run, method, size, rep):
+    """One replication of one table cell; returns (mse, diverged).  ``size``
+    is the draw count of an ``sgd`` cell and the ``Lattice`` of a ``gd-ni`` one."""
+    ds = _dataset(run, rep)
     theta0 = mle_isonormal(ds)
-    beta = _as_float(cfg, "beta")
-    monitors = Monitors(theta_star=np.asarray(truth, dtype=float))
-
+    monitors = Monitors(theta_star=run.truth)
     if method == "sgd":
-        result = _dpd_sgd(cfg, model, ds, theta0, beta, size, CurrentModel(), rep,
+        result = _dpd_sgd(run, ds, theta0, run.beta, size, CurrentModel(), rep,
                           monitors=monitors)
     else:
-        schedule = _schedule(cfg)
-        n_steps = _as_int(cfg, "T")
-        backend = lattices[size]
-        omega = float(np.mean([schedule.at(t) for t in range(1, n_steps + 1)]))
+        omega = float(np.mean([run.schedule.at(t) for t in range(1, run.T + 1)]))
 
         def grad(th):
-            return lattice_grad_dpd(model, th, ds.points, beta, backend)
-
-        result = gd_run(grad, theta0, omega, n_steps, monitors=monitors,
-                        cost_per_iter=ds.n + backend.total_points(model))
+            return lattice_grad_dpd(run.model, th, ds.points, run.beta, size)
+        result = gd_run(grad, theta0, omega, run.T, monitors=monitors,
+                        cost_per_iter=ds.n + size.total_points(run.model))
     return result.final_record.mse, result.diverged
 
 
-def cmd_table_compare(cfg):
-    if cfg["data"]:
+def cmd_table_compare(run):
+    if run.data:
         raise ConfigError("table-compare draws its own samples; it takes no --data")
-    model = get_model(cfg["model"])
+    model = run.model
     if not isinstance(model, IsoNormal):
         raise ConfigError("table-compare requires an isonormal<d> model")
-    truth = _truth_theta(cfg, model)
-    reps = _as_int(cfg, "replications")
-    if reps < 1:
-        raise ConfigError("replications must be >= 1")
-    n_steps = _as_int(cfg, "T")
-    if n_steps < 1:
+    if run.T < 1:
         raise ConfigError("T must be >= 1 for table-compare")
-    n = _as_int(cfg, "n")
 
-    m_values = _int_list(cfg["m_values"] or cfg["m"], "m_values")
-    big_m_values = _int_list(cfg["big_m_values"] or cfg["big_m"], "big_m_values")
-    cells = [("sgd", m) for m in m_values]
-    cells += [("gd-ni", mm) for mm in big_m_values]
-    extent = _as_float(cfg, "grid_extent")
-    lattices = {mm: Lattice(extent=extent, nodes=mm) for mm in big_m_values}
-
+    reps = run.replications
+    cells = [("sgd", m) for m in run.m_values] + [("gd-ni", g) for g in run.lattices]
     jobs = [(method, size, rep) for method, size in cells for rep in range(reps)]
     with ThreadPoolExecutor(max_workers=min(8, reps)) as pool:
-        outcomes = list(
-            pool.map(lambda job: _table_cell_run(cfg, model, truth, lattices, *job), jobs)
-        )
+        outcomes = list(pool.map(lambda job: _table_cell_run(run, *job), jobs))
 
-    any_diverged = False
-    with open(os.path.join(cfg["out_dir"], "table.csv"), "w", newline="") as fh:
+    with open(os.path.join(run.out_dir, "table.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "size", "mean_mse", "sd_mse", "complexity"])
         for i, (method, size) in enumerate(cells):
             chunk = outcomes[i * reps:(i + 1) * reps]
             mses = np.array([c[0] for c in chunk])
-            any_diverged = any_diverged or any(c[1] for c in chunk)
-            if method == "sgd":
-                size_out, complexity = size, n_steps * (n + size)
-            else:
-                total = size ** model.d
-                size_out, complexity = total, n_steps * (n + total)
+            total = size if method == "sgd" else size.total_points(model)
             sd = mses.std(ddof=1) if reps > 1 else 0.0
-            writer.writerow([method, size_out, _fmt(mses.mean()), _fmt(sd),
-                             complexity])
-    return 2 if any_diverged else 0
+            writer.writerow([method, total, _fmt(mses.mean()), _fmt(sd),
+                             run.T * (run.n + total)])
+    return 2 if any(diverged for _, diverged in outcomes) else 0
 
 
-def cmd_density_curves(cfg):
-    out_dir = cfg["out_dir"]
-    model = get_model(cfg["model"])
+def cmd_density_curves(run):
+    model = run.model
     if model.dim_x != 1:
         raise ConfigError("density-curves requires a univariate model")
-    truth = _truth_theta(cfg, model)
-    ds = _dataset(cfg, model, truth)
-    if not cfg["data"]:
-        ds.to_csv(os.path.join(out_dir, "data.csv"))
-    theta_mle = _initial_theta(cfg, model, ds)
-    proposal = _proposal(cfg, model)
-    m = _as_int(cfg, "m")
+    ds = _dataset(run)
+    if not run.data:
+        ds.to_csv(os.path.join(run.out_dir, "data.csv"))
+    theta_mle = _initial_theta(run, ds)
 
-    fits = {}
-    diverged = False
-    for beta in _float_list(cfg["betas"], "betas"):
-        if beta <= 0:
-            raise ConfigError("betas must be positive")
-        result = _dpd_sgd(cfg, model, ds, theta_mle, beta, m, proposal)
-        fits[beta] = result.final_params
-        diverged = diverged or result.diverged
+    fits = {beta: _dpd_sgd(run, ds, theta_mle, beta, run.m, run.proposal)
+            for beta in run.betas}
 
     grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
     counts = np.histogram(ds.points, bins=grid)[0]
     columns = {"pdf_mle": np.exp(model.log_pdf(theta_mle, grid))}
-    for beta, theta in fits.items():
-        columns[f"pdf_beta_{beta:g}"] = np.exp(model.log_pdf(theta, grid))
+    for beta, result in fits.items():
+        columns[f"pdf_beta_{beta:g}"] = np.exp(model.log_pdf(result.final_params, grid))
 
-    with open(os.path.join(out_dir, "curves.csv"), "w", newline="") as fh:
+    with open(os.path.join(run.out_dir, "curves.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "hist_count"] + list(columns))
         for i, x in enumerate(grid):
             count = int(counts[i]) if i < counts.size else 0
             writer.writerow([_fmt(x), count] + [_fmt(c[i]) for c in columns.values()])
-    return 2 if diverged else 0
+    return 2 if any(result.diverged for result in fits.values()) else 0
 
 
 def main(argv=None):
@@ -558,15 +532,16 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
+        run = read_config(cfg)
         command = {
             "fit": cmd_fit,
-            "trace": lambda cfg: cmd_fit(cfg, write_estimate=False),
+            "trace": lambda run: cmd_fit(run, write_estimate=False),
             "table-compare": cmd_table_compare,
             "density-curves": cmd_density_curves,
         }[args.command]
-        os.makedirs(cfg["out_dir"], exist_ok=True)
-        _write_config_echo(cfg, cfg["out_dir"])
-        return command(cfg)
+        os.makedirs(run.out_dir, exist_ok=True)
+        _write_config_echo(cfg, run.out_dir)
+        return command(run)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

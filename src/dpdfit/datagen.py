@@ -18,6 +18,25 @@ from .models import Model
 _BLOCK_ROWS = 65536
 
 
+def _first_bad_line(path):
+    """File line of the first data row with a value that is not a number
+    or another column count than the first data row; None if there is none."""
+    width = None
+    with open(path, newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.rstrip("\r\n").split(",")
+            if lineno == 1 or fields == [""]:
+                continue
+            width = width or len(fields)
+            try:
+                [float(v) for v in fields]
+            except ValueError:
+                return lineno
+            if len(fields) != width:
+                return lineno
+    return None
+
+
 @dataclass
 class Dataset:
     """Observed points plus per-point origin labels (True = outlier)."""
@@ -48,7 +67,8 @@ class Dataset:
         left out; empty lines are skipped.  A file without data rows, with
         a value that is not a finite number, with a row whose column count
         differs from the header's, or with a label other than 0 or 1
-        raises ``ValueError`` naming ``path``."""
+        raises ``ValueError`` naming ``path``, and the file line (the
+        header is line 1) of a row that does not parse."""
         try:
             with open(path, newline="") as fh:
                 header = fh.readline().rstrip("\r\n").split(",")
@@ -58,9 +78,13 @@ class Dataset:
                 fh.seek(body)
                 values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            # numpy follows a column-count message with advice on its own
-            # ``usecols`` argument, after a ';'
-            raise ValueError(f"{path}: {str(exc).partition(';')[0]}") from None
+            # numpy ends its messages on a bad row with " at row <k>" and, for a
+            # column count, advice on its own ``usecols`` argument; <k> skips
+            # the header and empty lines and counts from 0 or 1 by message
+            text, at_row, _ = str(exc).rpartition(" at row ")
+            line = at_row and _first_bad_line(path)
+            where = f"line {line}: " if line else ""
+            raise ValueError(f"{path}: {where}{text or exc}") from None
         if values.shape[1] != len(header):
             raise ValueError(f"{path}: {values.shape[1]} columns in the data rows, "
                              f"{len(header)} in the header")

@@ -151,6 +151,8 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng, keep_draws=F
 
 def lattice_grad_dpd(model, theta, data, beta, backend):
     """Deterministic gradient with the integral term on a regular grid."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     g = data_term(model, theta, data, beta)
     pts, w = lattice_points(model, backend)
     return g + w * _weighted_score_sum(model, theta, pts, 1.0 + beta)[1]

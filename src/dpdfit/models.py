@@ -346,10 +346,6 @@ class InverseNormal(Model):
         d_lam = 0.5 / lam - r2 / denom
         return lp, _columns(d_mu * mu, d_lam * lam)
 
-    def natural_score(self, theta, x):
-        """Score with respect to the natural parameters (mu, lam)."""
-        return self.score(theta, x) / self._params(self._check_theta(theta))
-
     def sample(self, theta, rng, size):
         # Generator.wald draws via the Michael-Schucany-Haas transform.
         mu, lam = self._params(self._check_theta(theta))
@@ -403,10 +399,6 @@ class Gompertz(Model):
             d_lam = 1.0 / lam - em1 / omega
         return lp, _columns(d_omega * omega, d_lam * lam)
 
-    def natural_score(self, theta, x):
-        """Score with respect to the natural parameters (omega, lam)."""
-        return self.score(theta, x) / self._params(self._check_theta(theta))
-
     def sample(self, theta, rng, size):
         # Inverse CDF: x = log(1 - (omega/lam) * log(1 - u)) / omega.
         omega, lam = self._params(self._check_theta(theta))
@@ -421,11 +413,6 @@ class Gompertz(Model):
         if params.omega <= 0 or params.lam <= 0:
             raise ValueError("Gompertz parameters must be positive")
         return np.log([params.omega, params.lam])
-
-    def cdf(self, theta, x):
-        omega, lam = self._params(self._check_theta(theta))
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, -np.expm1(lam / omega * -np.expm1(omega * x)))
 
 
 class NormalMixture2(Model):
@@ -497,15 +484,6 @@ class NormalMixture2(Model):
                 params.mu2,
                 _sigma_coordinate(params.sigma2),
             ]
-        )
-
-    def cdf(self, theta, x):
-        from scipy.stats import norm
-
-        alpha, mu1, v1, mu2, v2 = self._params(self._check_theta(theta))
-        x = np.asarray(x, dtype=float)
-        return alpha * norm.cdf(x, mu1, np.sqrt(v1)) + (1 - alpha) * norm.cdf(
-            x, mu2, np.sqrt(v2)
         )
 
 

@@ -83,7 +83,6 @@ class RunResult:
     trace: list
     final_params: np.ndarray
     diverged: bool
-    selected_tau: int | None = None
 
     @property
     def final_record(self):

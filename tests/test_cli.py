@@ -99,16 +99,19 @@ class TestFit:
         assert err == f"error: {path}: non-finite value in the data\n"
 
     @pytest.mark.parametrize("model,content,message", [
-        ("normal", "x_1,outlier\n0.5,0\n1.5\n", "number of columns changed from 2 to 1"),
-        ("normal", "x_1\n0.5\n1.5,2.0\n", "number of columns changed from 1 to 2"),
+        ("normal", "x_1,outlier\n0.5,0\n1.5\n",
+         "line 3: the number of columns changed from 2 to 1"),
+        ("normal", "x_1\n0.5\n1.5,2.0\n", "line 3: the number of columns changed from 1 to 2"),
         ("normal", "x_1\n0.5,1.0\n1.5,2.0\n", "2 columns in the data rows, 1 in the header"),
         ("isonormal2", "x_1,x_2,outlier\n0.5,1.0\n1.5,2.0\n",
          "2 columns in the data rows, 3 in the header"),
-        ("normal", "x_1\n0.5\nabc\n", "could not convert string 'abc'"),
+        ("normal", "x_1\n0.5\nabc\n", "line 3: could not convert string 'abc'"),
+        ("normal", "x_1\r\n\r\n0.5\r\n\r\n1.5\r\nabc\r\n",
+         "line 6: could not convert string 'abc'"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,0.5\n", "outlier labels must be 0 or 1"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,nan\n", "outlier labels must be 0 or 1"),
     ], ids=["short-row", "long-row", "every-row-long", "label-missing", "not-a-number",
-            "label-0.5", "label-nan"])
+            "not-a-number-after-empty-lines", "label-0.5", "label-nan"])
     def test_malformed_csv_exits_one(self, tmp_path, capsys, model, content, message):
         path = tmp_path / "input.csv"
         path.write_text(content)
@@ -117,7 +120,7 @@ class TestFit:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and " at row " not in err
         assert not (tmp_path / "out" / "trace.csv").exists()
 
     @pytest.mark.parametrize("model,init", [
@@ -233,6 +236,23 @@ class TestConfigHandling:
         assert echoed["n"] == "80"        # flag wins
         assert echoed["beta"] == "0.25"   # file beats default
 
+    @pytest.mark.parametrize("args,message", [
+        (["fit", "--m", "0"], "m must be >= 1"),
+        (["fit", "--divergence", "gamma", "--gamma", "0"], "gamma must be > 0"),
+        (["density-curves", "--m", "0"], "m must be >= 1"),
+        (["fit", "--replications", "0"], "replications must be >= 1"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_bad_value_exits_one_before_anything_is_written(self, tmp_path, capsys,
+                                                            args, message):
+        """Every key is checked whatever the subcommand, before the output
+        directory is created."""
+        out = tmp_path / "out"
+        rc = main(args + ["--out-dir", str(out)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -292,6 +312,10 @@ class TestTableCompare:
         ("--T", "0", "T must be >= 1 for table-compare"),
         ("--grid-extent", "nan", "grid_extent must be finite"),
         ("--grid-extent", "0", "lattice extent must be finite and > 0"),
+        ("--beta", "-1", "beta must be > 0"),
+        ("--m-values", "0", "m_values must be >= 1"),
+        ("--eta0", "0", "eta0 must be finite and > 0"),
+        ("--decay-rate", "2", "decay rate must lie in (0, 1)"),
     ])
     def test_bad_value_exits_one_before_any_cell_runs(self, tmp_path, capsys,
                                                       monkeypatch, flag, value, message):
@@ -400,7 +424,7 @@ class TestCleanDataConsistency:
 
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
-        """scipy is imported lazily, by the few functions that need it."""
+        """dpdfit imports no scipy; only the tests do."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(dpdfit.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

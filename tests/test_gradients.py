@@ -235,6 +235,16 @@ class TestLatticeGradDpd:
                              Lattice(extent=8.0, nodes=2001))
         assert abs(g[0]) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_rejects_non_positive_beta_before_any_arithmetic(self, beta):
+        # with beta = -1, p(x)**beta overflows for a point 100 units from
+        # the mean, so a late check would come after a RuntimeWarning
+        x = np.full((5, 2), 100.5)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            lattice_grad_dpd(IsoNormal(2), np.full(2, 0.5), x, beta,
+                             Lattice(extent=2.0, nodes=3))
+
     def test_multivariate_grid_shape(self):
         m = IsoNormal(2)
         backend = Lattice(extent=2.0, nodes=50)
