@@ -14,7 +14,6 @@ from dpdfit import (
     ClosedForm,
     ContaminationSpec,
     CurrentModel,
-    Monitors,
     Normal1D,
     NormalParams,
     StepDecay,
@@ -46,15 +45,12 @@ for beta in (0.1, 0.5, 1.0):
             model, theta, data.points, beta, 10, CurrentModel(), rng
         ).g
 
-    monitors = Monitors(
-        objective=lambda th, beta=beta: empirical_dpce(
-            model, th, data.points, beta, ClosedForm()
-        ).value
-    )
-    result = sgd_run(grad, theta_mle, schedule, 500, np.random.default_rng(1),
-                     monitors=monitors)
+    result = sgd_run(grad, theta_mle, schedule, 500, np.random.default_rng(1))
     p = model.to_natural(result.final_params)
-    first, last = result.trace[0].objective, result.trace[-1].objective
+    first, last = (
+        empirical_dpce(model, rec.params, data.points, beta, ClosedForm()).value
+        for rec in (result.trace[0], result.trace[-1])
+    )
     print(f"power beta = {beta:3.1f}: mu = {p.mu:+.3f}  sigma = {p.sigma:.3f}"
           f"   objective {first:+.4f} -> {last:+.4f}")
 

@@ -13,7 +13,6 @@ import numpy as np
 from dpdfit import (
     ContaminationSpec,
     CurrentModel,
-    Monitors,
     Normal1D,
     NormalParams,
     StepDecay,
@@ -41,12 +40,11 @@ def grad(psi, rng):
 
 
 start = np.concatenate([mle_normal(data), [0.0]])  # c starts at 1
-result = sgd_run(grad, start, StepDecay(1.0, 0.7, 25), 500,
-                 np.random.default_rng(1), monitors=Monitors(track_scale=True))
+result = sgd_run(grad, start, StepDecay(1.0, 0.7, 25), 500, np.random.default_rng(1))
 
 print("iteration   scale c")
 for rec in result.trace[::100]:
-    print(f"{rec.t:>9}   {rec.scale_c:.4f}")
+    print(f"{rec.t:>9}   {np.exp(rec.params[-1]):.4f}")
 p = model.to_natural(result.final_params[:-1])
 print(f"\nfinal fit: mu = {p.mu:+.3f}, sigma = {p.sigma:.3f}, "
-      f"c = {result.trace[-1].scale_c:.3f} (inlier mass 1 - xi = 0.9)")
+      f"c = {np.exp(result.final_params[-1]):.3f} (inlier mass 1 - xi = 0.9)")

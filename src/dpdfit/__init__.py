@@ -51,7 +51,6 @@ from .models import (
 )
 from .optim import (
     Constant,
-    Monitors,
     RunResult,
     StepDecay,
     TraceRecord,
@@ -79,7 +78,6 @@ __all__ = [
     "Lattice",
     "MixtureParams",
     "Model",
-    "Monitors",
     "Normal1D",
     "NormalMixture2",
     "NormalParams",

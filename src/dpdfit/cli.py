@@ -3,7 +3,7 @@
 Subcommands
 -----------
 fit             fit one model to synthetic or CSV data, write estimate + trace
-trace           per-iteration monitoring run (exact objective, scale, MSE)
+trace           fit without estimate.csv; trace.csv holds every iterate
 table-compare   stochastic descent vs numerical-integration descent grid
 density-curves  gridded density of the MLE and each robust fit, for plotting
 
@@ -34,7 +34,7 @@ from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import IsoNormal, Model, get_model
-from .optim import Monitors, StepDecay, gd_run, sgd_run
+from .optim import StepDecay, gd_run, sgd_run
 
 
 class ConfigError(Exception):
@@ -354,31 +354,37 @@ def _initial_theta(run, ds):
     raise ConfigError(f"no MLE initializer for {model.name}")
 
 
-def _sgd(run, ds, grad, theta0, m, *stream, monitors=None):
+def _sgd(run, ds, grad, theta0, m, *stream):
     """Descent on ``default_rng([seed, *stream, 1])``, ``n + m`` evaluations a step."""
     rng = np.random.default_rng([run.seed, *stream, 1])
-    return sgd_run(grad, theta0, run.schedule, run.T, rng, monitors=monitors,
-                   cost_per_iter=ds.n + m)
+    return sgd_run(grad, theta0, run.schedule, run.T, rng, cost_per_iter=ds.n + m)
 
 
-def _dpd_sgd(run, ds, theta0, beta, m, proposal, *stream, monitors=None):
-    """Stochastic DPD descent with ``m`` proposal draws a step."""
+def _dpd_sgd(run, ds, theta0, beta, m, *stream):
+    """Stochastic DPD descent with ``m`` draws a step from ``run.proposal``."""
     def grad(th, rng):
-        return stochastic_grad_dpd(run.model, th, ds.points, beta, m, proposal, rng).g
-    return _sgd(run, ds, grad, theta0, m, *stream, monitors=monitors)
+        return stochastic_grad_dpd(run.model, th, ds.points, beta, m, run.proposal, rng).g
+    return _sgd(run, ds, grad, theta0, m, *stream)
 
 
-def _monitors(run, ds):
-    """Exact objective (closed-form families only), distance to the truth, scale."""
-    model, objective, backend = run.model, None, ClosedForm()
+def _mse(run, params):
+    """``||theta - truth||^2`` over the truth's coordinates; None without a truth."""
+    if run.truth is None:
+        return None
+    return float(((params[:len(run.truth)] - run.truth) ** 2).sum())
+
+
+def _iterate_columns(run, ds, params):
+    """The ``objective_exact``, ``scale_c`` and ``mse`` of one recorded
+    iterate, each None where it does not apply: the exact objective needs
+    a closed-form family, the scale a gamma run and the MSE a known truth."""
+    model, objective = run.model, None
     if model.closed_form_r is not None and run.gamma_mode:
-        def objective(psi):
-            return empirical_gce(model, psi[:-1], ds.points, run.gamma, backend)
+        objective = empirical_gce(model, params[:-1], ds.points, run.gamma, ClosedForm())
     elif model.closed_form_r is not None:
-        def objective(th):
-            return empirical_dpce(model, th, ds.points, run.beta, backend).value
-    return Monitors(objective=objective, theta_star=run.truth,
-                    track_scale=run.gamma_mode)
+        objective = empirical_dpce(model, params, ds.points, run.beta, ClosedForm()).value
+    scale = float(np.exp(params[-1])) if run.gamma_mode else None
+    return objective, scale, _mse(run, params)
 
 
 def _fmt(value):
@@ -393,32 +399,31 @@ def _write_config_echo(cfg, out_dir):
             fh.write(f"{key} = {cfg[key]}\n")
 
 
-def _write_trace(path, model, result):
+def _write_trace(path, model, result, columns):
+    """One row per record; ``columns`` holds each record's
+    :func:`_iterate_columns`."""
     s = model.dim_param
     names = [f"theta_{i + 1}" for i in range(s)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "eta", "complexity"] + names
                         + ["objective_exact", "scale_c", "mse"])
-        for rec in result.trace:
-            theta = rec.params[:s]
-            writer.writerow(
-                [rec.t, _fmt(rec.eta), rec.complexity]
-                + [_fmt(v) for v in theta]
-                + [_fmt(rec.objective), _fmt(rec.scale_c), _fmt(rec.mse)]
-            )
+        for rec, values in zip(result.trace, columns):
+            writer.writerow([rec.t, _fmt(rec.eta), rec.complexity]
+                            + [_fmt(v) for v in rec.params[:s]]
+                            + [_fmt(v) for v in values])
 
 
-def _write_estimate(path, model, result, gamma_mode):
-    final = result.final_record
-    theta = final.params[: model.dim_param]
+def _write_estimate(path, model, final, columns, gamma_mode):
+    """The ``final`` record, with ``columns`` its :func:`_iterate_columns`."""
+    objective, scale, _ = columns
     header = list(model.natural_names)
-    row = [_fmt(v) for v in model.natural_values(theta)]
+    row = [_fmt(v) for v in model.natural_values(final.params[: model.dim_param])]
     if gamma_mode:
         header.append("scale_c")
-        row.append(_fmt(final.scale_c))
+        row.append(_fmt(scale))
     header += ["objective", "complexity"]
-    row += [_fmt(final.objective), str(final.complexity)]
+    row += [_fmt(objective), str(final.complexity)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -431,7 +436,6 @@ def cmd_fit(run, write_estimate=True):
     model = run.model
     ds = _dataset(run)
     theta0 = _initial_theta(run, ds)
-    monitors = _monitors(run, ds)
     if run.gamma_mode:
         def grad(psi, rng):
             return stochastic_grad_gamma(
@@ -440,16 +444,16 @@ def cmd_fit(run, write_estimate=True):
             ).g
 
         start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
-        result = _sgd(run, ds, grad, start, run.m, monitors=monitors)
+        result = _sgd(run, ds, grad, start, run.m)
     else:
-        result = _dpd_sgd(run, ds, theta0, run.beta, run.m, run.proposal,
-                          monitors=monitors)
+        result = _dpd_sgd(run, ds, theta0, run.beta, run.m)
+    columns = [_iterate_columns(run, ds, rec.params) for rec in result.trace]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate:
-        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model, result,
-                        run.gamma_mode)
-    _write_trace(os.path.join(run.out_dir, "trace.csv"), model, result)
+        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model,
+                        result.trace[-1], columns[-1], run.gamma_mode)
+    _write_trace(os.path.join(run.out_dir, "trace.csv"), model, result, columns)
     return 2 if result.diverged else 0
 
 
@@ -457,19 +461,17 @@ def _table_cell_run(run, method, size, rep):
     """One replication of one table cell; returns (mse, diverged).  ``size``
     is the draw count of an ``sgd`` cell and the ``Lattice`` of a ``gd-ni`` one."""
     ds = _dataset(run, rep)
-    theta0 = mle_isonormal(ds)
-    monitors = Monitors(theta_star=run.truth)
+    theta0 = _initial_theta(run, ds)
     if method == "sgd":
-        result = _dpd_sgd(run, ds, theta0, run.beta, size, CurrentModel(), rep,
-                          monitors=monitors)
+        result = _dpd_sgd(run, ds, theta0, run.beta, size, rep)
     else:
         omega = float(np.mean([run.schedule.at(t) for t in range(1, run.T + 1)]))
 
         def grad(th):
             return lattice_grad_dpd(run.model, th, ds.points, run.beta, size)
-        result = gd_run(grad, theta0, omega, run.T, monitors=monitors,
+        result = gd_run(grad, theta0, omega, run.T,
                         cost_per_iter=ds.n + size.total_points(run.model))
-    return result.final_record.mse, result.diverged
+    return _mse(run, result.final_params), result.diverged
 
 
 def cmd_table_compare(run):
@@ -480,6 +482,8 @@ def cmd_table_compare(run):
         raise ConfigError("table-compare requires an isonormal<d> model")
     if run.T < 1:
         raise ConfigError("T must be >= 1 for table-compare")
+    if run.gamma_mode:
+        raise ConfigError("table-compare fits the DPD; it takes no --divergence gamma")
 
     reps = run.replications
     cells = [("sgd", m) for m in run.m_values] + [("gd-ni", g) for g in run.lattices]
@@ -504,19 +508,26 @@ def cmd_density_curves(run):
     model = run.model
     if model.dim_x != 1:
         raise ConfigError("density-curves requires a univariate model")
+    if run.gamma_mode:
+        raise ConfigError("density-curves fits the DPD; it takes no --divergence gamma")
+    betas = {}  # column name -> beta
+    for beta in run.betas:
+        name = f"pdf_beta_{beta:g}"
+        if name in betas:
+            raise ConfigError(f"betas {betas[name]!r} and {beta!r} both name column {name}")
+        betas[name] = beta
     ds = _dataset(run)
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     theta_mle = _initial_theta(run, ds)
 
-    fits = {beta: _dpd_sgd(run, ds, theta_mle, beta, run.m, run.proposal)
-            for beta in run.betas}
+    fits = {name: _dpd_sgd(run, ds, theta_mle, beta, run.m) for name, beta in betas.items()}
 
     grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
     counts = np.histogram(ds.points, bins=grid)[0]
     columns = {"pdf_mle": np.exp(model.log_pdf(theta_mle, grid))}
-    for beta, result in fits.items():
-        columns[f"pdf_beta_{beta:g}"] = np.exp(model.log_pdf(result.final_params, grid))
+    for name, result in fits.items():
+        columns[name] = np.exp(model.log_pdf(result.final_params, grid))
 
     with open(os.path.join(run.out_dir, "curves.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -19,20 +19,21 @@ _BLOCK_ROWS = 65536
 
 
 def _first_bad_line(path):
-    """File line of the first data row with a value that is not a number
-    or another column count than the first data row; None if there is none."""
+    """File line of the first data row that numpy cannot read as numbers,
+    or with another column count than the first data row; None if there
+    is none."""
     width = None
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, 1):
-            fields = line.rstrip("\r\n").split(",")
-            if lineno == 1 or fields == [""]:
+            row = line.rstrip("\r\n")
+            if lineno == 1 or not row:
                 continue
-            width = width or len(fields)
+            width = width or row.count(",") + 1
             try:
-                [float(v) for v in fields]
+                np.loadtxt([row], delimiter=",", comments=None)
             except ValueError:
                 return lineno
-            if len(fields) != width:
+            if row.count(",") + 1 != width:
                 return lineno
     return None
 

@@ -48,7 +48,7 @@ class FixedNormal:
 
 @dataclass
 class GradEstimate:
-    """A gradient estimate plus optional per-draw diagnostics.
+    """A gradient estimate plus its per-draw diagnostics.
 
     ``draw_terms`` holds the integrand ``w(y) p(y)**beta t(y)`` of every
     proposal draw (one row per draw) and ``draw_weights`` the scalar
@@ -57,23 +57,29 @@ class GradEstimate:
     """
 
     g: np.ndarray
-    draw_terms: np.ndarray | None = None
-    draw_weights: np.ndarray | None = None
+    draw_terms: np.ndarray
+    draw_weights: np.ndarray
+
+
+def _weighted_rows(weights, score):
+    """Rows ``weights[i] * score[i]``; ``score`` is a kernel's own output.
+
+    Only an exactly zero weight (zero density, or underflow) gives a zero
+    row: its score, which may be undefined there, is zeroed in place
+    first.  A NaN weight propagates, so that the descent loop flags the
+    step instead of losing the point.
+    """
+    dead = weights == 0
+    if dead.any():  # in place: a masked copy of every row costs more at large n
+        score[dead] = 0.0
+    return weights[:, None] * score
 
 
 def _weighted_score_sum(model, theta, x, power):
-    """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``.
-
-    Points where the log-density is not finite (outside the support)
-    get weight zero and add nothing.
-    """
+    """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``."""
     lp, score = model.log_pdf_and_score(theta, x)
-    ok = np.isfinite(lp)
-    if ok.all():  # no masked copies, which cost more than they save at large n
-        w = np.exp(power * lp)
-        return w, (w[:, None] * score).sum(axis=0)
-    w = np.exp(power * np.where(ok, lp, -np.inf))
-    return w, (w[ok, None] * score[ok]).sum(axis=0)
+    w = np.exp(power * lp)
+    return w, _weighted_rows(w, score).sum(axis=0)
 
 
 def data_term(model, theta, data, beta):
@@ -107,28 +113,18 @@ def _draw_proposal(model, theta, proposal, m, rng):
 
 
 def _proposal_terms(model, theta, y, log_q, power):
-    """Per-draw integrand ``w(y) p(y)**power t(y)`` and the factors
-    ``w(y) p(y)**power``.
-
-    Only an exactly zero factor (zero density, or underflow) gives a zero
-    row without touching the score; a NaN factor propagates, so that the
-    descent loop flags the step instead of losing the integral term.
-    """
+    """Per-draw integrand ``w(y) p(y)**power t(y)`` (see :func:`_weighted_rows`)
+    and the factors ``w(y) p(y)**power``."""
     lp, score = model.log_pdf_and_score(theta, y)
     if log_q is None:
         log_w = power * lp
     else:
         log_w = (1.0 + power) * lp - log_q
     weights = np.exp(log_w)
-    live = weights != 0
-    if live.all():
-        return weights[:, None] * score, weights
-    terms = np.zeros_like(score)
-    terms[live] = weights[live, None] * score[live]
-    return terms, weights
+    return _weighted_rows(weights, score), weights
 
 
-def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng, keep_draws=False):
+def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng):
     """Unbiased stochastic gradient of the empirical DPD objective.
 
     Draws ``m`` proposal samples; the expectation over the draws equals
@@ -141,12 +137,7 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng, keep_draws=F
     g = data_term(model, theta, data, beta)
     y, log_q = _draw_proposal(model, theta, proposal, m, rng)
     terms, weights = _proposal_terms(model, theta, y, log_q, beta)
-    g = g + terms.mean(axis=0)
-    return GradEstimate(
-        g=g,
-        draw_terms=terms if keep_draws else None,
-        draw_weights=weights if keep_draws else None,
-    )
+    return GradEstimate(g=g + terms.mean(axis=0), draw_terms=terms, draw_weights=weights)
 
 
 def lattice_grad_dpd(model, theta, data, beta, backend):
@@ -158,9 +149,7 @@ def lattice_grad_dpd(model, theta, data, beta, backend):
     return g + w * _weighted_score_sum(model, theta, pts, 1.0 + beta)[1]
 
 
-def stochastic_grad_gamma(
-    model, theta, c, data, gamma, m, proposal, rng, keep_draws=False
-):
+def stochastic_grad_gamma(model, theta, c, data, gamma, m, proposal, rng):
     """Stochastic gradient for the scaled model ``c * p_theta``.
 
     Returns a vector of length ``dim_param + 1``; the last entry is the
@@ -187,8 +176,4 @@ def stochastic_grad_gamma(
     g_c = g_c + c**gamma * float(weights.mean())
 
     g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
-    return GradEstimate(
-        g=g,
-        draw_terms=terms if keep_draws else None,
-        draw_weights=weights if keep_draws else None,
-    )
+    return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)

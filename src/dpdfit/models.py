@@ -323,7 +323,7 @@ class InverseNormal(Model):
         return np.exp(theta[0]), np.exp(theta[1])
 
     def _in_support(self, x):
-        return x > 0
+        return ~(x <= 0)  # a NaN point stays in, so its NaN reaches the caller
 
     def log_pdf(self, theta, x):
         mu, lam = self._params(self._check_theta(theta))
@@ -375,7 +375,7 @@ class Gompertz(Model):
         return np.exp(theta[0]), np.exp(theta[1])
 
     def _in_support(self, x):
-        return x >= 0
+        return ~(x < 0)  # a NaN point stays in, so its NaN reaches the caller
 
     def log_pdf(self, theta, x):
         omega, lam = self._params(self._check_theta(theta))

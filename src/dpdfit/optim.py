@@ -3,9 +3,10 @@
 ``sgd_run`` applies ``theta <- theta - eta_t * g(theta)`` with a
 decaying step size and a stochastic gradient source; ``gd_run`` is the
 constant-rate variant for deterministic sources.  Both record one trace
-row per iteration (plus the initial state), monitor optional exact
-objectives and the squared distance to a reference parameter, and stop
-with a divergence flag instead of propagating numerical blow-ups.
+row per iteration (plus the initial state) and stop with a divergence
+flag instead of propagating numerical blow-ups.  They only descend:
+quantities read from the iterates, such as an exact objective, are
+computed by the caller from the recorded parameters.
 """
 
 from __future__ import annotations
@@ -52,29 +53,10 @@ class Constant:
 
 
 @dataclass
-class Monitors:
-    """Optional per-iteration diagnostics.
-
-    ``objective``: callable on the current parameters (e.g. exact DPCE).
-    ``theta_star``: reference parameters; records ``||theta - theta*||^2``
-    over the leading ``len(theta_star)`` coordinates.
-    ``track_scale``: interpret the last coordinate as ``log c`` and
-    record ``c``.
-    """
-
-    objective: object = None
-    theta_star: np.ndarray | None = None
-    track_scale: bool = False
-
-
-@dataclass
 class TraceRecord:
     t: int
     eta: float
     params: np.ndarray
-    objective: float | None
-    scale_c: float | None
-    mse: float | None
     complexity: int
 
 
@@ -84,37 +66,12 @@ class RunResult:
     final_params: np.ndarray
     diverged: bool
 
-    @property
-    def final_record(self):
-        return self.trace[-1]
 
-
-def _snapshot(t, eta, theta, monitors, complexity):
-    objective = scale = mse = None
-    if monitors is not None:
-        if monitors.objective is not None:
-            objective = float(monitors.objective(theta))
-        if monitors.track_scale:
-            scale = float(np.exp(theta[-1]))
-        if monitors.theta_star is not None:
-            k = len(monitors.theta_star)
-            mse = float(((theta[:k] - monitors.theta_star) ** 2).sum())
-    return TraceRecord(
-        t=t,
-        eta=eta,
-        params=theta.copy(),
-        objective=objective,
-        scale_c=scale,
-        mse=mse,
-        complexity=complexity,
-    )
-
-
-def _descent(grad_fn, theta0, schedule, n_steps, monitors, cost_per_iter):
+def _descent(grad_fn, theta0, schedule, n_steps, cost_per_iter):
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite initial parameters")
-    trace = [_snapshot(0, 0.0, theta, monitors, 0)]
+    trace = [TraceRecord(0, 0.0, theta.copy(), 0)]
     diverged = False
     for t in range(1, n_steps + 1):
         eta = schedule.at(t)
@@ -127,28 +84,25 @@ def _descent(grad_fn, theta0, schedule, n_steps, monitors, cost_per_iter):
             diverged = True
             break
         theta = candidate
-        trace.append(_snapshot(t, eta, theta, monitors, t * cost_per_iter))
+        trace.append(TraceRecord(t, eta, theta.copy(), t * cost_per_iter))
     return RunResult(trace=trace, final_params=theta, diverged=diverged)
 
 
-def sgd_run(grad_source, theta0, schedule, n_steps, rng, monitors=None, cost_per_iter=0):
+def sgd_run(grad_source, theta0, schedule, n_steps, rng, cost_per_iter=0):
     """Stochastic descent: ``grad_source(theta, rng)`` is drawn afresh
-    each iteration.  Returns the trace with monitors evaluated after
-    every update (plus one record for the initial state)."""
+    each iteration.  Returns the trace with one record after every
+    update (plus one for the initial state)."""
     if n_steps < 0:
         raise ValueError("number of steps must be >= 0")
-    return _descent(
-        lambda th: grad_source(th, rng), theta0, schedule, n_steps, monitors,
-        cost_per_iter,
-    )
+    return _descent(lambda th: grad_source(th, rng), theta0, schedule, n_steps,
+                    cost_per_iter)
 
 
-def gd_run(grad_source, theta0, omega, n_steps, monitors=None, cost_per_iter=0):
+def gd_run(grad_source, theta0, omega, n_steps, cost_per_iter=0):
     """Constant-rate descent for a deterministic ``grad_source(theta)``."""
     if omega < 0:
         raise ValueError("learning rate must be >= 0")
-    return _descent(grad_source, theta0, Constant(omega), n_steps, monitors,
-                    cost_per_iter)
+    return _descent(grad_source, theta0, Constant(omega), n_steps, cost_per_iter)
 
 
 def select_tau(etas, lipschitz, rng):

@@ -81,7 +81,7 @@ def test_criterion_01_gradient_unbiasedness():
         )
         # averaging 1e5 batch-m estimates equals one batch of 1e5 * m draws
         est = stochastic_grad_dpd(
-            m, theta, x, beta, reps * batch, CurrentModel(), rng, keep_draws=True
+            m, theta, x, beta, reps * batch, CurrentModel(), rng
         )
         se = est.draw_terms.std(axis=0, ddof=1) / np.sqrt(reps * batch)
         worst = max(worst, float(np.max(np.abs(est.g - exact) / se)))

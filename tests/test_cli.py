@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import dpdfit
 from dpdfit import cli
 from dpdfit.cli import PRESETS, main
 from dpdfit.datagen import Dataset
+from dpdfit.divergence import ClosedForm, empirical_dpce, empirical_gce
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
 
@@ -108,10 +110,12 @@ class TestFit:
         ("normal", "x_1\n0.5\nabc\n", "line 3: could not convert string 'abc'"),
         ("normal", "x_1\r\n\r\n0.5\r\n\r\n1.5\r\nabc\r\n",
          "line 6: could not convert string 'abc'"),
+        ("normal", "x_1\n\n0.5\r\n\r\n1_0\n", "line 5: could not convert string '1_0'"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,0.5\n", "outlier labels must be 0 or 1"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,nan\n", "outlier labels must be 0 or 1"),
     ], ids=["short-row", "long-row", "every-row-long", "label-missing", "not-a-number",
-            "not-a-number-after-empty-lines", "label-0.5", "label-nan"])
+            "not-a-number-after-empty-lines", "numpy-only-rejects", "label-0.5",
+            "label-nan"])
     def test_malformed_csv_exits_one(self, tmp_path, capsys, model, content, message):
         path = tmp_path / "input.csv"
         path.write_text(content)
@@ -195,6 +199,15 @@ class TestFit:
                    "--out-dir", str(tmp_path)] + FAST)
         assert rc == 2
 
+    def test_nan_log_density_exits_two(self, tmp_path):
+        """From step 1 on every data log-density is NaN; the NaN reaches
+        the descent loop instead of giving a zero gradient that freezes theta."""
+        with warnings.catch_warnings():  # numpy warns of the overflow on the way
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["fit", "--config", "paper-4.1-iii", "--eta0", "1e6", "--T", "50",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+
     def test_explicit_init(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--init", "0.5,2.0",
                    "--out-dir", str(tmp_path), "--T", "0", "--n", "50"])
@@ -219,6 +232,41 @@ class TestTrace:
         header, rows = read_csv(tmp_path / "trace.csv")
         col = header.index("objective_exact")
         assert all(row[col] == "" for row in rows)
+
+    @pytest.mark.parametrize("divergence", ["dpd", "gamma"])
+    def test_columns_recomputed_from_each_recorded_iterate(self, tmp_path, monkeypatch,
+                                                           divergence):
+        """``objective_exact``, ``scale_c`` and ``mse`` of every row, the
+        initial state included, are those of that row's parameters."""
+        results = []
+
+        def sgd_run(*args, **kwargs):
+            results.append(run_sgd(*args, **kwargs))
+            return results[-1]
+
+        run_sgd = cli.sgd_run
+        monkeypatch.setattr(cli, "sgd_run", sgd_run)
+        rc = main(["trace", "--config", "paper-4.1-i", "--divergence", divergence,
+                   "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "trace.csv")
+        model = cli.get_model("normal")
+        truth = model.from_natural_values([0.0, 1.0])
+        points = Dataset.from_csv(tmp_path / "data.csv").points
+        (result,) = results
+        assert len(rows) == len(result.trace) == 41
+        for row, rec in zip(rows, result.trace):
+            value = dict(zip(header, row))
+            theta = np.array([float(value["theta_1"]), float(value["theta_2"])])
+            np.testing.assert_array_equal(theta, rec.params[:2])
+            assert float(value["mse"]) == float(((theta - truth) ** 2).sum())
+            if divergence == "gamma":
+                objective = empirical_gce(model, theta, points, 0.5, ClosedForm())
+                assert float(value["scale_c"]) == float(np.exp(rec.params[-1]))
+            else:
+                objective = empirical_dpce(model, theta, points, 0.5, ClosedForm()).value
+                assert value["scale_c"] == ""
+            assert float(value["objective_exact"]) == float(objective)
 
 
 class TestConfigHandling:
@@ -345,6 +393,30 @@ class TestTableCompare:
         _, rows = read_csv(tmp_path / "table.csv")
         assert [r[:2] for r in rows] == [["sgd", "4"], ["gd-ni", "9"]]
 
+    @pytest.mark.parametrize("flag", ["--init=9,9", "--proposal=normal:0.5,1"])
+    def test_cells_take_init_and_proposal(self, tmp_path, flag):
+        args = ["table-compare", "--config", "paper-4.2-d2", "--T", "5", "--n", "60",
+                "--replications", "2", "--m-values", "4", "--big-m-values", "3"]
+        assert main(args + ["--out-dir", str(tmp_path / "default")]) == 0
+        assert main(args + [flag, "--out-dir", str(tmp_path / "flag")]) == 0
+        default, changed = ((tmp_path / d / "table.csv").read_text()
+                            for d in ("default", "flag"))
+        if flag.startswith("--init"):
+            assert default.splitlines()[1:] != changed.splitlines()[1:]
+        else:  # only the sgd rows draw from the proposal
+            assert default.splitlines()[1] != changed.splitlines()[1]
+            assert default.splitlines()[2] == changed.splitlines()[2]
+
+    @pytest.mark.parametrize("command", ["table-compare", "density-curves"])
+    def test_dpd_commands_reject_gamma(self, tmp_path, capsys, command):
+        rc = main([command, "--config", "paper-4.2-d2" if command == "table-compare"
+                   else "paper-4.1-i", "--divergence", "gamma",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {command} fits the DPD; it takes no --divergence gamma\n"
+        assert not (tmp_path / "data.csv").exists()
+
 
 class TestProposals:
     def test_fixed_normal_proposal_runs(self, tmp_path):
@@ -397,6 +469,21 @@ class TestDensityCurves:
         rc = main(["density-curves", "--model", "isonormal2",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("betas,named", [("0.1,0.1000001,0.5", ("0.1", "0.1000001")),
+                                             ("0.5,0.5", ("0.5", "0.5"))])
+    def test_betas_naming_one_column_exit_one_before_any_fit(self, tmp_path, capsys,
+                                                             monkeypatch, betas, named):
+        def fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(cli, "_dpd_sgd", fit)
+        rc = main(["density-curves", "--betas", betas, "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: betas {named[0]} and {named[1]} both name column "
+                       f"pdf_beta_{named[0]}\n")
+        assert not (tmp_path / "curves.csv").exists()
 
     def test_gompertz_curves_suppress_outlier_bump(self, tmp_path):
         """The robust curve puts less mass at the outlier location than

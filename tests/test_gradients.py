@@ -16,6 +16,7 @@ from dpdfit.models import (
     GompertzParams,
     IsoNormal,
     Normal1D,
+    get_model,
 )
 from dpdfit.optim import StepDecay, sgd_run
 
@@ -45,7 +46,7 @@ def batched_estimate(model, theta, x, beta, total_draws, rng):
     averaged over many draws.  Averaging K batch-m estimates equals one
     batch of K*m draws, so a single big call gives the same statistic."""
     est = stochastic_grad_dpd(
-        model, theta, x, beta, total_draws, CurrentModel(), rng, keep_draws=True
+        model, theta, x, beta, total_draws, CurrentModel(), rng
     )
     se = est.draw_terms.std(axis=0, ddof=1) / np.sqrt(total_draws)
     return est.g, se
@@ -97,7 +98,7 @@ class TestStochasticGradDpd:
         data_draws = np.exp(beta * lp)[:, None] * m.score(theta, x)
         se_data = data_draws.std(axis=0, ddof=1) / np.sqrt(n)
         est = stochastic_grad_dpd(
-            m, theta, x, beta, n, CurrentModel(), rng, keep_draws=True
+            m, theta, x, beta, n, CurrentModel(), rng
         )
         se_prop = est.draw_terms.std(axis=0, ddof=1) / np.sqrt(n)
         bound = 5.0 * np.sqrt(se_data**2 + se_prop**2)
@@ -140,11 +141,10 @@ class TestStochasticGradDpd:
         beta = 0.5
         total = 400_000
         cur = stochastic_grad_dpd(
-            m, theta, x, beta, total, CurrentModel(), rng, keep_draws=True
+            m, theta, x, beta, total, CurrentModel(), rng
         )
         fix = stochastic_grad_dpd(
-            m, theta, x, beta, total, FixedNormal(mean=0.0, sd=2.0), rng,
-            keep_draws=True,
+            m, theta, x, beta, total, FixedNormal(mean=0.0, sd=2.0), rng
         )
         se = np.sqrt(
             cur.draw_terms.var(axis=0) / total + fix.draw_terms.var(axis=0) / total
@@ -167,6 +167,13 @@ class TestStochasticGradDpd:
         a = data_term(g, th, clean, 0.5)
         b = data_term(g, th, with_dead, 0.5)
         np.testing.assert_allclose(b, a * clean.size / with_dead.size, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["normal", "inverse-normal", "gompertz"])
+    def test_nan_data_point_gives_nan_gradient(self, name):
+        """A NaN point is neither outside the support nor given weight zero."""
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        assert np.isnan(data_term(model, theta, np.array([0.5, np.nan, 1.5]), 0.5)).all()
 
 
 class TestProposalTerms:
@@ -306,7 +313,7 @@ class TestStochasticGradGamma:
         exact = fd_grad(scaled_objective, np.concatenate([theta, [np.log(c)]]))
         total = 400_000
         est = stochastic_grad_gamma(
-            m, theta, c, x, gamma, total, CurrentModel(), rng, keep_draws=True
+            m, theta, c, x, gamma, total, CurrentModel(), rng
         )
         se_theta = (
             c ** (1 + gamma)

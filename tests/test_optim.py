@@ -4,7 +4,6 @@ from scipy import stats
 
 from dpdfit.optim import (
     Constant,
-    Monitors,
     StepDecay,
     gd_run,
     sgd_run,
@@ -60,27 +59,6 @@ class TestSgdRun:
         assert [rec.complexity for rec in res.trace] == [0, 110, 220, 330, 440, 550]
         assert res.trace[0].eta == 0.0
         assert res.trace[3].eta == StepDecay(1.0, 0.5, 2).at(3)
-
-    def test_monitors_evaluated_after_update(self):
-        calls = []
-
-        def objective(th):
-            calls.append(th.copy())
-            return float(th[0])
-
-        res = sgd_run(lambda th, rng: np.ones(1), np.array([10.0]),
-                      Constant(1.0), 3, np.random.default_rng(0),
-                      monitors=Monitors(objective=objective))
-        # one evaluation at t=0 plus one after each of the 3 updates
-        np.testing.assert_allclose([c[0] for c in calls], [10.0, 9.0, 8.0, 7.0])
-        assert res.trace[1].objective == 9.0
-
-    def test_mse_and_scale_monitors(self):
-        monitors = Monitors(theta_star=np.array([1.0]), track_scale=True)
-        res = sgd_run(lambda th, rng: np.zeros(2), np.array([3.0, np.log(2.0)]),
-                      Constant(0.1), 1, np.random.default_rng(0), monitors=monitors)
-        assert res.trace[0].mse == pytest.approx(4.0)
-        assert res.trace[0].scale_c == pytest.approx(2.0)
 
     def test_divergence_on_huge_gradient(self):
         res = sgd_run(lambda th, rng: np.array([1e13]), np.array([0.0]),
