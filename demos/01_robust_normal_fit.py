@@ -46,10 +46,10 @@ for beta in (0.1, 0.5, 1.0):
         ).g
 
     result = sgd_run(grad, theta_mle, schedule, 500, np.random.default_rng(1))
-    p = model.to_natural(result.final_params)
+    p = model.to_natural(result.trace[-1])
     first, last = (
-        empirical_dpce(model, rec.params, data.points, beta, ClosedForm()).value
-        for rec in (result.trace[0], result.trace[-1])
+        empirical_dpce(model, theta, data.points, beta, ClosedForm()).value
+        for theta in (result.trace[0], result.trace[-1])
     )
     print(f"power beta = {beta:3.1f}: mu = {p.mu:+.3f}  sigma = {p.sigma:.3f}"
           f"   objective {first:+.4f} -> {last:+.4f}")
@@ -60,6 +60,6 @@ for beta in (0.1, 0.5, 1.0):
 # early; the last iterate (reported above) is what the experiments use.
 etas = [schedule.at(t) for t in range(1, 501)]
 tau = select_tau(etas, 1.0, np.random.default_rng(2))
-p = model.to_natural(result.trace[tau].params)
+p = model.to_natural(result.trace[tau])
 print(f"\nrandomized stopping index tau = {tau}: "
       f"mu = {p.mu:+.3f}  sigma = {p.sigma:.3f}")

@@ -57,4 +57,4 @@ for model, natural, xi, steps, eta0, init in SETTINGS:
     print(f"== {model.name} (xi = {xi})")
     print(f"   truth: {natural}")
     print(f"   MLE:   {model.to_natural(theta0)}")
-    print(f"   DPD:   {model.to_natural(result.final_params)}")
+    print(f"   DPD:   {model.to_natural(result.trace[-1])}")

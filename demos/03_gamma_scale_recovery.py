@@ -43,8 +43,9 @@ start = np.concatenate([mle_normal(data), [0.0]])  # c starts at 1
 result = sgd_run(grad, start, StepDecay(1.0, 0.7, 25), 500, np.random.default_rng(1))
 
 print("iteration   scale c")
-for rec in result.trace[::100]:
-    print(f"{rec.t:>9}   {np.exp(rec.params[-1]):.4f}")
-p = model.to_natural(result.final_params[:-1])
+for t in range(0, len(result.trace), 100):
+    print(f"{t:>9}   {np.exp(result.trace[t, -1]):.4f}")
+final = result.trace[-1]
+p = model.to_natural(final[:-1])
 print(f"\nfinal fit: mu = {p.mu:+.3f}, sigma = {p.sigma:.3f}, "
-      f"c = {np.exp(result.final_params[-1]):.3f} (inlier mass 1 - xi = 0.9)")
+      f"c = {np.exp(final[-1]):.3f} (inlier mass 1 - xi = 0.9)")

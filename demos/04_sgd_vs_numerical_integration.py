@@ -46,11 +46,10 @@ for d in (2, 3):
                 model, theta, data.points, BETA, m, CurrentModel(), rng
             ).g
 
-        res = sgd_run(grad, theta0, schedule, T, np.random.default_rng(1),
-                      cost_per_iter=N + m)
-        err = ((res.final_params - truth) ** 2).sum()
-        print(f"{d:>2} {'sgd':<10} {m:>6} {err:>10.4f} "
-              f"{res.trace[-1].complexity:>11}")
+        res = sgd_run(grad, theta0, schedule, T, np.random.default_rng(1))
+        err = ((res.trace[-1] - truth) ** 2).sum()
+        steps = len(res.trace) - 1
+        print(f"{d:>2} {'sgd':<10} {m:>6} {err:>10.4f} {steps * (N + m):>11}")
 
     for nodes in (3, 10):
         backend = Lattice(extent=2.0, nodes=nodes)
@@ -59,7 +58,7 @@ for d in (2, 3):
             return lattice_grad_dpd(model, theta, data.points, BETA, backend)
 
         total = backend.total_points(model)
-        res = gd_run(grad, theta0, omega, T, cost_per_iter=N + total)
-        err = ((res.final_params - truth) ** 2).sum()
-        print(f"{d:>2} {'gd-ni':<10} {total:>6} {err:>10.4f} "
-              f"{res.trace[-1].complexity:>11}")
+        res = gd_run(grad, theta0, omega, T)
+        err = ((res.trace[-1] - truth) ** 2).sum()
+        steps = len(res.trace) - 1
+        print(f"{d:>2} {'gd-ni':<10} {total:>6} {err:>10.4f} {steps * (N + total):>11}")

@@ -50,10 +50,8 @@ from .models import (
     get_model,
 )
 from .optim import (
-    Constant,
     RunResult,
     StepDecay,
-    TraceRecord,
     gd_run,
     select_tau,
     sgd_run,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedForm",
-    "Constant",
     "ContaminationSpec",
     "CurrentModel",
     "Dataset",
@@ -84,7 +81,6 @@ __all__ = [
     "ObjectiveValue",
     "RunResult",
     "StepDecay",
-    "TraceRecord",
     "VARIANCE_FLOOR",
     "contaminated_sample",
     "em_mixture",

@@ -354,17 +354,17 @@ def _initial_theta(run, ds):
     raise ConfigError(f"no MLE initializer for {model.name}")
 
 
-def _sgd(run, ds, grad, theta0, m, *stream):
-    """Descent on ``default_rng([seed, *stream, 1])``, ``n + m`` evaluations a step."""
+def _sgd(run, grad, theta0, *stream):
+    """Descent on ``default_rng([seed, *stream, 1])``."""
     rng = np.random.default_rng([run.seed, *stream, 1])
-    return sgd_run(grad, theta0, run.schedule, run.T, rng, cost_per_iter=ds.n + m)
+    return sgd_run(grad, theta0, run.schedule, run.T, rng)
 
 
 def _dpd_sgd(run, ds, theta0, beta, m, *stream):
     """Stochastic DPD descent with ``m`` draws a step from ``run.proposal``."""
     def grad(th, rng):
         return stochastic_grad_dpd(run.model, th, ds.points, beta, m, run.proposal, rng).g
-    return _sgd(run, ds, grad, theta0, m, *stream)
+    return _sgd(run, grad, theta0, *stream)
 
 
 def _mse(run, params):
@@ -383,7 +383,10 @@ def _iterate_columns(run, ds, params):
         objective = empirical_gce(model, params[:-1], ds.points, run.gamma, ClosedForm())
     elif model.closed_form_r is not None:
         objective = empirical_dpce(model, params, ds.points, run.beta, ClosedForm()).value
-    scale = float(np.exp(params[-1])) if run.gamma_mode else None
+    scale = None
+    if run.gamma_mode:
+        with np.errstate(over="ignore"):  # a diverged run may end at c = inf
+            scale = float(np.exp(params[-1]))
     return objective, scale, _mse(run, params)
 
 
@@ -399,31 +402,33 @@ def _write_config_echo(cfg, out_dir):
             fh.write(f"{key} = {cfg[key]}\n")
 
 
-def _write_trace(path, model, result, columns):
-    """One row per record; ``columns`` holds each record's
+def _write_trace(path, run, trace, columns, cost):
+    """One row per iterate ``t``: the step size that reached it (0.0 for
+    the start), ``t * cost`` density evaluations, its coordinates and its
     :func:`_iterate_columns`."""
-    s = model.dim_param
+    s = run.model.dim_param
     names = [f"theta_{i + 1}" for i in range(s)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "eta", "complexity"] + names
                         + ["objective_exact", "scale_c", "mse"])
-        for rec, values in zip(result.trace, columns):
-            writer.writerow([rec.t, _fmt(rec.eta), rec.complexity]
-                            + [_fmt(v) for v in rec.params[:s]]
+        for t, (theta, values) in enumerate(zip(trace, columns)):
+            eta = run.schedule.at(t) if t else 0.0
+            writer.writerow([t, _fmt(eta), t * cost]
+                            + [_fmt(v) for v in theta[:s]]
                             + [_fmt(v) for v in values])
 
 
-def _write_estimate(path, model, final, columns, gamma_mode):
-    """The ``final`` record, with ``columns`` its :func:`_iterate_columns`."""
+def _write_estimate(path, model, final, columns, complexity, gamma_mode):
+    """The ``final`` iterate, with ``columns`` its :func:`_iterate_columns`."""
     objective, scale, _ = columns
     header = list(model.natural_names)
-    row = [_fmt(v) for v in model.natural_values(final.params[: model.dim_param])]
+    row = [_fmt(v) for v in model.natural_values(final[: model.dim_param])]
     if gamma_mode:
         header.append("scale_c")
         row.append(_fmt(scale))
     header += ["objective", "complexity"]
-    row += [_fmt(objective), str(final.complexity)]
+    row += [_fmt(objective), str(complexity)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -438,22 +443,26 @@ def cmd_fit(run, write_estimate=True):
     theta0 = _initial_theta(run, ds)
     if run.gamma_mode:
         def grad(psi, rng):
+            with np.errstate(over="ignore"):
+                c = float(np.exp(psi[-1]))
+            if not 0.0 < c < math.inf:  # log c left the double range
+                return np.full(psi.shape, np.nan)
             return stochastic_grad_gamma(
-                model, psi[:-1], float(np.exp(psi[-1])), ds.points, run.gamma, run.m,
-                run.proposal, rng,
+                model, psi[:-1], c, ds.points, run.gamma, run.m, run.proposal, rng,
             ).g
 
         start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
-        result = _sgd(run, ds, grad, start, run.m)
+        result = _sgd(run, grad, start)
     else:
         result = _dpd_sgd(run, ds, theta0, run.beta, run.m)
-    columns = [_iterate_columns(run, ds, rec.params) for rec in result.trace]
+    trace, cost = result.trace, ds.n + run.m  # density evaluations a step
+    columns = [_iterate_columns(run, ds, theta) for theta in trace]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate:
-        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model,
-                        result.trace[-1], columns[-1], run.gamma_mode)
-    _write_trace(os.path.join(run.out_dir, "trace.csv"), model, result, columns)
+        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model, trace[-1],
+                        columns[-1], (len(trace) - 1) * cost, run.gamma_mode)
+    _write_trace(os.path.join(run.out_dir, "trace.csv"), run, trace, columns, cost)
     return 2 if result.diverged else 0
 
 
@@ -469,9 +478,8 @@ def _table_cell_run(run, method, size, rep):
 
         def grad(th):
             return lattice_grad_dpd(run.model, th, ds.points, run.beta, size)
-        result = gd_run(grad, theta0, omega, run.T,
-                        cost_per_iter=ds.n + size.total_points(run.model))
-    return _mse(run, result.final_params), result.diverged
+        result = gd_run(grad, theta0, omega, run.T)
+    return _mse(run, result.trace[-1]), result.diverged
 
 
 def cmd_table_compare(run):
@@ -527,7 +535,7 @@ def cmd_density_curves(run):
     counts = np.histogram(ds.points, bins=grid)[0]
     columns = {"pdf_mle": np.exp(model.log_pdf(theta_mle, grid))}
     for name, result in fits.items():
-        columns[name] = np.exp(model.log_pdf(result.final_params, grid))
+        columns[name] = np.exp(model.log_pdf(result.trace[-1], grid))
 
     with open(os.path.join(run.out_dir, "curves.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

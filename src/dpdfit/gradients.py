@@ -167,13 +167,14 @@ def stochastic_grad_gamma(model, theta, c, data, gamma, m, proposal, rng):
     n = x.shape[0]
     # the data term of data_term, with the scale's powers applied
     w, g_data = _weighted_score_sum(model, theta, x, gamma)
-    g_theta = -(c**gamma) * g_data / n
-    g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n)
-
     y, log_q = _draw_proposal(model, theta, proposal, m, rng)
     terms, weights = _proposal_terms(model, theta, y, log_q, gamma)
-    g_theta = g_theta + c ** (1.0 + gamma) * terms.mean(axis=0)
-    g_c = g_c + c**gamma * float(weights.mean())
 
-    g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
+    # In float64 a power of an extreme scale overflows to inf (and inf * 0
+    # gives NaN), which the descent flags; Python's float ** would raise.
+    c = np.float64(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * terms.mean(axis=0)
+        g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * float(weights.mean())
+        g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
     return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)

@@ -25,6 +25,7 @@ VARIANCE_FLOOR = 1e-6
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _FLOAT_MIN = float(np.finfo(float).min)
+_LOG_MAX = float(np.log(np.finfo(float).max))  # exp overflows above it
 
 
 def _normal_log_pdf(r2, var):
@@ -41,6 +42,18 @@ def _sigma_coordinate(sigma):
     if var < VARIANCE_FLOOR:
         raise ValueError(f"variance {var} below floor {VARIANCE_FLOOR}")
     return np.sqrt(var - VARIANCE_FLOOR)
+
+
+def _exp_params(theta):
+    """``exp`` of the two log-space coordinates, or NaN for both when either
+    leaves (0, inf).  NaN reaches the gradient without a warning, and the
+    descent flags the step; an inf or a 0 would warn or raise on the way."""
+    t0, t1 = theta[0], theta[1]
+    if t0 <= _LOG_MAX and t1 <= _LOG_MAX:
+        a, b = np.exp(t0), np.exp(t1)
+        if 0.0 < a < np.inf and 0.0 < b < np.inf:
+            return a, b
+    return np.nan, np.nan
 
 
 def _columns(*cols):
@@ -319,8 +332,7 @@ class InverseNormal(Model):
     params_cls = InverseNormalParams
     default_truth = (1.0, 3.0)
 
-    def _params(self, theta):
-        return np.exp(theta[0]), np.exp(theta[1])
+    _params = staticmethod(_exp_params)
 
     def _in_support(self, x):
         return ~(x <= 0)  # a NaN point stays in, so its NaN reaches the caller
@@ -371,8 +383,7 @@ class Gompertz(Model):
     params_cls = GompertzParams
     default_truth = (1.0, 0.1)
 
-    def _params(self, theta):
-        return np.exp(theta[0]), np.exp(theta[1])
+    _params = staticmethod(_exp_params)
 
     def _in_support(self, x):
         return ~(x < 0)  # a NaN point stays in, so its NaN reaches the caller

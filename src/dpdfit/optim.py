@@ -2,11 +2,11 @@
 
 ``sgd_run`` applies ``theta <- theta - eta_t * g(theta)`` with a
 decaying step size and a stochastic gradient source; ``gd_run`` is the
-constant-rate variant for deterministic sources.  Both record one trace
-row per iteration (plus the initial state) and stop with a divergence
-flag instead of propagating numerical blow-ups.  They only descend:
-quantities read from the iterates, such as an exact objective, are
-computed by the caller from the recorded parameters.
+constant-rate variant for deterministic sources.  Both return every
+iterate, the start included, and stop with a divergence flag instead
+of propagating numerical blow-ups.  They only descend: quantities read
+from the iterates, such as an exact objective, a step size or a count
+of density evaluations, are computed by the caller.
 """
 
 from __future__ import annotations
@@ -42,67 +42,48 @@ class StepDecay:
         return self.eta0 * self.rate ** (t // self.period)
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Constant learning rate, for deterministic gradient sources."""
-
-    value: float
-
-    def at(self, t):
-        return self.value
-
-
-@dataclass
-class TraceRecord:
-    t: int
-    eta: float
-    params: np.ndarray
-    complexity: int
-
-
 @dataclass
 class RunResult:
-    trace: list
-    final_params: np.ndarray
+    """``trace[t]`` is theta after ``t`` updates, row 0 the start; a
+    diverged run ends at its last accepted iterate."""
+
+    trace: np.ndarray
     diverged: bool
 
 
-def _descent(grad_fn, theta0, schedule, n_steps, cost_per_iter):
-    theta = np.asarray(theta0, dtype=float).copy()
+def _descent(grad_fn, theta0, eta_at, n_steps):
+    theta = np.array(theta0, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite initial parameters")
-    trace = [TraceRecord(0, 0.0, theta.copy(), 0)]
+    trace = [theta.copy()]
     diverged = False
     for t in range(1, n_steps + 1):
-        eta = schedule.at(t)
         g = np.asarray(grad_fn(theta), dtype=float)
         if not np.all(np.isfinite(g)) or np.abs(g).max() > GRAD_LIMIT:
             diverged = True
             break
-        candidate = theta - eta * g
+        candidate = theta - eta_at(t) * g
         if not np.all(np.isfinite(candidate)) or np.abs(candidate).max() > PARAM_LIMIT:
             diverged = True
             break
         theta = candidate
-        trace.append(TraceRecord(t, eta, theta.copy(), t * cost_per_iter))
-    return RunResult(trace=trace, final_params=theta, diverged=diverged)
+        trace.append(theta.copy())
+    return RunResult(trace=np.array(trace), diverged=diverged)
 
 
-def sgd_run(grad_source, theta0, schedule, n_steps, rng, cost_per_iter=0):
+def sgd_run(grad_source, theta0, schedule, n_steps, rng):
     """Stochastic descent: ``grad_source(theta, rng)`` is drawn afresh
-    each iteration.  Returns the trace with one record after every
-    update (plus one for the initial state)."""
+    each iteration, and step ``t`` moves by ``schedule.at(t)``."""
     if n_steps < 0:
         raise ValueError("number of steps must be >= 0")
-    return _descent(lambda th: grad_source(th, rng), theta0, schedule, n_steps,
-                    cost_per_iter)
+    return _descent(lambda th: grad_source(th, rng), theta0, schedule.at, n_steps)
 
 
-def gd_run(grad_source, theta0, omega, n_steps, cost_per_iter=0):
-    """Constant-rate descent for a deterministic ``grad_source(theta)``."""
+def gd_run(grad_source, theta0, omega, n_steps):
+    """Descent at the one rate ``omega`` for a deterministic ``grad_source(theta)``."""
     if omega < 0:
         raise ValueError("learning rate must be >= 0")
-    return _descent(grad_source, theta0, Constant(omega), n_steps, cost_per_iter)
+    return _descent(grad_source, theta0, lambda t: omega, n_steps)
 
 
 def select_tau(etas, lipschitz, rng):

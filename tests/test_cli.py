@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +10,7 @@ from dpdfit import cli
 from dpdfit.cli import PRESETS, main
 from dpdfit.datagen import Dataset
 from dpdfit.divergence import ClosedForm, empirical_dpce, empirical_gce
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
+from dpdfit.optim import StepDecay
 
 
 def read_csv(path):
@@ -199,14 +197,24 @@ class TestFit:
                    "--out-dir", str(tmp_path)] + FAST)
         assert rc == 2
 
-    def test_nan_log_density_exits_two(self, tmp_path):
-        """From step 1 on every data log-density is NaN; the NaN reaches
-        the descent loop instead of giving a zero gradient that freezes theta."""
-        with warnings.catch_warnings():  # numpy warns of the overflow on the way
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main(["fit", "--config", "paper-4.1-iii", "--eta0", "1e6", "--T", "50",
-                       "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("args", [
+        ["paper-4.1-ii", "--eta0", "100"],
+        ["paper-4.1-ii", "--eta0", "1e6"],
+        ["paper-4.1-iii", "--eta0", "1e6"],
+        ["paper-4.1-i", "--divergence", "gamma", "--eta0", "100"],
+        ["paper-4.1-i", "--divergence", "gamma", "--eta0", "1e4"],
+        ["paper-4.1-i", "--divergence", "gamma", "--eta0", "1e6"],
+    ], ids=["inverse-normal-100", "inverse-normal-1e6", "gompertz-1e6",
+            "gamma-100", "gamma-1e4", "gamma-1e6"])
+    def test_log_coordinate_past_double_range_exits_two(self, tmp_path, capsys, args):
+        """Once ``exp`` of a log-space coordinate overflows to inf or
+        underflows to 0, the gradient is NaN or inf and the descent stops:
+        exit 2, with no warning, no error line and no traceback.  In the
+        Gompertz run every data log-density is NaN from step 1 on; the NaN
+        reaches the descent instead of a zero gradient that freezes theta."""
+        rc = main(["fit", "--config", *args, "--T", "50", "--out-dir", str(tmp_path)])
         assert rc == 2
+        assert capsys.readouterr().err == ""
 
     def test_explicit_init(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--init", "0.5,2.0",
@@ -217,7 +225,34 @@ class TestFit:
         assert float(rows[0][1]) == pytest.approx(2.0)
 
 
+def check_eta_and_complexity(rows, schedule, cost):
+    """Rows ``t = 0, 1, ...`` with ``eta = schedule.at(t)`` (0.0 at the
+    start) and ``complexity = t * cost``."""
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    for t, row in enumerate(rows):
+        assert float(row[1]) == (schedule.at(t) if t else 0.0)
+        assert int(row[2]) == t * cost
+
+
 class TestTrace:
+    def test_eta_and_complexity_computed_from_t(self, tmp_path):
+        rc = main(["trace", "--config", "paper-4.1-i", "--T", "30",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "trace.csv")
+        assert len(rows) == 31
+        check_eta_and_complexity(rows, StepDecay(1.0, 0.7, 25), 1010)
+
+    def test_diverged_run_stops_at_failed_step(self, tmp_path):
+        rc = main(["fit", "--config", "paper-4.1-ii", "--eta0", "100", "--T", "50",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        _, rows = read_csv(tmp_path / "trace.csv")
+        assert 1 < len(rows) < 51
+        check_eta_and_complexity(rows, StepDecay(100.0, 0.7, 25), 1010)
+        header, estimate = read_csv(tmp_path / "estimate.csv")
+        assert estimate[0][header.index("complexity")] == rows[-1][2]
+
     def test_zero_steps_gives_initial_record_only(self, tmp_path):
         rc = main(["trace", "--model", "normal", "--T", "0", "--n", "100",
                    "--out-dir", str(tmp_path)])
@@ -255,14 +290,14 @@ class TestTrace:
         points = Dataset.from_csv(tmp_path / "data.csv").points
         (result,) = results
         assert len(rows) == len(result.trace) == 41
-        for row, rec in zip(rows, result.trace):
+        for row, params in zip(rows, result.trace):
             value = dict(zip(header, row))
             theta = np.array([float(value["theta_1"]), float(value["theta_2"])])
-            np.testing.assert_array_equal(theta, rec.params[:2])
+            np.testing.assert_array_equal(theta, params[:2])
             assert float(value["mse"]) == float(((theta - truth) ** 2).sum())
             if divergence == "gamma":
                 objective = empirical_gce(model, theta, points, 0.5, ClosedForm())
-                assert float(value["scale_c"]) == float(np.exp(rec.params[-1]))
+                assert float(value["scale_c"]) == float(np.exp(params[-1]))
             else:
                 objective = empirical_dpce(model, theta, points, 0.5, ClosedForm()).value
                 assert value["scale_c"] == ""

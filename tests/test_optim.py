@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from dpdfit.optim import (
-    Constant,
     StepDecay,
     gd_run,
     sgd_run,
@@ -41,40 +40,36 @@ class TestSgdRun:
         theta0 = np.array([1.5, -2.0])
         res = sgd_run(lambda th, rng: np.zeros(2), theta0,
                       StepDecay(1.0, 0.7, 10), 50, np.random.default_rng(0))
-        np.testing.assert_array_equal(res.final_params, theta0)
+        np.testing.assert_array_equal(res.trace[-1], theta0)
         assert not res.diverged
 
     def test_linear_recursion(self):
         # g(theta) = theta with constant eta contracts by (1 - eta) each step
         eta, steps = 0.25, 40
-        res = sgd_run(lambda th, rng: th, np.array([2.0]), Constant(eta), steps,
-                      np.random.default_rng(0))
-        assert res.final_params[0] == pytest.approx(2.0 * (1 - eta) ** steps, rel=1e-12)
+        res = gd_run(lambda th: th, np.array([2.0]), eta, steps)
+        assert res.trace[-1, 0] == pytest.approx(2.0 * (1 - eta) ** steps, rel=1e-12)
 
-    def test_trace_layout_and_complexity(self):
-        res = sgd_run(lambda th, rng: np.zeros(1), np.array([0.0]),
-                      StepDecay(1.0, 0.5, 2), 5, np.random.default_rng(0),
-                      cost_per_iter=110)
-        assert [rec.t for rec in res.trace] == [0, 1, 2, 3, 4, 5]
-        assert [rec.complexity for rec in res.trace] == [0, 110, 220, 330, 440, 550]
-        assert res.trace[0].eta == 0.0
-        assert res.trace[3].eta == StepDecay(1.0, 0.5, 2).at(3)
+    def test_trace_holds_every_iterate_as_a_copy(self):
+        theta0 = np.array([1.0, -1.0, 0.5])
+        res = sgd_run(lambda th, rng: th, theta0, StepDecay(0.5, 0.7, 5), 7,
+                      np.random.default_rng(0))
+        assert res.trace.shape == (8, 3)
+        theta0[:] = 9.0
+        np.testing.assert_array_equal(res.trace[0], [1.0, -1.0, 0.5])
+        np.testing.assert_array_equal(res.trace[1], [0.5, -0.5, 0.25])
 
     def test_divergence_on_huge_gradient(self):
-        res = sgd_run(lambda th, rng: np.array([1e13]), np.array([0.0]),
-                      Constant(1.0), 10, np.random.default_rng(0))
+        res = gd_run(lambda th: np.array([1e13]), np.array([0.0]), 1.0, 10)
         assert res.diverged and len(res.trace) == 1
 
     def test_divergence_on_parameter_blowup(self):
-        res = sgd_run(lambda th, rng: np.array([-2e8]), np.array([0.0]),
-                      Constant(1.0), 10, np.random.default_rng(0))
+        res = gd_run(lambda th: np.array([-2e8]), np.array([0.0]), 1.0, 10)
         assert res.diverged
-        np.testing.assert_array_equal(res.final_params, [0.0])
+        np.testing.assert_array_equal(res.trace[-1], [0.0])
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
-            sgd_run(lambda th, rng: th, np.array([np.inf]), Constant(0.1), 3,
-                    np.random.default_rng(0))
+            gd_run(lambda th: th, np.array([np.inf]), 0.1, 3)
 
     def test_deterministic_given_seed(self):
         def noisy(th, rng):
@@ -85,24 +80,22 @@ class TestSgdRun:
                     np.random.default_rng(123))
             for _ in range(2)
         ]
-        for a, b in zip(runs[0].trace, runs[1].trace):
-            np.testing.assert_array_equal(a.params, b.params)
+        np.testing.assert_array_equal(runs[0].trace, runs[1].trace)
 
     def test_zero_steps_records_initial_state_only(self):
-        res = sgd_run(lambda th, rng: th, np.array([1.0]), Constant(0.1), 0,
-                      np.random.default_rng(0))
-        assert len(res.trace) == 1 and res.trace[0].t == 0
+        res = gd_run(lambda th: th, np.array([1.0]), 0.1, 0)
+        assert res.trace.shape == (1, 1) and res.trace[0, 0] == 1.0
 
 
 class TestGdRun:
     def test_zero_rate_keeps_parameters(self):
         res = gd_run(lambda th: np.ones(2), np.array([1.0, 2.0]), 0.0, 5)
-        np.testing.assert_array_equal(res.final_params, [1.0, 2.0])
+        np.testing.assert_array_equal(res.trace[-1], [1.0, 2.0])
 
     def test_converges_to_quadratic_minimum(self):
         target = np.array([2.0, -1.0])
         res = gd_run(lambda th: th - target, np.zeros(2), 0.5, 100)
-        np.testing.assert_allclose(res.final_params, target, atol=1e-12)
+        np.testing.assert_allclose(res.trace[-1], target, atol=1e-12)
 
 
 class TestSelectTau:

@@ -1,12 +1,15 @@
-"""The benchmark's tracer still finds every name it patches in dpdfit.
+"""The benchmark still runs against dpdfit.
 
 ``perfbench/tracer.py`` wraps module attributes and class methods by
-name; a rename in the package would break the benchmark's traced runs
-only.  These tests load the tracer by path and trace one small run.
+name and reads their results; a rename or an API change in the package
+would break the benchmark's traced runs only.  These tests load the
+tracer by path and trace one small run, and run the harness's self-test.
 """
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 from dpdfit import cli, optim
 
@@ -37,3 +40,10 @@ def test_traced_run_counts_objective_once_per_record(tmp_path):
     assert names.count("divergence.objective") == 6  # t = 0 .. 5
     assert names.count("optim.sgd_run") == 1
     assert tracer.counts["optim.steps"] == 5
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` writes only under ``perfbench/.work/``."""
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
