@@ -437,7 +437,8 @@ def _write_estimate(path, model, final, columns, complexity, gamma_mode):
 
 def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
-    ``estimate.csv`` and ``trace.csv``; ``trace`` skips ``estimate.csv``."""
+    ``estimate.csv`` and ``trace.csv``; ``trace`` and a diverged run skip
+    ``estimate.csv``."""
     model = run.model
     ds = _dataset(run)
     theta0 = _initial_theta(run, ds)
@@ -459,7 +460,7 @@ def cmd_fit(run, write_estimate=True):
     columns = [_iterate_columns(run, ds, theta) for theta in trace]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
-    if write_estimate:
+    if write_estimate and not result.diverged:
         _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model, trace[-1],
                         columns[-1], (len(trace) - 1) * cost, run.gamma_mode)
     _write_trace(os.path.join(run.out_dir, "trace.csv"), run, trace, columns, cost)

@@ -134,7 +134,12 @@ def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
     if not np.any(x > 0):
         raise ValueError("all-zero sample")
     lo, hi = bracket
-    omega = newton_bisection(_gompertz_profile(x), lo, hi, tol, max_iter)
+    profile = _gompertz_profile(x)
+    if np.sign(profile(lo)[0]) == np.sign(profile(hi)[0]) != 0:
+        raise ValueError(f"Gompertz MLE: the profile score of omega has one sign on "
+                         f"({lo:g}, {hi:g}), so the likelihood peaks outside that "
+                         f"bracket; give a start with --init")
+    omega = newton_bisection(profile, lo, hi, tol, max_iter)
     lam = omega / np.expm1(omega * x).mean()
     return Gompertz().from_natural(GompertzParams(omega=float(omega), lam=float(lam)))
 

@@ -3,14 +3,14 @@
 Every family exposes the same small surface: log-density, score (the
 gradient of the log-density with respect to the *unconstrained*
 optimization coordinates), sampling, and the maps between unconstrained
-coordinates and the named natural parameters.  Each family implements
-log-density and score together in one kernel, ``_log_pdf_and_score``,
-which the gradient estimators call through ``log_pdf_and_score``;
-``score`` is derived from the same kernel.  Families with positivity
-constraints are parameterized so that every point of R^s maps to a valid
-density: variances take the form ``c**2 + VARIANCE_FLOOR``, mixing
-weights go through a sigmoid, and purely positive parameters (inverse
-normal, Gompertz) live in log space.
+coordinates and the named natural parameters.  A family writes its
+log-density once, for points inside its support, as ``_log_pdf``, which
+also returns the values ``_score`` reuses; ``Model`` checks ``theta``
+and ``x`` and applies the support mask for every entry point.  Families
+with positivity constraints are parameterized so that every point of
+R^s maps to a valid density: variances take the form ``c**2 +
+VARIANCE_FLOOR``, mixing weights go through a sigmoid, and purely
+positive parameters (inverse normal, Gompertz) live in log space.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ def _exp_params(theta):
         if 0.0 < a < np.inf and 0.0 < b < np.inf:
             return a, b
     return np.nan, np.nan
+
+
+def _normal_var_score(r2, var):
+    """Derivative of the normal log-density in its variance."""
+    return -0.5 / var + r2 / (2.0 * var**2)
 
 
 def _columns(*cols):
@@ -138,7 +143,8 @@ class Model:
         return () if self.dim_x == 1 else (self.dim_x,)
 
     def log_pdf(self, theta, x):
-        raise NotImplementedError
+        """Log-density at every point of ``x``; ``-inf`` outside the support."""
+        return self._evaluate(theta, x, with_score=False)[0]
 
     def log_pdf_and_score(self, theta, x):
         """Log-density and score at every point of ``x`` in one pass.
@@ -147,23 +153,12 @@ class Model:
         Points outside the support get ``lp = -inf`` and a zero score
         row; the score is never evaluated there.
         """
-        theta, x = self._check_theta(theta), self._check_x(x)
-        inside = self._in_support(x)
-        if inside is None or inside.all():
-            return self._log_pdf_and_score(theta, x)
-        lp = np.full(x.shape[0], -np.inf)
-        score = np.zeros((x.shape[0], self.dim_param))
-        lp[inside], score[inside] = self._log_pdf_and_score(theta, x[inside])
-        return lp, score
+        return self._evaluate(theta, x, with_score=True)
 
     def score(self, theta, x):
         """Gradient of the log-density in the unconstrained coordinates;
         every point of ``x`` must lie in the support."""
-        theta, x = self._check_theta(theta), self._check_x(x)
-        inside = self._in_support(x)
-        if inside is not None and not inside.all():
-            raise ValueError(f"{self.name} score requires x inside the support")
-        return self._log_pdf_and_score(theta, x)[1]
+        return self._evaluate(theta, x, with_score=True, strict=True)[1]
 
     def sample(self, theta, rng, size):
         raise NotImplementedError
@@ -182,24 +177,41 @@ class Model:
     def natural_values(self, theta):
         """Natural parameters of ``theta`` as a flat float array."""
         p = self.to_natural(theta)
-        out = []
-        for f in p.__dataclass_fields__:
-            v = getattr(p, f)
-            if np.ndim(v) == 0:
-                out.append(float(v))
-            else:
-                out.extend(float(u) for u in np.asarray(v))
-        return np.array(out)
+        return np.hstack([getattr(p, f) for f in p.__dataclass_fields__]).astype(float)
 
     # -- helpers -------------------------------------------------------
 
-    def _log_pdf_and_score(self, theta, x):
-        """The family's kernel: checked ``theta``, points inside the support."""
+    def _log_pdf(self, theta, x):
+        """``(lp, parts)`` at points inside the support; ``_score`` reuses ``parts``."""
+        raise NotImplementedError
+
+    def _score(self, theta, x, parts):
         raise NotImplementedError
 
     def _in_support(self, x):
         """Mask of the points inside the support; None when it is all of R^d."""
         return None
+
+    def _evaluate(self, theta, x, with_score, strict=False):
+        """``(lp, score)`` of checked ``theta`` and ``x``, the score None
+        unless ``with_score``.  The formulas see only the points inside the
+        support; outside it ``lp`` is ``-inf`` and the score row zero, and
+        ``strict`` raises instead."""
+        theta, x = self._check_theta(theta), self._check_x(x)
+        inside = self._in_support(x)
+        masked = inside is not None and not inside.all()
+        if masked and strict:
+            raise ValueError(f"{self.name} score requires x inside the support")
+        xs = x[inside] if masked else x
+        lp, parts = self._log_pdf(theta, xs)
+        score = self._score(theta, xs, parts) if with_score else None
+        if masked:  # back to all of x: lp = -inf, a zero score row outside
+            lp_in, lp = lp, np.full(x.shape[0], -np.inf)
+            lp[inside] = lp_in
+            if with_score:
+                score_in, score = score, np.zeros((x.shape[0], self.dim_param))
+                score[inside] = score_in
+        return lp, score
 
     def _check_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -213,13 +225,15 @@ class Model:
         return theta
 
     def _check_x(self, x):
+        """``x`` as an ``(n, *point_shape)`` float array; a lone point, a
+        scalar or a ``(d,)`` vector, becomes ``n = 1``."""
         x = np.asarray(x, dtype=float)
-        if self.dim_x == 1:
-            return np.atleast_1d(x)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        if x.shape[-1] != self.dim_x:
-            raise ValueError(f"{self.name}: expected points of dimension {self.dim_x}")
+        shape = self.point_shape
+        if x.ndim == len(shape):
+            x = x[np.newaxis]
+        if x.shape[1:] != shape:
+            want = "".join(f", {k}" for k in shape)
+            raise ValueError(f"{self.name}: expected points of shape (n{want}), got {x.shape}")
         return x
 
     def __repr__(self):
@@ -238,16 +252,16 @@ class Normal1D(Model):
     def _moments(self, theta):
         return theta[0], theta[1] ** 2 + VARIANCE_FLOOR
 
-    def log_pdf(self, theta, x):
-        mu, var = self._moments(self._check_theta(theta))
-        return _normal_log_pdf((self._check_x(x) - mu) ** 2, var)
-
-    def _log_pdf_and_score(self, theta, x):
+    def _log_pdf(self, theta, x):
         mu, var = self._moments(theta)
-        r = x - mu
-        r2 = r**2
-        d_var = -0.5 / var + r2 / (2.0 * var**2)
-        return _normal_log_pdf(r2, var), _columns(r / var, d_var * (2.0 * theta[1]))
+        # Squared in place: keeping x - mu for the score would give the
+        # score-free log_pdf one more n-long array to fill.
+        r2 = (x - mu) ** 2
+        return _normal_log_pdf(r2, var), (mu, var, r2)
+
+    def _score(self, theta, x, parts):
+        mu, var, r2 = parts
+        return _columns((x - mu) / var, _normal_var_score(r2, var) * (2.0 * theta[1]))
 
     def sample(self, theta, rng, size):
         mu, var = self._moments(self._check_theta(theta))
@@ -286,14 +300,12 @@ class IsoNormal(Model):
         self.natural_names = tuple(f"mu_{i + 1}" for i in range(self.d))
         self.default_truth = (0.5,) * self.d
 
-    def log_pdf(self, theta, x):
-        theta = self._check_theta(theta)
-        x = self._check_x(x)
-        return -0.5 * self.d * _LOG_2PI - 0.5 * ((x - theta) ** 2).sum(axis=-1)
-
-    def _log_pdf_and_score(self, theta, x):
+    def _log_pdf(self, theta, x):
         r = x - theta
         return -0.5 * self.d * _LOG_2PI - 0.5 * (r**2).sum(axis=-1), r
+
+    def _score(self, theta, x, r):
+        return r
 
     def sample(self, theta, rng, size):
         theta = self._check_theta(theta)
@@ -337,26 +349,19 @@ class InverseNormal(Model):
     def _in_support(self, x):
         return ~(x <= 0)  # a NaN point stays in, so its NaN reaches the caller
 
-    def log_pdf(self, theta, x):
-        mu, lam = self._params(self._check_theta(theta))
-        x = self._check_x(x)
-        out = np.full(x.shape, -np.inf)
-        ok = self._in_support(x)
-        xo = x[ok]
-        out[ok] = 0.5 * (np.log(lam) - _LOG_2PI - 3.0 * np.log(xo)) - lam * (
-            xo - mu
-        ) ** 2 / (2.0 * mu**2 * xo)
-        return out
-
-    def _log_pdf_and_score(self, theta, x):
+    def _log_pdf(self, theta, x):
         mu, lam = self._params(theta)
         r = x - mu
         r2 = r**2
         denom = 2.0 * mu**2 * x
         lp = 0.5 * (np.log(lam) - _LOG_2PI - 3.0 * np.log(x)) - lam * r2 / denom
+        return lp, (mu, lam, r, r2, denom)
+
+    def _score(self, theta, x, parts):
+        mu, lam, r, r2, denom = parts
         d_mu = lam * r / mu**3
         d_lam = 0.5 / lam - r2 / denom
-        return lp, _columns(d_mu * mu, d_lam * lam)
+        return _columns(d_mu * mu, d_lam * lam)
 
     def sample(self, theta, rng, size):
         # Generator.wald draws via the Michael-Schucany-Haas transform.
@@ -388,17 +393,7 @@ class Gompertz(Model):
     def _in_support(self, x):
         return ~(x < 0)  # a NaN point stays in, so its NaN reaches the caller
 
-    def log_pdf(self, theta, x):
-        omega, lam = self._params(self._check_theta(theta))
-        x = self._check_x(x)
-        out = np.full(x.shape, -np.inf)
-        ok = self._in_support(x)
-        xo = x[ok]
-        with np.errstate(over="ignore"):
-            out[ok] = np.log(lam) + omega * xo - lam / omega * np.expm1(omega * xo)
-        return out
-
-    def _log_pdf_and_score(self, theta, x):
+    def _log_pdf(self, theta, x):
         omega, lam = self._params(theta)
         # Far in the tail exp(omega * x) overflows: lp is then -inf, and
         # consumers drop the point, as they drop any zero-density point.
@@ -406,9 +401,14 @@ class Gompertz(Model):
             ox = omega * x
             em1 = np.expm1(ox)
             lp = np.log(lam) + ox - lam / omega * em1
+        return lp, (omega, lam, ox, em1)
+
+    def _score(self, theta, x, parts):
+        omega, lam, ox, em1 = parts
+        with np.errstate(over="ignore", invalid="ignore"):
             d_omega = x - lam * (-em1 / omega**2 + x * np.exp(ox) / omega)
             d_lam = 1.0 / lam - em1 / omega
-        return lp, _columns(d_omega * omega, d_lam * lam)
+        return _columns(d_omega * omega, d_lam * lam)
 
     def sample(self, theta, rng, size):
         # Inverse CDF: x = log(1 - (omega/lam) * log(1 - u)) / omega.
@@ -446,27 +446,25 @@ class NormalMixture2(Model):
         v2 = theta[4] ** 2 + VARIANCE_FLOOR
         return alpha, theta[1], v1, theta[3], v2
 
-    def log_pdf(self, theta, x):
-        alpha, mu1, v1, mu2, v2 = self._params(self._check_theta(theta))
-        x = self._check_x(x)
-        return _log_add_exp(_normal_log_pdf((x - mu1) ** 2, v1) + np.log(alpha),
-                            _normal_log_pdf((x - mu2) ** 2, v2) + np.log1p(-alpha))
-
-    def _log_pdf_and_score(self, theta, x):
+    def _log_pdf(self, theta, x):
         alpha, mu1, v1, mu2, v2 = self._params(theta)
         z1, z2 = x - mu1, x - mu2
         q1, q2 = z1**2, z2**2
+        # the components' log-densities, each with its weight
         a1 = _normal_log_pdf(q1, v1) + np.log(alpha)
         a2 = _normal_log_pdf(q2, v2) + np.log1p(-alpha)
         lp = _log_add_exp(a1, a2)
+        return lp, (lp, alpha, v1, v2, z1, z2, q1, q2, a1, a2)
+
+    def _score(self, theta, x, parts):
+        lp, alpha, v1, v2, z1, z2, q1, q2, a1, a2 = parts
         r1 = np.exp(a1 - lp)  # responsibility of component 1
         r2 = np.exp(a2 - lp)
         d_a = r1 - alpha  # = alpha*(1-alpha)*(phi1-phi2)/p
-        d_v1 = r1 * (-0.5 / v1 + q1 / (2.0 * v1**2))
-        d_v2 = r2 * (-0.5 / v2 + q2 / (2.0 * v2**2))
-        score = _columns(d_a, r1 * z1 / v1, d_v1 * (2.0 * theta[2]), r2 * z2 / v2,
-                         d_v2 * (2.0 * theta[4]))
-        return lp, score
+        d_v1 = r1 * _normal_var_score(q1, v1)
+        d_v2 = r2 * _normal_var_score(q2, v2)
+        return _columns(d_a, r1 * z1 / v1, d_v1 * (2.0 * theta[2]), r2 * z2 / v2,
+                        d_v2 * (2.0 * theta[4]))
 
     def sample(self, theta, rng, size):
         alpha, mu1, v1, mu2, v2 = self._params(self._check_theta(theta))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dpdfit.divergence import Lattice, lattice_r
 from dpdfit.models import (
     Gompertz,
     GompertzParams,
@@ -11,6 +12,7 @@ from dpdfit.models import (
     InverseNormalParams,
     IsoNormal,
     MixtureParams,
+    Model,
     Normal1D,
     NormalMixture2,
     NormalParams,
@@ -168,9 +170,16 @@ class TestScore:
 
 
 class TestKernel:
-    """``log_pdf_and_score`` is the one kernel behind ``score``, and agrees
-    exactly with the separately written ``log_pdf``; the registry maps of
-    every family invert each other."""
+    """``log_pdf``, ``score`` and ``log_pdf_and_score`` run each family's one
+    log-density formula through ``Model``'s checks and support mask, and
+    agree exactly wherever they overlap; the registry maps of every family
+    invert each other."""
+
+    @pytest.mark.parametrize("cls", Model.__subclasses__(), ids=lambda c: c.__name__)
+    def test_family_writes_only_its_formulas(self, cls):
+        """The checks and the support mask live in ``Model`` alone."""
+        assert {"_log_pdf", "_score"} <= set(vars(cls))
+        assert not {"log_pdf", "score", "log_pdf_and_score", "_evaluate"} & set(vars(cls))
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_natural_values_roundtrip(self, name):
@@ -223,6 +232,36 @@ class TestKernel:
                     model.score(th, x)
 
         check()
+
+
+class TestPointShape:
+    """``x`` is ``(n, *point_shape)``; a scalar or one ``(d,)`` point is
+    promoted to ``n = 1``, and any other rank is a ValueError naming the
+    family, the same for all three entry points."""
+
+    ENTRY_POINTS = ["log_pdf", "score", "log_pdf_and_score"]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_wrong_rank_raises_naming_the_family(self, name, entry):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        shape = model.point_shape
+        wrong = [np.ones((2, *shape, 1)), np.ones((2, 1, *shape))]
+        if shape:
+            wrong += [5.0, np.ones(model.dim_x + 1), np.ones((2, model.dim_x + 1))]
+        for x in wrong:
+            with pytest.raises(ValueError, match=f"^{name}: expected points of shape"):
+                getattr(model, entry)(theta, x)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_one_point_is_promoted(self, name):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        point = np.ones(model.point_shape)
+        lp, score = model.log_pdf_and_score(theta, point)
+        assert lp.shape == (1,) and score.shape == (1, model.dim_param)
+        np.testing.assert_array_equal(lp, model.log_pdf(theta, point[np.newaxis]))
 
 
 class TestSampling:
@@ -367,6 +406,23 @@ class TestNormalization:
                 grid = np.linspace(-40, 40, 200_001)
             mass = np.trapezoid(np.exp(model.log_pdf(th, grid)), grid)
             assert mass == pytest.approx(1.0, abs=1e-4)
+
+    # For every theta of the box and beta <= 2: node spacing under half the
+    # narrowest sd of p**(1+beta), and at least 8.5 sd of p past the mean.
+    LATTICE = {"normal": Lattice(extent=20.0, nodes=801),
+               "isonormal2": Lattice(extent=12.0, nodes=97)}
+
+    @pytest.mark.parametrize("name", LATTICE)
+    def test_closed_form_r_matches_lattice_r(self, name):
+        model, lattice = get_model(name), self.LATTICE[name]
+
+        @PROPERTY
+        @given(th=thetas(model), beta=st.floats(0.0, 2.0, exclude_min=True))
+        def check(th, beta):
+            exact = model.closed_form_r(th, beta)
+            assert lattice_r(model, th, beta, lattice) == pytest.approx(exact, rel=1e-6)
+
+        check()
 
     def test_isonormal_unit_mass(self):
         m = IsoNormal(2)
