@@ -69,6 +69,8 @@ DEFAULTS = {
     "data": "",
     "out_dir": ".",
 }
+# Largest beta or gamma: far above the usual (0, 1], p**beta underflows to 0
+POWER_MAX = 10.0
 
 # Benchmark presets: the four scalar-model settings and the d-variate
 # comparison grids.  Outliers are N(10, 1) for the scalar settings and
@@ -180,9 +182,9 @@ def resolve_config(args):
     return cfg
 
 
-def _number(text, key, kind=float, above=None, finite=True):
-    """``text`` as one ``kind``: finite unless ``finite=False``, and
-    greater than ``above`` when that is given."""
+def _number(text, key, kind=float, above=None, finite=True, at_most=None):
+    """``text`` as one ``kind``: finite unless ``finite=False``, greater
+    than ``above`` and at most ``at_most`` when those are given."""
     try:
         value = kind(text)
     except ValueError:
@@ -193,12 +195,14 @@ def _number(text, key, kind=float, above=None, finite=True):
     if above is not None and value <= above:
         bound = f">= {above + 1}" if kind is int else f"> {above}"
         raise ConfigError(f"{key} must be {bound}, got {text!r}")
+    if at_most is not None and value > at_most:
+        raise ConfigError(f"{key} must be <= {at_most:g}, got {text!r}")
     return value
 
 
-def _numbers(text, key, kind=float, above=None, finite=True):
+def _numbers(text, key, kind=float, **checks):
     """Comma-separated :func:`_number` values; empty items are skipped."""
-    return [_number(v, key, kind, above, finite) for v in text.split(",") if v.strip()]
+    return [_number(v, key, kind, **checks) for v in text.split(",") if v.strip()]
 
 
 def _as_bool(text, key):
@@ -282,8 +286,8 @@ def read_config(cfg):
     checked whatever the subcommand, but ``--data`` leaves the synthetic-data
     keys (``truth``, ``xi``, ``outlier_*``, ``fixed_outlier_count``) unread."""
 
-    def num(key, kind=float, above=None):
-        return _number(cfg[key], key, kind, above)
+    def num(key, kind=float, **checks):
+        return _number(cfg[key], key, kind, **checks)
 
     model = get_model(cfg["model"])
     if cfg["divergence"] not in ("dpd", "gamma"):
@@ -311,14 +315,14 @@ def read_config(cfg):
         proposal=_proposal(cfg["proposal"], model),
         schedule=StepDecay(eta0=num("eta0"), rate=num("decay_rate"),
                            period=num("decay_period", int)),
-        beta=num("beta", above=0),
-        gamma=num("gamma", above=0),
+        beta=num("beta", above=0, at_most=POWER_MAX),
+        gamma=num("gamma", above=0, at_most=POWER_MAX),
         m=num("m", int, above=0),
         T=num("T", int, above=-1),
         n=n,
         seed=num("seed", int, above=-1),
         replications=num("replications", int, above=0),
-        betas=_numbers(cfg["betas"], "betas", above=0),
+        betas=_numbers(cfg["betas"], "betas", above=0, at_most=POWER_MAX),
         m_values=_numbers(cfg["m_values"] or cfg["m"], "m_values", int, above=0),
         lattices=tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values),
         gamma_mode=cfg["divergence"] == "gamma",

@@ -16,6 +16,8 @@ from .models import Model
 # rows formatted per write in to_csv, so that the text of a large dataset
 # never has to exist in memory all at once
 _BLOCK_ROWS = 65536
+# Largest outlier spread; from ~1e77 on, a fitted variance squared overflows
+OUTLIER_SD_MAX = 1e50
 
 
 def _first_bad_line(path):
@@ -127,10 +129,9 @@ class ContaminationSpec:
             raise ValueError("contamination ratio must lie in [0, 1)")
         if self.n < 1:
             raise ValueError("need at least one observation")
-        if not (np.isfinite(self.outlier_sd) and self.outlier_sd >= 0):
-            raise ValueError(
-                f"outlier spread must be finite and >= 0, got {self.outlier_sd}"
-            )
+        if not 0.0 <= self.outlier_sd <= OUTLIER_SD_MAX:
+            raise ValueError(f"outlier_sd (the outlier spread) must lie in "
+                             f"[0, {OUTLIER_SD_MAX:g}], got {self.outlier_sd}")
 
 
 def contaminated_sample(spec, rng):

@@ -12,6 +12,7 @@ instead of underflowing to NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +70,18 @@ def empirical_power_term(model, theta, data, beta):
 
 
 def lattice_points(model, backend):
-    """Quadrature nodes and the (scalar) weight shared by all of them."""
-    extent, m = backend.extent, backend.nodes
-    lo = 0.0 if model.support == "positive" else -extent
-    axis = np.linspace(lo, extent, m)
-    grids = np.meshgrid(*([axis] * model.dim_x), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, *model.point_shape)
-    return pts, ((extent - lo) / (m - 1)) ** model.dim_x
+    """Quadrature nodes and the (scalar) weight shared by all of them; the
+    nodes of a grid are built once and are read-only."""
+    return _nodes(backend.extent, backend.nodes, model.dim_x, model.support)
+
+
+@lru_cache(maxsize=1)
+def _nodes(extent, m, dim_x, support):
+    lo = 0.0 if support == "positive" else -extent
+    grids = np.meshgrid(*([np.linspace(lo, extent, m)] * dim_x), indexing="ij", copy=False)
+    pts = np.stack(grids, axis=-1).reshape((-1, dim_x) if dim_x > 1 else -1)
+    pts.flags.writeable = False
+    return pts, ((extent - lo) / (m - 1)) ** dim_x
 
 
 def lattice_r(model, theta, beta, backend):

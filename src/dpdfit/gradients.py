@@ -25,6 +25,7 @@ import numpy as np
 from .divergence import _data_points, lattice_points
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+BLOCK = 8192  # points per kernel call in _weighted_score_sum
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,17 @@ def _weighted_rows(weights, score):
 
 
 def _weighted_score_sum(model, theta, x, power):
-    """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``."""
-    lp, score = model.log_pdf_and_score(theta, x)
-    w = np.exp(power * lp)
-    return w, _weighted_rows(w, score).sum(axis=0)
+    """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``.  The
+    kernel sees one cache-sized block of ``BLOCK`` points at a time; each
+    block's first row carries the running sum, as ``sum(axis=0)`` adds in order."""
+    w, total = np.empty(x.shape[0]), None
+    for start in range(0, x.shape[0], BLOCK):
+        lp, score = model.log_pdf_and_score(theta, x[start:start + BLOCK])
+        rows = _weighted_rows(np.exp(power * lp, out=w[start:start + BLOCK]), score)
+        if total is not None:
+            rows[0] += total
+        total = rows.sum(axis=0)
+    return w, total
 
 
 def data_term(model, theta, data, beta):

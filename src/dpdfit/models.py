@@ -302,7 +302,13 @@ class IsoNormal(Model):
 
     def _log_pdf(self, theta, x):
         r = x - theta
-        return -0.5 * self.d * _LOG_2PI - 0.5 * (r**2).sum(axis=-1), r
+        if self.d < 8:  # in-place column adds: far faster, same bytes
+            r2 = r[:, 0] ** 2
+            for j in range(1, self.d):
+                r2 += r[:, j] ** 2
+        else:  # numpy sums 8 or more terms pairwise; keep that rounding
+            r2 = (r**2).sum(axis=-1)
+        return -0.5 * self.d * _LOG_2PI - 0.5 * r2, r
 
     def _score(self, theta, x, r):
         return r

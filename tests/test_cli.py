@@ -334,6 +334,12 @@ class TestConfigHandling:
         (["fit", "--divergence", "gamma", "--gamma", "0"], "gamma must be > 0"),
         (["density-curves", "--m", "0"], "m must be >= 1"),
         (["fit", "--replications", "0"], "replications must be >= 1"),
+        (["fit", "--beta=1e308"], "beta must be <= 10"),
+        (["fit", "--beta=10.000001"], "beta must be <= 10"),
+        (["fit", "--divergence", "gamma", "--gamma=1e308"], "gamma must be <= 10"),
+        (["density-curves", "--betas=0.5,1e308"], "betas must be <= 10"),
+        (["trace", "--outlier-sd=1e308"],
+         "outlier_sd (the outlier spread) must lie in [0, 1e+50], got 1e+308"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exits_one_before_anything_is_written(self, tmp_path, capsys,
                                                             args, message):

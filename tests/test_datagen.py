@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpdfit.datagen import ContaminationSpec, Dataset, contaminated_sample
+from dpdfit.datagen import OUTLIER_SD_MAX, ContaminationSpec, Dataset, contaminated_sample
 from dpdfit.models import IsoNormal, Normal1D, NormalParams
 
 
@@ -76,7 +76,8 @@ class TestContaminatedSample:
             normal_spec(xi=1.0)
         with pytest.raises(ValueError):
             normal_spec(n=0)
-        for sd in (-1.0, np.nan, np.inf):
+        normal_spec(outlier_sd=OUTLIER_SD_MAX)
+        for sd in (-1.0, np.nan, np.inf, 1e308, OUTLIER_SD_MAX * 1.01):
             with pytest.raises(ValueError, match="outlier spread"):
                 normal_spec(outlier_sd=sd)
 

@@ -135,6 +135,14 @@ class TestLatticeR:
         np.testing.assert_array_equal(pts, expected)
         assert w == ((extent - lo) / (m - 1)) ** model.dim_x
 
+    @pytest.mark.parametrize("model", [Gompertz(), Normal1D(), IsoNormal(3)], ids=repr)
+    def test_nodes_are_built_once_and_read_only(self, model):
+        pts, w = lattice_points(model, Lattice(extent=2.3, nodes=7))
+        again, w_again = lattice_points(model, Lattice(extent=2.3, nodes=7))
+        assert again is pts and w_again == w
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0] = 1.0
+
     def test_multivariate_grid(self):
         m = IsoNormal(2)
         pts, w = lattice_points(m, Lattice(extent=2.0, nodes=3))

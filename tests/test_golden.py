@@ -9,8 +9,11 @@ and ``table.csv`` ones before ``fit``/``trace`` shared one run path and
 ``estimate.csv`` ones before every family took one shape-generic point
 path and the stochastic descents one run helper, and the ``isonormal3`` and
 ``paper-4.2-d2`` ``data.csv`` ones before ``Dataset`` wrote its CSV in
-blocks and read it with ``np.loadtxt``.  Change them only for an
-intended numeric change, and say so in CHANGES.md.
+blocks and read it with ``np.loadtxt``.  The ``paper-4.2-d3`` ``table.csv``
+and the ``n = 20000`` ``estimate.csv`` were recorded before the lattice and
+data terms were evaluated in blocks of points; they are the runs whose
+kernel calls exceed one block.  Change them only for an intended numeric
+change, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -50,6 +53,10 @@ OUTPUTS = {
         "d646ce760bd9637b3c1cd589d0eed480ce87c6f344b2d378348339cefbf6ef2d",
     ("table-compare --config paper-4.2-d2 --replications 2 --T 30", "table.csv"):
         "4a72efaa122f43a04f282b9d30c7c8162c70be896783e5f2b8edd1d9a1403978",
+    ("table-compare --config paper-4.2-d3 --replications 2 --T 30", "table.csv"):
+        "86d62d8fd1ef43673bfe50fc5e26edc314e9e1a7df708f85d2e489a9e83ff492",
+    ("fit --config paper-4.1-i --n 20000 --T 20", "estimate.csv"):
+        "0346afee6cc8290f6e9ede2ddd98938b8482711c344a2794dadf494c47aa8e89",
     ("fit --config paper-4.1-i", "data.csv"):
         "e0635fe8666a656887cde3e0792fe9ba7a7ff726a0627b7d7ac5a969f1a9aefc",
     ("density-curves --config paper-4.1-iii --T 200", "curves.csv"):

@@ -3,9 +3,12 @@ import pytest
 
 from dpdfit.divergence import Lattice, empirical_power_term, lattice_r
 from dpdfit.gradients import (
+    BLOCK,
     CurrentModel,
     FixedNormal,
     _proposal_terms,
+    _weighted_rows,
+    _weighted_score_sum,
     data_term,
     lattice_grad_dpd,
     stochastic_grad_dpd,
@@ -206,6 +209,31 @@ class TestProposalTerms:
         result = sgd_run(grad, np.array([0.0, 1.0]), StepDecay(1.0, 0.7, 25), 10,
                          np.random.default_rng(0))
         assert result.diverged and len(result.trace) == 1
+
+
+class TestWeightedScoreSumBlocks:
+    """Above ``BLOCK`` points the kernel runs block by block; weights and
+    sum must be the bytes of one kernel call and one sum over all rows."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("name", ["normal", "inverse-normal", "gompertz", "mixture",
+                                      "isonormal2", "isonormal3"])
+    def test_same_bytes_as_one_sum(self, name, n):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(n), n)
+        # the first and last row of every block: in turn a point outside the
+        # support (positive families) and one so far out that its weight is 0
+        edges = sorted({i for k in range(0, n, BLOCK) for i in (k - 1, k) if i >= 0} | {n - 1})
+        outside = -1.0 if model.support == "positive" else 1e150
+        x[edges[0::2]] = outside
+        x[edges[1::2]] = 1e150
+        lp, score = model.log_pdf_and_score(theta, x)
+        w = np.exp(1.5 * lp)
+        assert (w[edges] == 0).all()
+        expected = _weighted_rows(w, score).sum(axis=0)
+        got_w, got = _weighted_score_sum(model, theta, x, 1.5)
+        assert got_w.tobytes() == w.tobytes() and got.tobytes() == expected.tobytes()
 
 
 class TestLatticeGradDpd:

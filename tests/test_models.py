@@ -127,6 +127,18 @@ class TestLogPdf:
         with pytest.raises(ValueError):
             m.log_pdf(np.array([np.nan, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_isonormal_squared_norm_rounds_as_the_axis_sum(self, d):
+        """The d-variate log-density gives the bytes of the one-line formula
+        with ``(r**2).sum(axis=-1)``, on both sides of its d = 8 switch."""
+        m = IsoNormal(d)
+        rng = np.random.default_rng(d)
+        theta = rng.uniform(-2, 2, d)
+        x = theta + rng.standard_normal((5000, d)) * rng.uniform(0.1, 30, (5000, d))
+        r = x - theta
+        expected = -0.5 * d * np.log(2.0 * np.pi) - 0.5 * (r**2).sum(axis=-1)
+        assert m.log_pdf(theta, x).tobytes() == expected.tobytes()
+
     def test_mixture_matches_direct_formula(self):
         m = NormalMixture2()
         th = m.from_natural(MixtureParams(-5, 1, 0, 1, 0.6))
