@@ -33,10 +33,7 @@ gamma = 0.5
 
 def grad(psi, rng):
     # psi = (theta, log c); the estimator returns the log-c gradient
-    return stochastic_grad_gamma(
-        model, psi[:-1], float(np.exp(psi[-1])), data.points, gamma, 10,
-        CurrentModel(), rng,
-    ).g
+    return stochastic_grad_gamma(model, psi, data.points, gamma, 10, CurrentModel(), rng).g
 
 
 start = np.concatenate([mle_normal(data), [0.0]])  # c starts at 1

@@ -33,7 +33,7 @@ from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
-from .models import IsoNormal, Model, get_model
+from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
 from .optim import StepDecay, gd_run, sgd_run
 
 
@@ -221,8 +221,9 @@ def _theta_from_naturals(model, values, key):
             f"{key} for {model.name} needs {len(model.natural_names)} values"
         )
     theta = model.from_natural_values(values)  # names an invalid scale or weight
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{key} must be finite, got {','.join(map(repr, values))}")
+    if not all(abs(v) <= MAGNITUDE_MAX for v in values):  # also False for NaN
+        raise ConfigError(f"{key} must be finite, in [-{MAGNITUDE_MAX:g}, {MAGNITUDE_MAX:g}], "
+                          f"got {','.join(map(repr, values))}")
     return theta
 
 
@@ -335,8 +336,11 @@ def _dataset(run, *stream):
     """The ``--data`` CSV, or a contaminated sample drawn from
     ``default_rng([seed, *stream, 0])``."""
     if run.data:
-        ds = Dataset.from_csv(run.data)
+        ds = Dataset.from_csv(run.data)  # reads every finite double, as to_csv writes it
         _check_point_shape(run.model, ds.points.shape[1:], run.data)
+        if max(ds.points.max(), -ds.points.min()) > MAGNITUDE_MAX:
+            raise ConfigError(f"{run.data}: value outside [-{MAGNITUDE_MAX:g}, "
+                              f"{MAGNITUDE_MAX:g}] in the data")
         return ds
     return contaminated_sample(run.spec, np.random.default_rng([run.seed, *stream, 0]))
 
@@ -358,17 +362,19 @@ def _initial_theta(run, ds):
     raise ConfigError(f"no MLE initializer for {model.name}")
 
 
-def _sgd(run, grad, theta0, *stream):
-    """Descent on ``default_rng([seed, *stream, 1])``."""
+def _sgd(run, ds, theta0, beta, m, *stream):
+    """Stochastic descent with ``m`` draws a step from ``run.proposal``, on
+    ``default_rng([seed, *stream, 1])``: of the DPD at ``beta`` or, with
+    ``run.gamma_mode``, of the gamma objective on ``(theta, log c)`` from c = 1."""
+    estimator, power = stochastic_grad_dpd, beta
+    if run.gamma_mode:
+        estimator, power = stochastic_grad_gamma, run.gamma
+        theta0 = np.concatenate([theta0, [0.0]])
+
+    def grad(psi, rng):
+        return estimator(run.model, psi, ds.points, power, m, run.proposal, rng).g
     rng = np.random.default_rng([run.seed, *stream, 1])
     return sgd_run(grad, theta0, run.schedule, run.T, rng)
-
-
-def _dpd_sgd(run, ds, theta0, beta, m, *stream):
-    """Stochastic DPD descent with ``m`` draws a step from ``run.proposal``."""
-    def grad(th, rng):
-        return stochastic_grad_dpd(run.model, th, ds.points, beta, m, run.proposal, rng).g
-    return _sgd(run, grad, theta0, *stream)
 
 
 def _mse(run, params):
@@ -423,12 +429,12 @@ def _write_trace(path, run, trace, columns, cost):
                             + [_fmt(v) for v in values])
 
 
-def _write_estimate(path, model, final, columns, complexity, gamma_mode):
+def _write_estimate(path, model, final, columns, complexity):
     """The ``final`` iterate, with ``columns`` its :func:`_iterate_columns`."""
     objective, scale, _ = columns
     header = list(model.natural_names)
     row = [_fmt(v) for v in model.natural_values(final[: model.dim_param])]
-    if gamma_mode:
+    if scale is not None:
         header.append("scale_c")
         row.append(_fmt(scale))
     header += ["objective", "complexity"]
@@ -443,30 +449,15 @@ def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
     ``estimate.csv`` and ``trace.csv``; ``trace`` and a diverged run skip
     ``estimate.csv``."""
-    model = run.model
     ds = _dataset(run)
-    theta0 = _initial_theta(run, ds)
-    if run.gamma_mode:
-        def grad(psi, rng):
-            with np.errstate(over="ignore"):
-                c = float(np.exp(psi[-1]))
-            if not 0.0 < c < math.inf:  # log c left the double range
-                return np.full(psi.shape, np.nan)
-            return stochastic_grad_gamma(
-                model, psi[:-1], c, ds.points, run.gamma, run.m, run.proposal, rng,
-            ).g
-
-        start = np.concatenate([theta0, [0.0]])  # scale starts at c = 1
-        result = _sgd(run, grad, start)
-    else:
-        result = _dpd_sgd(run, ds, theta0, run.beta, run.m)
+    result = _sgd(run, ds, _initial_theta(run, ds), run.beta, run.m)
     trace, cost = result.trace, ds.n + run.m  # density evaluations a step
     columns = [_iterate_columns(run, ds, theta) for theta in trace]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate and not result.diverged:
-        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), model, trace[-1],
-                        columns[-1], (len(trace) - 1) * cost, run.gamma_mode)
+        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), run.model, trace[-1],
+                        columns[-1], (len(trace) - 1) * cost)
     _write_trace(os.path.join(run.out_dir, "trace.csv"), run, trace, columns, cost)
     return 2 if result.diverged else 0
 
@@ -477,7 +468,7 @@ def _table_cell_run(run, method, size, rep):
     ds = _dataset(run, rep)
     theta0 = _initial_theta(run, ds)
     if method == "sgd":
-        result = _dpd_sgd(run, ds, theta0, run.beta, size, rep)
+        result = _sgd(run, ds, theta0, run.beta, size, rep)
     else:
         omega = float(np.mean([run.schedule.at(t) for t in range(1, run.T + 1)]))
 
@@ -534,7 +525,7 @@ def cmd_density_curves(run):
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     theta_mle = _initial_theta(run, ds)
 
-    fits = {name: _dpd_sgd(run, ds, theta_mle, beta, run.m) for name, beta in betas.items()}
+    fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in betas.items()}
 
     grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
     counts = np.histogram(ds.points, bins=grid)[0]

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Model
+from .models import MAGNITUDE_MAX, Model
 
 # rows formatted per write in to_csv, so that the text of a large dataset
 # never has to exist in memory all at once
 _BLOCK_ROWS = 65536
-# Largest outlier spread; from ~1e77 on, a fitted variance squared overflows
-OUTLIER_SD_MAX = 1e50
 
 
 def _first_bad_line(path):
@@ -129,9 +127,12 @@ class ContaminationSpec:
             raise ValueError("contamination ratio must lie in [0, 1)")
         if self.n < 1:
             raise ValueError("need at least one observation")
-        if not 0.0 <= self.outlier_sd <= OUTLIER_SD_MAX:
+        if not 0.0 <= self.outlier_sd <= MAGNITUDE_MAX:
             raise ValueError(f"outlier_sd (the outlier spread) must lie in "
-                             f"[0, {OUTLIER_SD_MAX:g}], got {self.outlier_sd}")
+                             f"[0, {MAGNITUDE_MAX:g}], got {self.outlier_sd}")
+        if not np.all(np.abs(self.outlier_mean) <= MAGNITUDE_MAX):
+            raise ValueError(f"outlier_mean (the outlier centre) must lie in [-{MAGNITUDE_MAX:g}, "
+                             f"{MAGNITUDE_MAX:g}], got {np.ravel(self.outlier_mean).tolist()}")
 
 
 def contaminated_sample(spec, rng):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _data_points, lattice_points
+from .models import MAGNITUDE_MAX
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 BLOCK = 8192  # points per kernel call in _weighted_score_sum
@@ -41,10 +42,12 @@ class FixedNormal:
     sd: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sd) and self.sd > 0):
-            raise ValueError(f"fixed normal proposal needs a finite sd > 0, got {self.sd}")
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError("fixed normal proposal needs a finite mean")
+        if not 0 < self.sd <= MAGNITUDE_MAX:  # also False for NaN
+            raise ValueError(f"fixed normal proposal needs a finite sd > 0, at most "
+                             f"{MAGNITUDE_MAX:g}, got {self.sd}")
+        if not np.all(np.abs(self.mean) <= MAGNITUDE_MAX):
+            raise ValueError(f"fixed normal proposal needs a finite mean in [-{MAGNITUDE_MAX:g}, "
+                             f"{MAGNITUDE_MAX:g}], got {np.ravel(self.mean).tolist()}")
 
 
 @dataclass
@@ -157,20 +160,26 @@ def lattice_grad_dpd(model, theta, data, beta, backend):
     return g + w * _weighted_score_sum(model, theta, pts, 1.0 + beta)[1]
 
 
-def stochastic_grad_gamma(model, theta, c, data, gamma, m, proposal, rng):
-    """Stochastic gradient for the scaled model ``c * p_theta``.
+def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
+    """Stochastic gradient for the scaled model ``c * p_theta`` at
+    ``psi = (theta, log c)``, the argument list of :func:`stochastic_grad_dpd`.
 
     Returns a vector of length ``dim_param + 1``; the last entry is the
     gradient with respect to ``log c`` (the raw scale gradient times
     ``c``), matching optimizers that update the scale additively in log
-    space.
+    space.  When ``exp(log c)`` leaves (0, inf) every entry is NaN, which
+    the descent flags: at ``c = 0`` and ``gamma = 1`` the formula would
+    give a finite zero that freezes the run.
     """
-    if c <= 0:
-        raise ValueError("scale c must be positive")
     if m < 1:
         raise ValueError("minibatch size m must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    theta = psi[:-1]
+    with np.errstate(over="ignore"):
+        c = np.exp(psi[-1])
+    if not 0.0 < c < np.inf:  # log c left the double range
+        c = np.float64(np.nan)
     x = _data_points(data)
     n = x.shape[0]
     # the data term of data_term, with the scale's powers applied
@@ -180,7 +189,6 @@ def stochastic_grad_gamma(model, theta, c, data, gamma, m, proposal, rng):
 
     # In float64 a power of an extreme scale overflows to inf (and inf * 0
     # gives NaN), which the descent flags; Python's float ** would raise.
-    c = np.float64(c)
     with np.errstate(over="ignore", invalid="ignore"):
         g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * terms.mean(axis=0)
         g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * float(weights.mean())

@@ -22,6 +22,10 @@ import numpy as np
 # Lower bound on every normal variance; keeps the unconstrained space
 # equal to all of R^s while being numerically negligible.
 VARIANCE_FLOOR = 1e-6
+# Largest |value| of a location or spread the user gives (truth, init,
+# outlier cloud, proposal, data); from ~1e77 on, a fitted variance squared
+# overflows
+MAGNITUDE_MAX = 1e50
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _FLOAT_MIN = float(np.finfo(float).min)
@@ -36,8 +40,9 @@ def _normal_log_pdf(r2, var):
 def _sigma_coordinate(sigma):
     """The coordinate ``c`` of a standard deviation, ``sigma**2 = c**2 +
     VARIANCE_FLOOR``; ``c**2`` hides the sign, so it is checked here."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if not 0 < sigma <= MAGNITUDE_MAX:  # also False for NaN
+        raise ValueError(f"sigma must be finite and > 0, at most {MAGNITUDE_MAX:g}, "
+                         f"got {sigma}")
     var = sigma**2
     if var < VARIANCE_FLOOR:
         raise ValueError(f"variance {var} below floor {VARIANCE_FLOOR}")

@@ -111,9 +111,10 @@ class TestFit:
         ("normal", "x_1\n\n0.5\r\n\r\n1_0\n", "line 5: could not convert string '1_0'"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,0.5\n", "outlier labels must be 0 or 1"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,nan\n", "outlier labels must be 0 or 1"),
+        ("normal", "x_1\n0.5\n1e200\n-1e200\n", "value outside [-1e+50, 1e+50] in the data"),
     ], ids=["short-row", "long-row", "every-row-long", "label-missing", "not-a-number",
             "not-a-number-after-empty-lines", "numpy-only-rejects", "label-0.5",
-            "label-nan"])
+            "label-nan", "past-magnitude-bound"])
     def test_malformed_csv_exits_one(self, tmp_path, capsys, model, content, message):
         path = tmp_path / "input.csv"
         path.write_text(content)
@@ -340,6 +341,20 @@ class TestConfigHandling:
         (["density-curves", "--betas=0.5,1e308"], "betas must be <= 10"),
         (["trace", "--outlier-sd=1e308"],
          "outlier_sd (the outlier spread) must lie in [0, 1e+50], got 1e+308"),
+        (["fit", "--truth=0,1e200"], "sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--init=0,1e200"], "sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--model", "mixture", "--truth=-5,1e200,0,1,0.6"],
+         "sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--truth=1e200,1"], "truth must be finite, in [-1e+50, 1e+50], got 1e+200,1.0"),
+        (["fit", "--init=1e200,1"], "init must be finite, in [-1e+50, 1e+50], got 1e+200,1.0"),
+        (["fit", "--outlier-mean=1e300"],
+         "outlier_mean (the outlier centre) must lie in [-1e+50, 1e+50], got [1e+300]"),
+        (["fit", "--outlier-mean=1e100"],
+         "outlier_mean (the outlier centre) must lie in [-1e+50, 1e+50], got [1e+100]"),
+        (["fit", "--proposal=normal:0,1e200"],
+         "fixed normal proposal needs a finite sd > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--proposal=normal:1e308,1"],
+         "fixed normal proposal needs a finite mean in [-1e+50, 1e+50], got [1e+308]"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exits_one_before_anything_is_written(self, tmp_path, capsys,
                                                             args, message):
@@ -528,7 +543,7 @@ class TestDensityCurves:
         def fit(*args):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(cli, "_dpd_sgd", fit)
+        monkeypatch.setattr(cli, "_sgd", fit)
         rc = main(["density-curves", "--betas", betas, "--out-dir", str(tmp_path)] + FAST)
         assert rc == 1
         err = capsys.readouterr().err

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpdfit.datagen import OUTLIER_SD_MAX, ContaminationSpec, Dataset, contaminated_sample
-from dpdfit.models import IsoNormal, Normal1D, NormalParams
+from dpdfit.datagen import ContaminationSpec, Dataset, contaminated_sample
+from dpdfit.models import MAGNITUDE_MAX, IsoNormal, Normal1D, NormalParams
 
 
 def normal_spec(**overrides):
@@ -76,10 +76,13 @@ class TestContaminatedSample:
             normal_spec(xi=1.0)
         with pytest.raises(ValueError):
             normal_spec(n=0)
-        normal_spec(outlier_sd=OUTLIER_SD_MAX)
-        for sd in (-1.0, np.nan, np.inf, 1e308, OUTLIER_SD_MAX * 1.01):
+        normal_spec(outlier_sd=MAGNITUDE_MAX, outlier_mean=-MAGNITUDE_MAX)
+        for sd in (-1.0, np.nan, np.inf, 1e308, MAGNITUDE_MAX * 1.01):
             with pytest.raises(ValueError, match="outlier spread"):
                 normal_spec(outlier_sd=sd)
+        for mean in (np.nan, -np.inf, 1e300, MAGNITUDE_MAX * 1.01, np.array([0.0, 1e100])):
+            with pytest.raises(ValueError, match="outlier centre"):
+                normal_spec(outlier_mean=mean)
 
 
 class TestDatasetCsv:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,8 @@ class TestStochasticGradDpd:
 class TestProposalTerms:
     @pytest.mark.parametrize("mean,sd", [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan),
                                          (0.0, np.inf), (np.nan, 1.0),
-                                         (np.array([0.0, np.inf]), 1.0)])
+                                         (np.array([0.0, np.inf]), 1.0), (0.0, 1e200),
+                                         (np.array([0.0, -1e308]), 1.0)])
     def test_fixed_normal_rejects_invalid_parameters(self, mean, sd):
         with pytest.raises(ValueError):
             FixedNormal(mean=mean, sd=sd)
@@ -298,9 +301,9 @@ class TestStochasticGradGamma:
         gamma = 0.5
 
         def g_logc(c, seed=10):
+            psi = np.append(theta, np.log(c))
             return stochastic_grad_gamma(
-                m, theta, c, x, gamma, 50, CurrentModel(),
-                np.random.default_rng(seed),
+                m, psi, x, gamma, 50, CurrentModel(), np.random.default_rng(seed),
             ).g[-1]
 
         # recover A and B from two calls sharing the same draws:
@@ -318,7 +321,7 @@ class TestStochasticGradGamma:
         x = m.sample(theta, np.random.default_rng(11), 200)
         dpd = stochastic_grad_dpd(m, theta, x, 0.5, 20, CurrentModel(),
                                   np.random.default_rng(12)).g
-        aug = stochastic_grad_gamma(m, theta, 1.0, x, 0.5, 20, CurrentModel(),
+        aug = stochastic_grad_gamma(m, np.append(theta, 0.0), x, 0.5, 20, CurrentModel(),
                                     np.random.default_rng(12)).g
         np.testing.assert_array_equal(aug[:-1], dpd)
 
@@ -338,11 +341,10 @@ class TestStochasticGradGamma:
             first = cc**gamma * empirical_power_term(m, th, x, gamma)
             return first + cc ** (1 + gamma) * m.closed_form_r(th, gamma)
 
-        exact = fd_grad(scaled_objective, np.concatenate([theta, [np.log(c)]]))
+        psi = np.append(theta, np.log(c))
+        exact = fd_grad(scaled_objective, psi)
         total = 400_000
-        est = stochastic_grad_gamma(
-            m, theta, c, x, gamma, total, CurrentModel(), rng
-        )
+        est = stochastic_grad_gamma(m, psi, x, gamma, total, CurrentModel(), rng)
         se_theta = (
             c ** (1 + gamma)
             * est.draw_terms.std(axis=0, ddof=1)
@@ -352,8 +354,15 @@ class TestStochasticGradGamma:
         se = np.concatenate([se_theta, [se_c]])
         np.testing.assert_array_less(np.abs(est.g - exact), 4.0 * se + 1e-9)
 
-    def test_invalid_scale(self):
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("log_c", [-800.0, 800.0])
+    def test_scale_past_double_range_gives_nan(self, gamma, log_c):
+        """``exp(log c)`` of 0 or inf gives an all-NaN gradient, without a
+        warning; at c = 0 and gamma = 1 the formula alone gives a finite
+        zero, which would freeze the descent silently."""
         m = Normal1D()
-        with pytest.raises(ValueError):
-            stochastic_grad_gamma(m, np.array([0.0, 1.0]), 0.0, np.array([0.1]),
-                                  0.5, 5, CurrentModel(), np.random.default_rng(14))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = stochastic_grad_gamma(m, np.array([0.0, 1.0, log_c]), np.array([0.1, 0.4]),
+                                        gamma, 5, CurrentModel(), np.random.default_rng(14))
+        assert est.g.shape == (3,) and np.isnan(est.g).all()

@@ -385,9 +385,10 @@ class TestReparameterization:
         with pytest.raises(ValueError):
             NormalMixture2().from_natural(MixtureParams(0, 1e-4, 1, 1, 0.5))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, 1e200])
     def test_sigma_not_finite_and_positive_rejected(self, sigma):
-        """``c**2`` would hide a negative sigma; nan would pass the floor test."""
+        """``c**2`` would hide a negative sigma; nan would pass the floor test;
+        a Python float past ~1e154 would square to an OverflowError."""
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             Normal1D().from_natural(NormalParams(mu=0.0, sigma=sigma))
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):

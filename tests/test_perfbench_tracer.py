@@ -24,22 +24,38 @@ def _load_tracer():
     return module
 
 
-def test_traced_run_counts_objective_once_per_record(tmp_path):
+def _traced_run(argv):
+    """``cli.main(argv)`` under the tracer; the tracer, once uninstalled."""
     tr = _load_tracer()
     tracer = tr.Tracer()
     tr.instrument(tracer)  # raises KeyError if a patched name is gone
     tracer.install()
     try:
-        rc = cli.main(["trace", "--config", "paper-4.1-i", "--T", "5",
-                       "--out-dir", str(tmp_path)])
+        assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
-    assert rc == 0
     assert cli.sgd_run is optim.sgd_run  # the originals are back
+    return tracer
+
+
+def test_traced_run_counts_objective_once_per_record(tmp_path):
+    tracer = _traced_run(["trace", "--config", "paper-4.1-i", "--T", "5",
+                          "--out-dir", str(tmp_path)])
     names = [span[1] for span in tracer.spans]
     assert names.count("divergence.objective") == 6  # t = 0 .. 5
     assert names.count("optim.sgd_run") == 1
     assert tracer.counts["optim.steps"] == 5
+
+
+def test_traced_gamma_run_calls_the_patched_estimator(tmp_path):
+    """The CLI looks the gradient estimators up when a run starts, so the
+    tracer's wrappers see every gamma step."""
+    tracer = _traced_run(["trace", "--config", "paper-4.1-i", "--divergence", "gamma",
+                          "--T", "5", "--out-dir", str(tmp_path)])
+    names = [span[1] for span in tracer.spans]
+    assert names.count("gradients.stochastic_grad_gamma") == 5
+    assert names.count("optim.sgd_run") == 1
+    assert names.count("divergence.objective") == 6  # t = 0 .. 5
 
 
 def test_benchmark_selftest_passes():
