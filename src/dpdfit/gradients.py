@@ -13,7 +13,10 @@ Three routes to the gradient of the empirical objective:
   updates keep the scale positive.
 
 Every route evaluates the model through its fused
-``log_pdf_and_score`` kernel, once per set of points.
+``log_pdf_and_score`` kernel, in blocks of at most ``BLOCK`` points.  The
+stochastic routes make no kernel call for the proposal draws alone: the
+draws ride in the call of the data's last block, so at ``n <= BLOCK`` a
+step is one kernel call.
 """
 
 from __future__ import annotations
@@ -79,18 +82,25 @@ def _weighted_rows(weights, score):
     return weights[:, None] * score
 
 
-def _weighted_score_sum(model, theta, x, power):
-    """Weights ``w_i = p(x_i)**power`` and the sum ``sum_i w_i t(x_i)``.  The
-    kernel sees one cache-sized block of ``BLOCK`` points at a time; each
-    block's first row carries the running sum, as ``sum(axis=0)`` adds in order."""
-    w, total = np.empty(x.shape[0]), None
-    for start in range(0, x.shape[0], BLOCK):
-        lp, score = model.log_pdf_and_score(theta, x[start:start + BLOCK])
-        rows = _weighted_rows(np.exp(power * lp, out=w[start:start + BLOCK]), score)
+def _weighted_score_sum(model, theta, x, power, draws=None):
+    """Weights ``w_i = p(x_i)**power``, the sum ``sum_i w_i t(x_i)`` and the
+    ``(lp, score)`` of ``draws``, which join the kernel call of the last block
+    (empty without them).  The kernel sees one cache-sized block of ``BLOCK``
+    points at a time; each block's first row carries the running sum, as
+    ``sum(axis=0)`` adds in order."""
+    n = x.shape[0]
+    w, total = np.empty(n), None
+    for start in range(0, n, BLOCK):
+        pts = x[start:start + BLOCK]
+        k = pts.shape[0]
+        if draws is not None and start + k == n:
+            pts = np.concatenate([pts, draws])
+        lp, score = model.log_pdf_and_score(theta, pts)
+        rows = _weighted_rows(np.exp(power * lp[:k], out=w[start:start + k]), score[:k])
         if total is not None:
             rows[0] += total
         total = rows.sum(axis=0)
-    return w, total
+    return w, total, (lp[k:], score[k:])
 
 
 def data_term(model, theta, data, beta):
@@ -123,10 +133,9 @@ def _draw_proposal(model, theta, proposal, m, rng):
     raise ValueError(f"unknown proposal {proposal!r}")
 
 
-def _proposal_terms(model, theta, y, log_q, power):
+def _proposal_terms(lp, score, log_q, power):
     """Per-draw integrand ``w(y) p(y)**power t(y)`` (see :func:`_weighted_rows`)
-    and the factors ``w(y) p(y)**power``."""
-    lp, score = model.log_pdf_and_score(theta, y)
+    and the factors ``w(y) p(y)**power``, from the draws' kernel output."""
     if log_q is None:
         log_w = power * lp
     else:
@@ -135,20 +144,30 @@ def _proposal_terms(model, theta, y, log_q, power):
     return _weighted_rows(weights, score), weights
 
 
+def _stochastic_step(model, theta, data, power, m, proposal, rng):
+    """``(w, total)`` of :func:`_weighted_score_sum` on the data and the
+    ``(terms, weights)`` of ``m`` proposal draws, in one kernel call for the
+    draws and the data's last block.  The draws come first; the data term
+    uses no randomness, so the stream is that of drawing them on their own."""
+    if m < 1:
+        raise ValueError("minibatch size m must be >= 1")
+    x = _data_points(data)
+    y, log_q = _draw_proposal(model, theta, proposal, m, rng)
+    w, total, (lp, score) = _weighted_score_sum(model, theta, x, power, y)
+    return w, total, _proposal_terms(lp, score, log_q, power)
+
+
 def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng):
     """Unbiased stochastic gradient of the empirical DPD objective.
 
     Draws ``m`` proposal samples; the expectation over the draws equals
     the exact gradient for any ``m >= 1``.
     """
-    if m < 1:
-        raise ValueError("minibatch size m must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    g = data_term(model, theta, data, beta)
-    y, log_q = _draw_proposal(model, theta, proposal, m, rng)
-    terms, weights = _proposal_terms(model, theta, y, log_q, beta)
-    return GradEstimate(g=g + terms.mean(axis=0), draw_terms=terms, draw_weights=weights)
+    w, total, (terms, weights) = _stochastic_step(model, theta, data, beta, m, proposal, rng)
+    g = -total / w.shape[0] + terms.sum(axis=0) / m
+    return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)
 
 
 def lattice_grad_dpd(model, theta, data, beta, backend):
@@ -171,8 +190,6 @@ def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
     the descent flags: at ``c = 0`` and ``gamma = 1`` the formula would
     give a finite zero that freezes the run.
     """
-    if m < 1:
-        raise ValueError("minibatch size m must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     theta = psi[:-1]
@@ -180,17 +197,14 @@ def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
         c = np.exp(psi[-1])
     if not 0.0 < c < np.inf:  # log c left the double range
         c = np.float64(np.nan)
-    x = _data_points(data)
-    n = x.shape[0]
     # the data term of data_term, with the scale's powers applied
-    w, g_data = _weighted_score_sum(model, theta, x, gamma)
-    y, log_q = _draw_proposal(model, theta, proposal, m, rng)
-    terms, weights = _proposal_terms(model, theta, y, log_q, gamma)
+    w, g_data, (terms, weights) = _stochastic_step(model, theta, data, gamma, m, proposal, rng)
+    n = w.shape[0]
 
     # In float64 a power of an extreme scale overflows to inf (and inf * 0
     # gives NaN), which the descent flags; Python's float ** would raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * terms.mean(axis=0)
-        g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * float(weights.mean())
+        g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * (terms.sum(axis=0) / m)
+        g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * (float(weights.sum()) / m)
         g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
     return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)

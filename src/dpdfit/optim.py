@@ -17,7 +17,7 @@ import numpy as np
 
 # A run is flagged as diverged when any parameter magnitude passes
 # PARAM_LIMIT, any gradient component passes GRAD_LIMIT, or anything
-# goes non-finite.
+# goes non-finite; a start past PARAM_LIMIT is an input error.
 PARAM_LIMIT = 1e8
 GRAD_LIMIT = 1e12
 
@@ -55,15 +55,18 @@ def _descent(grad_fn, theta0, eta_at, n_steps):
     theta = np.array(theta0, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite initial parameters")
+    if not np.abs(theta).max() <= PARAM_LIMIT:
+        raise ValueError(f"initial parameters {theta.tolist()} lie past the descent's "
+                         f"bound |theta| <= {PARAM_LIMIT:g}")
     trace = [theta.copy()]
     diverged = False
     for t in range(1, n_steps + 1):
         g = np.asarray(grad_fn(theta), dtype=float)
-        if not np.all(np.isfinite(g)) or np.abs(g).max() > GRAD_LIMIT:
+        if not np.abs(g).max() <= GRAD_LIMIT:  # also True for NaN and +-inf
             diverged = True
             break
         candidate = theta - eta_at(t) * g
-        if not np.all(np.isfinite(candidate)) or np.abs(candidate).max() > PARAM_LIMIT:
+        if not np.abs(candidate).max() <= PARAM_LIMIT:
             diverged = True
             break
         theta = candidate

@@ -228,6 +228,19 @@ class TestFit:
         assert rc == 2
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["fit", "trace"])
+    @pytest.mark.parametrize("flag", ["--truth=1e9,1", "--init=1e9,1", "--init=0,1e9"])
+    def test_start_past_param_limit_exits_one(self, tmp_path, capsys, command, flag):
+        """Such a start passes the 1e50 magnitude bound but lies past the
+        descent's 1e8 bound, so the first step could only be rejected: the
+        run exits 1 naming the bound, with no trace, instead of a silent 2."""
+        rc = main([command, "--T", "5", "--n", "50", flag, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: initial parameters [") and err.count("\n") == 1
+        assert "past the descent's bound |theta| <= 1e+08" in err
+        assert sorted(os.listdir(tmp_path)) == ["config.echo"]
+
     def test_explicit_init(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--init", "0.5,2.0",
                    "--out-dir", str(tmp_path), "--T", "0", "--n", "50"])

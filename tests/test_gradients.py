@@ -8,6 +8,7 @@ from dpdfit.gradients import (
     BLOCK,
     CurrentModel,
     FixedNormal,
+    _draw_proposal,
     _proposal_terms,
     _weighted_rows,
     _weighted_score_sum,
@@ -24,6 +25,8 @@ from dpdfit.models import (
     get_model,
 )
 from dpdfit.optim import StepDecay, sgd_run
+
+FAMILIES = ["normal", "inverse-normal", "gompertz", "mixture", "isonormal2", "isonormal3"]
 
 
 def fd_grad(fn, theta, h=1e-6):
@@ -195,7 +198,7 @@ class TestProposalTerms:
         th = g.from_natural(GompertzParams(omega=1.0, lam=0.1))
         y = np.array([0.5, -1.0, 1.5])  # the middle draw has zero density
         log_q = np.array([np.nan, 0.0, 0.0])
-        terms, weights = _proposal_terms(g, th, y, log_q, 0.5)
+        terms, weights = _proposal_terms(*g.log_pdf_and_score(th, y), log_q, 0.5)
         assert np.isnan(weights[0]) and np.isnan(terms[0]).all()
         assert weights[1] == 0.0 and (terms[1] == 0.0).all()
         np.testing.assert_array_equal(terms[2], weights[2] * g.score(th, y[2:])[0])
@@ -206,7 +209,7 @@ class TestProposalTerms:
 
         def grad(th, rng):
             y = m.sample(th, rng, 4)
-            terms, _ = _proposal_terms(m, th, y, np.full(4, np.nan), 0.5)
+            terms, _ = _proposal_terms(*m.log_pdf_and_score(th, y), np.full(4, np.nan), 0.5)
             return data_term(m, th, x, 0.5) + terms.mean(axis=0)
 
         result = sgd_run(grad, np.array([0.0, 1.0]), StepDecay(1.0, 0.7, 25), 10,
@@ -219,8 +222,7 @@ class TestWeightedScoreSumBlocks:
     sum must be the bytes of one kernel call and one sum over all rows."""
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    @pytest.mark.parametrize("name", ["normal", "inverse-normal", "gompertz", "mixture",
-                                      "isonormal2", "isonormal3"])
+    @pytest.mark.parametrize("name", FAMILIES)
     def test_same_bytes_as_one_sum(self, name, n):
         model = get_model(name)
         theta = model.from_natural_values(model.default_truth)
@@ -235,8 +237,78 @@ class TestWeightedScoreSumBlocks:
         w = np.exp(1.5 * lp)
         assert (w[edges] == 0).all()
         expected = _weighted_rows(w, score).sum(axis=0)
-        got_w, got = _weighted_score_sum(model, theta, x, 1.5)
+        got_w, got, _ = _weighted_score_sum(model, theta, x, 1.5)
         assert got_w.tobytes() == w.tobytes() and got.tobytes() == expected.tobytes()
+
+
+def _two_call_step(model, theta, x, power, m, proposal, rng):
+    """A stochastic step as two kernel calls: ``data_term``'s blocks on the
+    data, then one call on the draws; returns the data weights and weighted
+    score sum, and the draws' ``(terms, weights)``."""
+    w, total, _ = _weighted_score_sum(model, theta, x, power)
+    y, log_q = _draw_proposal(model, theta, proposal, m, rng)
+    lp, score = model.log_pdf_and_score(theta, y)
+    log_w = power * lp if log_q is None else (1.0 + power) * lp - log_q
+    weights = np.exp(log_w)
+    return w, total, _weighted_rows(weights, score), weights
+
+
+def _two_call_dpd(model, theta, x, beta, m, proposal, rng):
+    _, _, terms, weights = _two_call_step(model, theta, x, beta, m, proposal, rng)
+    g = data_term(model, theta, x, beta) + terms.mean(axis=0)
+    return g, terms, weights
+
+
+def _two_call_gamma(model, psi, x, gamma, m, proposal, rng):
+    c, n = np.exp(psi[-1]), x.shape[0]
+    w, g_data, terms, weights = _two_call_step(model, psi[:-1], x, gamma, m, proposal, rng)
+    g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * terms.mean(axis=0)
+    g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * float(weights.mean())
+    return np.concatenate([g_theta, [g_c * c]]), terms, weights
+
+
+class TestOneKernelCallPerStep:
+    """The proposal draws join the kernel call of the data's last block;
+    every output must be the bytes of a separate call on the draws."""
+
+    CASES = [(name, n, proposal) for name in FAMILIES
+             for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)
+             for proposal in ("current", "fixed")
+             if proposal == "current" or get_model(name).support == "real"]
+
+    @pytest.mark.parametrize("name,n,proposal", CASES)
+    def test_same_bytes_as_two_calls(self, monkeypatch, name, n, proposal):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(n), n)
+        last = (n - 1) // BLOCK * BLOCK  # first row of the last block
+        if n > 1:  # a point outside the support (positive families), one of weight 0
+            x[last] = -1.0 if model.support == "positive" else 1e150
+            x[n - 1] = 1e150
+        if proposal == "current":
+            prop = CurrentModel()
+        else:
+            prop = FixedNormal(mean=np.full(model.point_shape, 0.5), sd=2.0)
+        kernel = model.log_pdf_and_score
+        calls = []
+
+        def counted(th, pts):
+            calls.append(np.shape(pts)[0])
+            return kernel(th, pts)
+
+        psi = np.append(theta, 0.3)
+        for fused, two_call, params, power in (
+                (stochastic_grad_dpd, _two_call_dpd, theta, 0.5),
+                (stochastic_grad_gamma, _two_call_gamma, psi, 0.7)):
+            want = two_call(model, params, x, power, 10, prop, np.random.default_rng(7))
+            monkeypatch.setattr(model, "log_pdf_and_score", counted)
+            calls.clear()
+            got = fused(model, params, x, power, 10, prop, np.random.default_rng(7))
+            monkeypatch.undo()
+            assert calls == [BLOCK] * (last // BLOCK) + [n - last + 10]
+            assert np.isfinite(got.g).all()  # equal bytes of NaN would prove little
+            for a, b in zip((got.g, got.draw_terms, got.draw_weights), want):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestLatticeGradDpd:

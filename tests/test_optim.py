@@ -1,13 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from dpdfit.optim import (
+    GRAD_LIMIT,
+    PARAM_LIMIT,
     StepDecay,
     gd_run,
     sgd_run,
     select_tau,
 )
+
+# two accepted steps of 0.5 * (1, -1) from the origin
+TWO_STEPS = [[0.0, 0.0], [-0.5, 0.5], [-1.0, 1.0]]
 
 
 class TestSchedules:
@@ -67,9 +74,35 @@ class TestSgdRun:
         assert res.diverged
         np.testing.assert_array_equal(res.trace[-1], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * GRAD_LIMIT, -2 * GRAD_LIMIT])
+    def test_bad_gradient_stops_at_last_accepted_iterate(self, bad):
+        grads = iter([np.array([1.0, -1.0])] * 2 + [np.array([0.0, bad])])
+        res = sgd_run(lambda th, rng: next(grads), np.zeros(2), StepDecay(0.5, 0.7, 10), 10,
+                      np.random.default_rng(0))
+        assert res.diverged
+        np.testing.assert_array_equal(res.trace, TWO_STEPS)
+
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_non_finite_candidate_stops_at_last_accepted_iterate(self, eta):
+        """A finite, bounded gradient with a step size of inf or NaN gives
+        a candidate of +-inf or NaN at step 3."""
+        schedule = SimpleNamespace(at=lambda t: 0.5 if t <= 2 else eta)
+        res = sgd_run(lambda th, rng: np.array([1.0, -1.0]), np.zeros(2), schedule, 10,
+                      np.random.default_rng(0))
+        assert res.diverged
+        np.testing.assert_array_equal(res.trace, TWO_STEPS)
+
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
             gd_run(lambda th: th, np.array([np.inf]), 0.1, 3)
+
+    @pytest.mark.parametrize("start", [[0.0, 2 * PARAM_LIMIT], [-2 * PARAM_LIMIT, 0.0]])
+    def test_start_past_param_limit_rejected(self, start):
+        """A start the first step could only reject is an input error."""
+        with pytest.raises(ValueError, match=r"bound \|theta\| <= 1e\+08"):
+            gd_run(lambda th: np.zeros(2), np.array(start), 0.1, 3)
+        res = gd_run(lambda th: np.zeros(2), np.array([PARAM_LIMIT, -PARAM_LIMIT]), 0.1, 3)
+        assert not res.diverged and len(res.trace) == 4
 
     def test_deterministic_given_seed(self):
         def noisy(th, rng):

@@ -39,12 +39,26 @@ def _traced_run(argv):
 
 
 def test_traced_run_counts_objective_once_per_record(tmp_path):
+    """Also: the draws join the data's kernel call, and the tracer still
+    sees each step's ``(terms, weights)`` once, 5 steps of m = 10 draws."""
     tracer = _traced_run(["trace", "--config", "paper-4.1-i", "--T", "5",
                           "--out-dir", str(tmp_path)])
     names = [span[1] for span in tracer.spans]
     assert names.count("divergence.objective") == 6  # t = 0 .. 5
     assert names.count("optim.sgd_run") == 1
     assert tracer.counts["optim.steps"] == 5
+    assert names.count("gradients.stochastic_grad_dpd") == 5
+    assert names.count("gradients.data_term") == 0  # the step sums the data itself
+    assert tracer.counts["gradients.proposal.draws"] == 50
+
+
+def test_traced_run_counts_zero_weight_draws(tmp_path):
+    """A fixed normal proposal 100 sd away from the data gives every draw
+    an importance weight of 0, and the tracer counts all 50 of them."""
+    tracer = _traced_run(["trace", "--T", "5", "--proposal=normal:100,1",
+                          "--out-dir", str(tmp_path)])
+    assert tracer.counts["gradients.proposal.draws"] == 50
+    assert tracer.counts["gradients.proposal.zero_weight"] == 50
 
 
 def test_traced_gamma_run_calls_the_patched_estimator(tmp_path):
