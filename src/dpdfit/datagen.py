@@ -152,6 +152,10 @@ def contaminated_sample(spec, rng):
 
     shape = spec.model.point_shape
     inliers = spec.model.sample(spec.truth, rng, n - k)
+    inside = spec.model._in_support(inliers)
+    if inside is not None and not inside.all():  # numpy's wald gives 0.0 at huge mu/lam
+        raise ValueError(f"truth: {(~inside).sum()} of {n - k} {spec.model.name} draws fell "
+                         f"outside the support; numpy's sampler fails at these parameters")
     mean = np.asarray(spec.outlier_mean, dtype=float)
     outliers = mean + spec.outlier_sd * rng.standard_normal((k, *shape))
     points = np.empty((n, *shape))

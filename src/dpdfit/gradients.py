@@ -16,7 +16,9 @@ Every route evaluates the model through its fused
 ``log_pdf_and_score`` kernel, in blocks of at most ``BLOCK`` points.  The
 stochastic routes make no kernel call for the proposal draws alone: the
 draws ride in the call of the data's last block, so at ``n <= BLOCK`` a
-step is one kernel call.
+step is one kernel call.  Every sum of weighted score rows over points,
+``sum_i w_i t(x_i)``, is ``models._column_sums``: each column added row
+after row from +0.0, the order (and so the bytes) of ``sum(axis=0)``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _data_points, lattice_points
-from .models import MAGNITUDE_MAX
+from .models import MAGNITUDE_MAX, _column_sums
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 BLOCK = 8192  # points per kernel call in _weighted_score_sum
@@ -69,7 +71,7 @@ class GradEstimate:
 
 
 def _weighted_rows(weights, score):
-    """Rows ``weights[i] * score[i]``; ``score`` is a kernel's own output.
+    """Rows ``weights[i] * score[i]``, in place: ``score`` is a kernel's own output.
 
     Only an exactly zero weight (zero density, or underflow) gives a zero
     row: its score, which may be undefined there, is zeroed in place
@@ -79,15 +81,15 @@ def _weighted_rows(weights, score):
     dead = weights == 0
     if dead.any():  # in place: a masked copy of every row costs more at large n
         score[dead] = 0.0
-    return weights[:, None] * score
+    return np.multiply(weights[:, None], score, out=score)
 
 
 def _weighted_score_sum(model, theta, x, power, draws=None):
     """Weights ``w_i = p(x_i)**power``, the sum ``sum_i w_i t(x_i)`` and the
     ``(lp, score)`` of ``draws``, which join the kernel call of the last block
     (empty without them).  The kernel sees one cache-sized block of ``BLOCK``
-    points at a time; each block's first row carries the running sum, as
-    ``sum(axis=0)`` adds in order."""
+    points at a time; each block's first row carries the running sum, which
+    ``_column_sums`` adds in order: the bytes of one sum over all points."""
     n = x.shape[0]
     w, total = np.empty(n), None
     for start in range(0, n, BLOCK):
@@ -99,7 +101,7 @@ def _weighted_score_sum(model, theta, x, power, draws=None):
         rows = _weighted_rows(np.exp(power * lp[:k], out=w[start:start + k]), score[:k])
         if total is not None:
             rows[0] += total
-        total = rows.sum(axis=0)
+        total = _column_sums(rows)
     return w, total, (lp[k:], score[k:])
 
 
@@ -166,7 +168,7 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng):
     if beta <= 0:
         raise ValueError("beta must be positive")
     w, total, (terms, weights) = _stochastic_step(model, theta, data, beta, m, proposal, rng)
-    g = -total / w.shape[0] + terms.sum(axis=0) / m
+    g = -total / w.shape[0] + _column_sums(terms) / m
     return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)
 
 
@@ -204,7 +206,7 @@ def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
     # In float64 a power of an extreme scale overflows to inf (and inf * 0
     # gives NaN), which the descent flags; Python's float ** would raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * (terms.sum(axis=0) / m)
+        g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * (_column_sums(terms) / m)
         g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * (float(weights.sum()) / m)
         g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
     return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)

@@ -21,6 +21,7 @@ from .models import (
     Normal1D,
     NormalMixture2,
     NormalParams,
+    _column_sums,
 )
 
 
@@ -168,11 +169,11 @@ def em_mixture(x, init, max_iter=300, tol=1e-9):
         resp = p / tot
         logliks.append(loglik)
         # M step with the variance floor
-        weights = resp.sum(axis=0)
+        weights = _column_sums(resp)
         if weights.min() < 1e-6 * x.shape[0]:
             raise ValueError("component collapsed during EM")
-        mu = (resp * x[:, None]).sum(axis=0) / weights
-        var = (resp * (x[:, None] - mu) ** 2).sum(axis=0) / weights
+        mu = _column_sums(resp * x[:, None]) / weights
+        var = _column_sums(resp * (x[:, None] - mu) ** 2) / weights
         var = np.maximum(var, VARIANCE_FLOOR)
         alpha = float(weights[0] / x.shape[0])
         if not 1e-6 < alpha < 1.0 - 1e-6:

@@ -75,6 +75,14 @@ def _columns(*cols):
     return out
 
 
+def _column_sums(rows):
+    """Each column's sum, added row after row from +0.0: the bytes of
+    ``rows.sum(axis=0)`` without its per-row overhead.  einsum adds in that
+    order only while the columns are the contiguous axis, so ``rows`` is a
+    C-ordered block of two or more columns, as :func:`_columns` builds."""
+    return np.einsum("ij->j", rows)
+
+
 def _log_add_exp(a, b):
     """``log(exp(a) + exp(b))`` as ``max + log1p(exp(min - max))``.
 
@@ -232,7 +240,7 @@ class Model:
     def _check_x(self, x):
         """``x`` as an ``(n, *point_shape)`` float array; a lone point, a
         scalar or a ``(d,)`` vector, becomes ``n = 1``."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float, order="C")  # so every score is C-ordered
         shape = self.point_shape
         if x.ndim == len(shape):
             x = x[np.newaxis]

@@ -241,6 +241,17 @@ class TestFit:
         assert "past the descent's bound |theta| <= 1e+08" in err
         assert sorted(os.listdir(tmp_path)) == ["config.echo"]
 
+    def test_truth_the_sampler_cannot_draw_exits_one(self, tmp_path, capsys):
+        """numpy's wald sampler returns 0.0 at a huge mu / lam; the run says
+        that its truth drew points outside the support, not that its data
+        are bad."""
+        rc = main(["fit", "--model", "inverse-normal", "--truth=1e20,1", "--T", "5",
+                   "--n", "50", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: truth: ") and err.count("\n") == 1
+        assert "outside the support" in err
+
     def test_explicit_init(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--init", "0.5,2.0",
                    "--out-dir", str(tmp_path), "--T", "0", "--n", "50"])

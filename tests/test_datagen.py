@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpdfit.datagen import ContaminationSpec, Dataset, contaminated_sample
-from dpdfit.models import MAGNITUDE_MAX, IsoNormal, Normal1D, NormalParams
+from dpdfit.models import (
+    MAGNITUDE_MAX,
+    InverseNormal,
+    InverseNormalParams,
+    IsoNormal,
+    Normal1D,
+    NormalParams,
+)
 
 
 def normal_spec(**overrides):
@@ -28,6 +35,15 @@ class TestContaminatedSample:
         ds = contaminated_sample(normal_spec(xi=0.0), np.random.default_rng(0))
         assert ds.n == 1000
         assert not ds.is_outlier.any()
+
+    def test_inliers_outside_the_support_name_truth(self):
+        """At mu = 1e15 numpy's wald draws some exact zeros (27 in 1,000)."""
+        model = InverseNormal()
+        spec = normal_spec(model=model, n=1000,
+                           truth=model.from_natural(InverseNormalParams(mu=1e15, lam=1.0)))
+        with pytest.raises(ValueError, match=r"^truth: \d+ of \d+ inverse-normal draws fell "
+                                             "outside the support"):
+            contaminated_sample(spec, np.random.default_rng(0))
 
     def test_near_total_contamination(self):
         ds = contaminated_sample(normal_spec(xi=1 - 1e-12, n=100),

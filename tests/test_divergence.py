@@ -20,6 +20,7 @@ from dpdfit.models import (
     Normal1D,
     NormalMixture2,
     NormalParams,
+    get_model,
 )
 
 
@@ -142,6 +143,13 @@ class TestLatticeR:
         assert again is pts and w_again == w
         with pytest.raises(ValueError, match="read-only"):
             pts[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["normal", "inverse-normal", "gompertz", "mixture",
+                                      "isonormal2", "isonormal3"])
+    def test_nodes_are_c_ordered(self, name):
+        """Their score rows are summed in order only as a C-ordered block."""
+        pts, _ = lattice_points(get_model(name), Lattice(extent=2.3, nodes=7))
+        assert pts.flags.c_contiguous
 
     def test_multivariate_grid(self):
         m = IsoNormal(2)

@@ -1,3 +1,5 @@
+import functools
+import operator
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from dpdfit.models import (
     GompertzParams,
     IsoNormal,
     Normal1D,
+    _column_sums,
     get_model,
 )
 from dpdfit.optim import StepDecay, sgd_run
@@ -239,6 +242,45 @@ class TestWeightedScoreSumBlocks:
         expected = _weighted_rows(w, score).sum(axis=0)
         got_w, got, _ = _weighted_score_sum(model, theta, x, 1.5)
         assert got_w.tobytes() == w.tobytes() and got.tobytes() == expected.tobytes()
+
+
+def _left_fold(rows):
+    """Each column summed from +0.0, one row after another, in Python."""
+    return np.array([functools.reduce(operator.add, col, 0.0) for col in rows.T.tolist()])
+
+
+class TestColumnSums:
+    """Every sum of weighted score rows over points is ``_column_sums``; it
+    must add in the order of a left fold, the order of ``sum(axis=0)`` that
+    the golden digests were recorded with."""
+
+    SPECIALS = [[-0.0], [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]]
+
+    @staticmethod
+    def rows(width, n):
+        rng = np.random.default_rng(100 * width + n)
+        return rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-40, 40, (n, width))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000, BLOCK + 1])
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_equals_left_fold(self, width, n):
+        base = self.rows(width, n)
+        cases = [base, np.full((n, width), -0.0)]  # a column of -0.0 sums to +0.0
+        for special in self.SPECIALS:  # whole rows of -0.0, NaN or +-inf
+            rows = base.copy()
+            rows[np.linspace(0, n - 1, len(special)).astype(int)] = np.array(special)[:, None]
+            cases.append(rows)
+        for rows in cases:
+            assert rows.flags.c_contiguous
+            assert _column_sums(rows).tobytes() == _left_fold(rows).tobytes()
+
+    def test_the_fold_tells_orders_apart(self):
+        """numpy's 1-D sum is pairwise; on this column its bytes differ from
+        the fold's, so the test above would catch a reordered sum."""
+        col = self.rows(2, 1000)[:, 0].copy()
+        assert col.sum().tobytes() != _left_fold(col[:, None]).tobytes(), (
+            f"numpy {np.__version__} summed this column in the fold's order; "
+            "pick a column on which pairwise and sequential sums differ")
 
 
 def _two_call_step(model, theta, x, power, m, proposal, rng):

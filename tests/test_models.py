@@ -194,6 +194,22 @@ class TestKernel:
         assert not {"log_pdf", "score", "log_pdf_and_score", "_evaluate"} & set(vars(cls))
 
     @pytest.mark.parametrize("name", FAMILIES)
+    def test_score_is_c_ordered(self, name):
+        """The gradients sum score rows with ``_column_sums``, which adds them
+        in order only on C-ordered blocks: so on F-ordered points and on the
+        masked path (points outside a positive support) too."""
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(0), 50)
+        cases = [x, np.asfortranarray(x)]
+        if model.support == "positive":
+            cases.append(np.where(np.arange(50) % 3 == 0, -1.0, x))
+        for pts in cases:
+            _, score = model.log_pdf_and_score(theta, pts)
+            assert score.shape == (50, model.dim_param) and model.dim_param >= 2
+            assert score.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", FAMILIES)
     def test_natural_values_roundtrip(self, name):
         model = get_model(name)
         assert len(model.default_truth) == len(model.natural_names)
