@@ -11,7 +11,6 @@ exact objective is printed along the run.
 import numpy as np
 
 from dpdfit import (
-    ClosedForm,
     ContaminationSpec,
     CurrentModel,
     Normal1D,
@@ -48,7 +47,7 @@ for beta in (0.1, 0.5, 1.0):
     result = sgd_run(grad, theta_mle, schedule, 500, np.random.default_rng(1))
     p = model.to_natural(result.trace[-1])
     first, last = (
-        empirical_dpce(model, theta, data.points, beta, ClosedForm()).value
+        empirical_dpce(model, theta, data.points, beta)
         for theta in (result.trace[0], result.trace[-1])
     )
     print(f"power beta = {beta:3.1f}: mu = {p.mu:+.3f}  sigma = {p.sigma:.3f}"

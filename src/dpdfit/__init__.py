@@ -10,9 +10,7 @@ and a command-line experiment harness round out the toolkit.
 
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import (
-    ClosedForm,
     Lattice,
-    ObjectiveValue,
     empirical_dpce,
     empirical_gce,
     empirical_power_term,
@@ -60,7 +58,6 @@ from .optim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosedForm",
     "ContaminationSpec",
     "CurrentModel",
     "Dataset",
@@ -78,7 +75,6 @@ __all__ = [
     "Normal1D",
     "NormalMixture2",
     "NormalParams",
-    "ObjectiveValue",
     "RunResult",
     "StepDecay",
     "VARIANCE_FLOOR",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
-from .divergence import ClosedForm, Lattice, empirical_dpce, empirical_gce
+from .divergence import Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
@@ -257,12 +257,11 @@ def _proposal(text, model):
 
 @dataclass(frozen=True)
 class Run:
-    """A resolved configuration, every value typed and checked.  ``truth``
-    and ``spec`` are None with ``--data``, ``init`` None for the MLE start;
-    ``lattices`` holds the grid of each ``big_m_values`` size, in order."""
+    """A resolved configuration, every value typed and checked.  ``spec``
+    is None with ``--data``, ``init`` None for the MLE start; ``lattices``
+    holds the grid of each ``big_m_values`` size, in order."""
 
     model: Model
-    truth: np.ndarray | None
     spec: ContaminationSpec | None
     init: np.ndarray | None
     proposal: CurrentModel | FixedNormal
@@ -294,7 +293,7 @@ def read_config(cfg):
     if cfg["divergence"] not in ("dpd", "gamma"):
         raise ConfigError(f"divergence must be dpd or gamma, got {cfg['divergence']!r}")
     n = num("n", int, above=0)
-    truth = spec = init = None
+    spec = init = None
     if not cfg["data"]:
         values = _numbers(cfg["truth"], "truth") if cfg["truth"] else model.default_truth
         truth = _theta_from_naturals(model, values, "truth")
@@ -309,10 +308,17 @@ def read_config(cfg):
         # from_natural checks the values and names the parameter at fault
         values = _numbers(cfg["init"], "init", finite=False)
         init = _theta_from_naturals(model, values, "init")
-    extent = num("grid_extent")
+    extent = num("grid_extent", at_most=MAGNITUDE_MAX)
     big_m_values = _numbers(cfg["big_m_values"] or cfg["big_m"], "big_m_values", int)
+    lattices = tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values)
+    for lattice in lattices:
+        try:
+            lattice.weight(model)
+        except OverflowError:
+            raise ConfigError(f"grid_extent {cfg['grid_extent']} gives {model.name} grids of "
+                              f"{lattice.nodes} nodes a weight past the double range") from None
     return Run(
-        model=model, truth=truth, spec=spec, init=init,
+        model=model, spec=spec, init=init,
         proposal=_proposal(cfg["proposal"], model),
         schedule=StepDecay(eta0=num("eta0"), rate=num("decay_rate"),
                            period=num("decay_period", int)),
@@ -325,7 +331,7 @@ def read_config(cfg):
         replications=num("replications", int, above=0),
         betas=_numbers(cfg["betas"], "betas", above=0, at_most=POWER_MAX),
         m_values=_numbers(cfg["m_values"] or cfg["m"], "m_values", int, above=0),
-        lattices=tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values),
+        lattices=lattices,
         gamma_mode=cfg["divergence"] == "gamma",
         data=cfg["data"],
         out_dir=cfg["out_dir"],
@@ -379,21 +385,20 @@ def _sgd(run, ds, theta0, beta, m, *stream):
 
 def _mse(run, params):
     """``||theta - truth||^2`` over the truth's coordinates; None without a truth."""
-    if run.truth is None:
+    if run.spec is None:
         return None
-    return float(((params[:len(run.truth)] - run.truth) ** 2).sum())
+    truth = run.spec.truth
+    return float(((params[:len(truth)] - truth) ** 2).sum())
 
 
 def _iterate_columns(run, ds, params):
     """The ``objective_exact``, ``scale_c`` and ``mse`` of one recorded
     iterate, each None where it does not apply: the exact objective needs
     a closed-form family, the scale a gamma run and the MSE a known truth."""
-    model, objective = run.model, None
-    if model.closed_form_r is not None and run.gamma_mode:
-        objective = empirical_gce(model, params[:-1], ds.points, run.gamma, ClosedForm())
-    elif model.closed_form_r is not None:
-        objective = empirical_dpce(model, params, ds.points, run.beta, ClosedForm()).value
-    scale = None
+    model, objective, scale = run.model, None, None
+    if model.closed_form_r is not None:
+        objective = (empirical_gce(model, params[:-1], ds.points, run.gamma) if run.gamma_mode
+                     else empirical_dpce(model, params, ds.points, run.beta))
     if run.gamma_mode:
         with np.errstate(over="ignore"):  # a diverged run may end at c = inf
             scale = float(np.exp(params[-1]))
@@ -401,9 +406,7 @@ def _iterate_columns(run, ds, params):
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def _write_config_echo(cfg, out_dir):
@@ -412,37 +415,36 @@ def _write_config_echo(cfg, out_dir):
             fh.write(f"{key} = {cfg[key]}\n")
 
 
-def _write_trace(path, run, trace, columns, cost):
+def _write_csv(run, name, header, rows):
+    """``run.out_dir/name``: the ``header`` row, then ``rows``."""
+    with open(os.path.join(run.out_dir, name), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_trace(run, trace, columns, cost):
     """One row per iterate ``t``: the step size that reached it (0.0 for
     the start), ``t * cost`` density evaluations, its coordinates and its
     :func:`_iterate_columns`."""
     s = run.model.dim_param
-    names = [f"theta_{i + 1}" for i in range(s)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "eta", "complexity"] + names
-                        + ["objective_exact", "scale_c", "mse"])
-        for t, (theta, values) in enumerate(zip(trace, columns)):
-            eta = run.schedule.at(t) if t else 0.0
-            writer.writerow([t, _fmt(eta), t * cost]
-                            + [_fmt(v) for v in theta[:s]]
-                            + [_fmt(v) for v in values])
+    header = ["t", "eta", "complexity"] + [f"theta_{i + 1}" for i in range(s)]
+    rows = ([t, _fmt(run.schedule.at(t) if t else 0.0), t * cost]
+            + [_fmt(v) for v in theta[:s]] + [_fmt(v) for v in values]
+            for t, (theta, values) in enumerate(zip(trace, columns)))
+    _write_csv(run, "trace.csv", header + ["objective_exact", "scale_c", "mse"], rows)
 
 
-def _write_estimate(path, model, final, columns, complexity):
+def _write_estimate(run, final, columns, complexity):
     """The ``final`` iterate, with ``columns`` its :func:`_iterate_columns`."""
+    model = run.model
     objective, scale, _ = columns
-    header = list(model.natural_names)
-    row = [_fmt(v) for v in model.natural_values(final[: model.dim_param])]
+    values = dict(zip(model.natural_names, model.natural_values(final[: model.dim_param])))
     if scale is not None:
-        header.append("scale_c")
-        row.append(_fmt(scale))
-    header += ["objective", "complexity"]
-    row += [_fmt(objective), str(complexity)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(row)
+        values["scale_c"] = scale
+    values["objective"] = objective
+    _write_csv(run, "estimate.csv", list(values) + ["complexity"],
+               [[_fmt(v) for v in values.values()] + [complexity]])
 
 
 def cmd_fit(run, write_estimate=True):
@@ -456,9 +458,8 @@ def cmd_fit(run, write_estimate=True):
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate and not result.diverged:
-        _write_estimate(os.path.join(run.out_dir, "estimate.csv"), run.model, trace[-1],
-                        columns[-1], (len(trace) - 1) * cost)
-    _write_trace(os.path.join(run.out_dir, "trace.csv"), run, trace, columns, cost)
+        _write_estimate(run, trace[-1], columns[-1], (len(trace) - 1) * cost)
+    _write_trace(run, trace, columns, cost)
     return 2 if result.diverged else 0
 
 
@@ -495,16 +496,13 @@ def cmd_table_compare(run):
     with ThreadPoolExecutor(max_workers=min(8, reps)) as pool:
         outcomes = list(pool.map(lambda job: _table_cell_run(run, *job), jobs))
 
-    with open(os.path.join(run.out_dir, "table.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "size", "mean_mse", "sd_mse", "complexity"])
-        for i, (method, size) in enumerate(cells):
-            chunk = outcomes[i * reps:(i + 1) * reps]
-            mses = np.array([c[0] for c in chunk])
-            total = size if method == "sgd" else size.total_points(model)
-            sd = mses.std(ddof=1) if reps > 1 else 0.0
-            writer.writerow([method, total, _fmt(mses.mean()), _fmt(sd),
-                             run.T * (run.n + total)])
+    rows = []
+    for i, (method, size) in enumerate(cells):
+        mses = np.array([c[0] for c in outcomes[i * reps:(i + 1) * reps]])
+        total = size if method == "sgd" else size.total_points(model)
+        sd = mses.std(ddof=1) if reps > 1 else 0.0
+        rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.n + total)])
+    _write_csv(run, "table.csv", ["method", "size", "mean_mse", "sd_mse", "complexity"], rows)
     return 2 if any(diverged for _, diverged in outcomes) else 0
 
 
@@ -533,12 +531,9 @@ def cmd_density_curves(run):
     for name, result in fits.items():
         columns[name] = np.exp(model.log_pdf(result.trace[-1], grid))
 
-    with open(os.path.join(run.out_dir, "curves.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "hist_count"] + list(columns))
-        for i, x in enumerate(grid):
-            count = int(counts[i]) if i < counts.size else 0
-            writer.writerow([_fmt(x), count] + [_fmt(c[i]) for c in columns.values()])
+    rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
+            + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
+    _write_csv(run, "curves.csv", ["x", "hist_count"] + list(columns), rows)
     return 2 if any(result.diverged for result in fits.values()) else 0
 
 

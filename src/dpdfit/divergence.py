@@ -1,10 +1,10 @@
 """Density-power and gamma cross-entropy objectives.
 
-The robust objective splits into an empirical average over the data and
+The robust objective is a float: an empirical average over the data plus
 an integral of the (1+beta)-th power of the model density.  The integral
-term is available in closed form for the families that define
-``closed_form_r`` (the normal ones) and through a regular-grid quadrature
-for everything else.  All powering goes through
+term is exact for the families that define ``closed_form_r`` (the normal
+ones); given a :class:`Lattice`, it is a regular-grid quadrature, which
+every family supports.  All powering goes through
 ``exp(beta * log_pdf)`` so that points of zero density contribute zero
 instead of underflowing to NaN.
 """
@@ -15,11 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """Exact integral term, for the families that define ``closed_form_r``."""
 
 
 @dataclass(frozen=True)
@@ -43,20 +38,18 @@ class Lattice:
     def total_points(self, model):
         return self.nodes ** model.dim_x
 
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Decomposed objective: ``value = first_term + r_term``."""
-
-    value: float
-    first_term: float
-    r_term: float
+    def weight(self, model):
+        """Weight of every node, the grid spacing to the ``dim_x``-th power;
+        OverflowError when that leaves the double range."""
+        span = self.extent if model.support == "positive" else 2.0 * self.extent
+        return (span / (self.nodes - 1)) ** model.dim_x
 
 
-def _data_points(data):
+def _data_points(data, need=1):
+    """The points of a Dataset or an array as floats, at least ``need`` of them."""
     x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
+    if x.shape[0] < need:
+        raise ValueError(f"need {need} or more observations, got {x.shape[0]}")
     return x
 
 
@@ -69,10 +62,10 @@ def empirical_power_term(model, theta, data, beta):
     return -float(np.exp(beta * lp).mean()) / beta
 
 
-def lattice_points(model, backend):
+def lattice_points(model, lattice):
     """Quadrature nodes and the (scalar) weight shared by all of them; the
     nodes of a grid are built once and are read-only."""
-    return _nodes(backend.extent, backend.nodes, model.dim_x, model.support)
+    return _nodes(lattice.extent, lattice.nodes, model.dim_x, model.support), lattice.weight(model)
 
 
 @lru_cache(maxsize=1)
@@ -81,35 +74,31 @@ def _nodes(extent, m, dim_x, support):
     grids = np.meshgrid(*([np.linspace(lo, extent, m)] * dim_x), indexing="ij", copy=False)
     pts = np.stack(grids, axis=-1).reshape((-1, dim_x) if dim_x > 1 else -1)
     pts.flags.writeable = False
-    return pts, ((extent - lo) / (m - 1)) ** dim_x
+    return pts
 
 
-def lattice_r(model, theta, beta, backend):
-    """Integral term by regular-grid quadrature (``beta >= 0``)."""
-    pts, w = lattice_points(model, backend)
+def lattice_r(model, theta, beta, lattice):
+    """Integral term by quadrature on the ``lattice`` grid (``beta >= 0``)."""
+    pts, w = lattice_points(model, lattice)
     lp = model.log_pdf(theta, pts)
     return float(w * np.exp((1.0 + beta) * lp).sum() / (1.0 + beta))
 
 
-def integral_r(model, theta, beta, backend):
-    """Integral term through whichever backend is configured."""
-    if isinstance(backend, ClosedForm):
-        if model.closed_form_r is None:
-            raise ValueError(f"no closed-form integral term for {model.name}")
-        return model.closed_form_r(theta, beta)
-    if isinstance(backend, Lattice):
-        return lattice_r(model, theta, beta, backend)
-    raise ValueError(f"unsupported integral backend {backend!r}")
+def integral_r(model, theta, beta, lattice=None):
+    """Integral term: the family's closed form, or quadrature on ``lattice``."""
+    if lattice is not None:
+        return lattice_r(model, theta, beta, lattice)
+    if model.closed_form_r is None:
+        raise ValueError(f"no closed-form integral term for {model.name}")
+    return model.closed_form_r(theta, beta)
 
 
-def empirical_dpce(model, theta, data, beta, backend):
-    """Empirical density-power cross entropy of the model against data."""
-    first = empirical_power_term(model, theta, data, beta)
-    r = integral_r(model, theta, beta, backend)
-    return ObjectiveValue(value=first + r, first_term=first, r_term=r)
+def empirical_dpce(model, theta, data, beta, lattice=None):
+    """Empirical density-power cross entropy: the data term plus :func:`integral_r`."""
+    return empirical_power_term(model, theta, data, beta) + integral_r(model, theta, beta, lattice)
 
 
-def empirical_gce(model, theta, data, gamma, backend, scale=1.0):
+def empirical_gce(model, theta, data, gamma, lattice=None, scale=1.0):
     """Empirical gamma cross entropy, optionally of the scaled model.
 
     With ``scale=c`` this evaluates the objective for the unnormalized
@@ -126,6 +115,6 @@ def empirical_gce(model, theta, data, gamma, backend, scale=1.0):
     if mean_pow <= 0:
         raise ValueError("model density vanishes on the whole dataset")
     # integral of (c p)^(1+gamma) = c^(1+gamma) (1+gamma) r
-    r = integral_r(model, theta, gamma, backend)
+    r = integral_r(model, theta, gamma, lattice)
     log_int = (1.0 + gamma) * log_c + np.log1p(gamma) + np.log(r)
     return float(-np.log(mean_pow) / gamma + log_int / (1.0 + gamma))

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _data_points, lattice_points
-from .models import MAGNITUDE_MAX, _column_sums
+from .models import _LOG_2PI, MAGNITUDE_MAX, _column_sums
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
 BLOCK = 8192  # points per kernel call in _weighted_score_sum
 
 
@@ -172,12 +171,12 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng):
     return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)
 
 
-def lattice_grad_dpd(model, theta, data, beta, backend):
+def lattice_grad_dpd(model, theta, data, beta, lattice):
     """Deterministic gradient with the integral term on a regular grid."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     g = data_term(model, theta, data, beta)
-    pts, w = lattice_points(model, backend)
+    pts, w = lattice_points(model, lattice)
     return g + w * _weighted_score_sum(model, theta, pts, 1.0 + beta)[1]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .divergence import _data_points
 from .models import (
     VARIANCE_FLOOR,
     Gompertz,
@@ -27,9 +28,7 @@ from .models import (
 
 def mle_normal(data):
     """Sample mean and (1/n) variance, mapped to unconstrained coords."""
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] < 2:
-        raise ValueError("need at least two observations")
+    x = _data_points(data, 2)
     mu = float(x.mean())
     var = float(x.var())
     if var <= 0:
@@ -39,17 +38,15 @@ def mle_normal(data):
 
 def mle_isonormal(data):
     """Componentwise sample mean of a d-variate sample."""
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("need a nonempty (n, d) sample")
+    x = _data_points(data)
+    if x.ndim != 2:
+        raise ValueError(f"need an (n, d) sample, got shape {x.shape}")
     return x.mean(axis=0)
 
 
 def mle_inverse_normal(data):
     """Closed-form MLE: mu = mean, lam = 1 / mean(1/x - 1/mu)."""
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] < 2:
-        raise ValueError("need at least two observations")
+    x = _data_points(data, 2)
     if np.any(x <= 0):
         raise ValueError("inverse normal requires strictly positive data")
     mu = float(x.mean())
@@ -127,9 +124,7 @@ def _gompertz_profile(x):
 
 def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
     """Newton-bisection root for the shape in ``bracket``, then the closed-form rate."""
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] < 2:
-        raise ValueError("need at least two observations")
+    x = _data_points(data, 2)
     if np.any(x < 0):
         raise ValueError("Gompertz requires nonnegative data")
     if not np.any(x > 0):
@@ -193,9 +188,7 @@ def em_mixture(x, init, max_iter=300, tol=1e-9):
 
 def mle_mixture(data, k_restarts=5, rng=None):
     """Best-of-k restarted EM, initialized by quantile splits."""
-    x = np.asarray(getattr(data, "points", data), dtype=float)
-    if x.shape[0] < 10:
-        raise ValueError("need at least ten observations")
+    x = _data_points(data, 10)
     if rng is None:
         rng = np.random.default_rng(0)
     best = None

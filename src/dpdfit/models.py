@@ -518,7 +518,6 @@ class NormalMixture2(Model):
 _FAMILIES = {
     "normal": Normal1D,
     "inverse-normal": InverseNormal,
-    "invnormal": InverseNormal,
     "gompertz": Gompertz,
     "mixture": NormalMixture2,
 }

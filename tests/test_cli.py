@@ -9,7 +9,7 @@ import dpdfit
 from dpdfit import cli
 from dpdfit.cli import PRESETS, main
 from dpdfit.datagen import Dataset
-from dpdfit.divergence import ClosedForm, empirical_dpce, empirical_gce
+from dpdfit.divergence import empirical_dpce, empirical_gce
 from dpdfit.optim import StepDecay
 
 
@@ -331,10 +331,10 @@ class TestTrace:
             np.testing.assert_array_equal(theta, params[:2])
             assert float(value["mse"]) == float(((theta - truth) ** 2).sum())
             if divergence == "gamma":
-                objective = empirical_gce(model, theta, points, 0.5, ClosedForm())
+                objective = empirical_gce(model, theta, points, 0.5)
                 assert float(value["scale_c"]) == float(np.exp(params[-1]))
             else:
-                objective = empirical_dpce(model, theta, points, 0.5, ClosedForm()).value
+                objective = empirical_dpce(model, theta, points, 0.5)
                 assert value["scale_c"] == ""
             assert float(value["objective_exact"]) == float(objective)
 
@@ -379,6 +379,13 @@ class TestConfigHandling:
          "fixed normal proposal needs a finite sd > 0, at most 1e+50, got 1e+200"),
         (["fit", "--proposal=normal:1e308,1"],
          "fixed normal proposal needs a finite mean in [-1e+50, 1e+50], got [1e+308]"),
+        (["table-compare", "--config", "paper-4.2-d2", "--replications", "2", "--T", "3",
+          "--grid-extent", "1e200"], "grid_extent must be <= 1e+50, got '1e200'"),
+        (["table-compare", "--config", "paper-4.2-d2", "--replications", "2", "--T", "3",
+          "--grid-extent", "1e308"], "grid_extent must be <= 1e+50, got '1e308'"),
+        (["table-compare", "--model", "isonormal7", "--grid-extent", "1e50", "--big-m-values",
+          "2", "--m-values", "3", "--n", "60", "--replications", "2", "--T", "3"],
+         "grid_extent 1e50 gives isonormal7 grids of 2 nodes a weight past the double range"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exits_one_before_anything_is_written(self, tmp_path, capsys,
                                                             args, message):

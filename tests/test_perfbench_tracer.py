@@ -3,10 +3,12 @@
 ``perfbench/tracer.py`` wraps module attributes and class methods by
 name and reads their results; a rename or an API change in the package
 would break the benchmark's traced runs only.  These tests load the
-tracer by path and trace one small run, and run the harness's self-test.
+tracer and the micro-measurements by path, trace one small run, take
+every micro-measurement once, and run the harness's self-test.
 """
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +18,9 @@ from dpdfit import cli, optim
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_tracer():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +28,7 @@ def _load_tracer():
 
 def _traced_run(argv):
     """``cli.main(argv)`` under the tracer; the tracer, once uninstalled."""
-    tr = _load_tracer()
+    tr = _load("tracer")
     tracer = tr.Tracer()
     tr.instrument(tracer)  # raises KeyError if a patched name is gone
     tracer.install()
@@ -77,3 +79,13 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_micro_measurements_run(tmp_path):
+    """``perfbench/micro.py`` calls the kernels, the gradient pieces, the
+    descent loop and the CSV I/O directly; with no minimum batch time
+    each batch is one call."""
+    micro = _load("micro")
+    micro.MIN_BATCH_S = 0
+    out = micro.measure(0, str(tmp_path))
+    assert out and all(math.isfinite(v) and v > 0 for v in out.values()), out
