@@ -56,44 +56,3 @@ from .optim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ContaminationSpec",
-    "CurrentModel",
-    "Dataset",
-    "FixedNormal",
-    "Gompertz",
-    "GompertzParams",
-    "GradEstimate",
-    "InverseNormal",
-    "InverseNormalParams",
-    "IsoNormal",
-    "IsoNormalParams",
-    "Lattice",
-    "MixtureParams",
-    "Model",
-    "Normal1D",
-    "NormalMixture2",
-    "NormalParams",
-    "RunResult",
-    "StepDecay",
-    "VARIANCE_FLOOR",
-    "contaminated_sample",
-    "em_mixture",
-    "empirical_dpce",
-    "empirical_gce",
-    "empirical_power_term",
-    "gd_run",
-    "get_model",
-    "lattice_grad_dpd",
-    "lattice_r",
-    "mle_gompertz",
-    "mle_inverse_normal",
-    "mle_isonormal",
-    "mle_mixture",
-    "mle_normal",
-    "select_tau",
-    "sgd_run",
-    "stochastic_grad_dpd",
-    "stochastic_grad_gamma",
-]

@@ -493,7 +493,9 @@ def cmd_table_compare(run):
     reps = run.replications
     cells = [("sgd", m) for m in run.m_values] + [("gd-ni", g) for g in run.lattices]
     jobs = [(method, size, rep) for method, size in cells for rep in range(reps)]
-    with ThreadPoolExecutor(max_workers=min(8, reps)) as pool:
+    # more threads than usable CPUs only contend for the GIL and the caches
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(8, reps, cpus or 1)) as pool:
         outcomes = list(pool.map(lambda job: _table_cell_run(run, *job), jobs))
 
     rows = []

@@ -10,12 +10,91 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import MAGNITUDE_MAX, Model
 
 # rows formatted per write in to_csv, so that the text of a large dataset
 # never has to exist in memory all at once
 _BLOCK_ROWS = 65536
+
+# Per binary exponent E in [1e-4, 1e15): q with |x| * 10**q in [1e16, 2e17),
+# 10**q (exact: q <= 22), its Dekker split's high half, 10**q * ulp(x) / 2
+_E = np.arange(-14, 50)
+_Q = 16 - np.floor(_E * np.log10(2)).astype(np.intp)
+_P = np.array([float(10 ** int(q)) for q in _Q])
+_PH = _P * 134217729.0 - (_P * 134217729.0 - _P)
+_H = np.ldexp(_P, _E - 53)
+# A CSV cell: sign slot, places 10**15..10**0, ".", 10**-1..10**-20, ","; _KEEP
+# [start * _W + end] keeps its columns [start, end) and ","; _QUADS[k]: k's 4 digits
+_W, _COLS = 39, np.arange(39)
+_KEEP = ((_COLS[:, None, None] <= _COLS) & (_COLS < _COLS[:, None]) | (_COLS == _W - 1)).reshape(-1, _W)
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), -1).view(np.uint32).ravel()
+
+
+def _shortest(x):
+    """``(exact, digits, zeros, q)`` for the doubles ``x``: where ``exact``,
+    ``repr(abs(x))`` prints the decimal ``digits * 10**-q``, whose last
+    ``zeros`` digits are 0.  Not exact: +-0, inf, nan, powers of two (a
+    lopsided rounding interval), ``|x|`` outside [1e-4, 1e15), ties."""
+    a = np.abs(x)
+    i = (a.view(np.uint64) >> 52).astype(np.intp) - (1023 + _E[0])
+    exact = (a >= 1e-4) & (a < 1e15) & (a.view(np.uint64) << 12 != 0)
+    a[~exact], i[~exact] = 1.5, -_E[0]  # in range, so the arithmetic stays quiet
+    # S = a * 10**q exactly, as an integer N plus f in [0, 1) (Dekker's product)
+    power, split, ph = _P[i], a * 134217729.0, _PH[i]
+    p, ah = a * power, split - (split - a)
+    al, pl = a - ah, power - ph
+    e = ((ah * ph - p) + ah * pl + al * ph) + al * pl
+    N, f = p.astype(np.int64) + np.floor(e).astype(np.int64), e - np.floor(e)
+    # The multiple of 10**k nearest S, for the largest k with a distance
+    # below h = ulp(x) / 2 * 10**q, reads back as x and is the one repr
+    # prints (Steele & White 1990); distances never fall as k grows.
+    digits, zeros, sure = N + (f > 0.5), np.zeros(x.size, np.intp), f != 0.5
+    at, h = np.arange(x.size), _H[i]
+    for k in range(1, 18):
+        rem = N - N // 10**k * 10**k
+        below = np.minimum(rem, 32).astype(float) + f  # h < 23: past 31, no need to be exact
+        above = np.minimum(10**k - rem, 32).astype(float) - f
+        inside = np.flatnonzero(np.minimum(below, above) <= h)
+        if not inside.size:
+            break
+        at, N, f, h, rem, below, above = (v[inside] for v in (at, N, f, h, rem, below, above))
+        digits[at], zeros[at] = N - rem + (above < below) * 10**k, k
+        sure[at] = (below != above) & (np.minimum(below, above) < h)  # no tie, inside
+    return exact & sure, digits, zeros, _Q[i]
+
+
+def _csv_rows(points, labels):
+    """CSV rows of ``points`` (rows, d) and 0/1 ``labels``, as bytes: each
+    value as ``repr`` prints it, ``,`` between cells, ``\\r\\n`` after each
+    row.  Values that :func:`_shortest` leaves out go through ``repr``."""
+    x = np.ascontiguousarray(points, dtype=float).ravel()
+    exact, digits, zeros, q = _shortest(x)
+    point = 17 + (digits >= 10**17) - q  # |x| = 0.d1d2... * 10**point
+    exact &= (point > -4) & (point <= 16)  # repr's positional range
+    text = np.full((x.size, 55), ord("0"), np.uint8)  # digits in columns 17..36
+    for col in range(33, 16, -4):
+        high = digits // 10000
+        text[:, col:col + 4].view(np.uint32)[:, 0] = _QUADS[digits - high * 10000]
+        digits = high
+    places = sliding_window_view(text, 36, axis=1)[np.arange(x.size), 21 - q]
+    cells = np.empty((x.size, _W), np.uint8)
+    cells[:, 1:17], cells[:, 17], cells[:, 18:38], cells[:, 38] = (
+        places[:, :16], ord("."), places[:, 16:], ord(","))
+    start, end = 17 - np.maximum(point, 1), 18 + np.maximum(q - zeros, 1)
+    neg = np.flatnonzero(np.signbit(x) & exact)
+    start[neg] -= 1
+    cells.ravel()[neg * _W + start[neg]] = ord("-")
+    slow = np.flatnonzero(~exact)
+    reprs = [repr(v) for v in x[slow].tolist()]
+    cells[slow, :24] = np.array(reprs, "S24").view(np.uint8).reshape(-1, 24)
+    start[slow], end[slow] = 0, list(map(len, reprs))
+    shape = (len(labels), cells.size // len(labels))
+    rows = np.hstack([cells.reshape(shape), (labels[:, None] * [1, 0, 0] + [48, 13, 10]).astype(np.uint8)])
+    keep = np.hstack([_KEEP[start * _W + end].reshape(shape), np.ones((shape[0], 3), bool)])
+    return rows[keep].tobytes()
 
 
 def _first_bad_line(path):
@@ -54,13 +133,11 @@ class Dataset:
         value as its shortest round-trip ``repr`` and each label as 0/1."""
         points = self.points.reshape(self.n, -1)
         header = [f"x_{i + 1}" for i in range(points.shape[1])] + ["outlier"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
             for start in range(0, self.n, _BLOCK_ROWS):
                 block = slice(start, start + _BLOCK_ROWS)
-                columns = [map(repr, col) for col in points[block].T.tolist()]
-                columns.append(map(str, self.is_outlier[block].astype(int).tolist()))
-                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+                fh.write(_csv_rows(points[block], self.is_outlier[block]))
 
     @classmethod
     def from_csv(cls, path):

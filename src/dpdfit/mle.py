@@ -123,7 +123,8 @@ def _gompertz_profile(x):
 
 
 def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
-    """Newton-bisection root for the shape in ``bracket``, then the closed-form rate."""
+    """Newton-bisection root for the shape in ``bracket`` (its lower end, the
+    exponential limit, when the score is negative throughout), then the closed-form rate."""
     x = _data_points(data, 2)
     if np.any(x < 0):
         raise ValueError("Gompertz requires nonnegative data")
@@ -131,11 +132,12 @@ def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
         raise ValueError("all-zero sample")
     lo, hi = bracket
     profile = _gompertz_profile(x)
-    if np.sign(profile(lo)[0]) == np.sign(profile(hi)[0]) != 0:
+    signs = np.sign([profile(lo)[0], profile(hi)[0]])
+    if signs[0] == signs[1] > 0:
         raise ValueError(f"Gompertz MLE: the profile score of omega has one sign on "
                          f"({lo:g}, {hi:g}), so the likelihood peaks outside that "
                          f"bracket; give a start with --init")
-    omega = newton_bisection(profile, lo, hi, tol, max_iter)
+    omega = lo if signs[0] == signs[1] < 0 else newton_bisection(profile, lo, hi, tol, max_iter)
     lam = omega / np.expm1(omega * x).mean()
     return Gompertz().from_natural(GompertzParams(omega=float(omega), lam=float(lam)))
 

@@ -194,15 +194,24 @@ class TestFit:
         assert "use normal for d = 1" in err and err.count("\n") == 1
 
     def test_gompertz_mle_without_interior_root_exits_one(self, tmp_path, capsys):
-        """At omega = 0.001 this sample's likelihood peaks at omega -> 0,
-        below the shape bracket of the MLE; the error says so."""
-        rc = main(["fit", "--model", "gompertz", "--truth", "0.001,1", "--xi", "0",
+        """At omega = 100 this sample's likelihood peaks above the shape
+        bracket of the MLE; the error says so."""
+        rc = main(["fit", "--model", "gompertz", "--truth", "100,1", "--xi", "0",
                    "--T", "5", "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: Gompertz MLE: the profile score of omega has one sign on "
             "(0.0001, 20), so the likelihood peaks outside that bracket; "
             "give a start with --init\n")
+
+    def test_gompertz_mle_peak_below_bracket_starts_at_exponential_limit(self, tmp_path):
+        """At omega = 0.001 this sample's likelihood peaks at omega -> 0,
+        below the bracket; the descent starts from its lower end."""
+        rc = main(["fit", "--model", "gompertz", "--truth", "0.001,1", "--xi", "0",
+                   "--T", "5", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "estimate.csv")
+        assert 0 < float(rows[0][header.index("omega")]) < 1e-3
 
     def test_divergence_exits_two(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--eta0", "1e12",
@@ -489,6 +498,23 @@ class TestTableCompare:
         assert rc == 0
         _, rows = read_csv(tmp_path / "table.csv")
         assert [r[:2] for r in rows] == [["sgd", "4"], ["gd-ni", "9"]]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pool_no_wider_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus):
+        widths = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                   "--replications", "4", "--m-values", "4", "--big-m-values", "3",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert widths == [cpus]
 
     @pytest.mark.parametrize("flag", ["--init=9,9", "--proposal=normal:0.5,1"])
     def test_cells_take_init_and_proposal(self, tmp_path, flag):

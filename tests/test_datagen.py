@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpdfit.datagen import ContaminationSpec, Dataset, contaminated_sample
+from dpdfit.datagen import ContaminationSpec, Dataset, _shortest, contaminated_sample
 from dpdfit.models import (
     MAGNITUDE_MAX,
     InverseNormal,
@@ -145,12 +145,22 @@ EXTREMES = [5e-324, -5e-324, 2.5e-310, 1.7976931348623157e308,
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
 
 
+# Doubles that Dataset.to_csv formats without repr: |x| in [1e-4, 1e15),
+# any of them and short decimals (rounded to 1..17 significant digits).
+POSITIONAL = st.floats(1e-4, 1e15, exclude_max=True)
+SHORT = st.builds(lambda v, k: float(f"{v:.{k}g}"), POSITIONAL, st.integers(1, 17))
+SIGNED = st.builds(lambda v, negative: -v if negative else v, POSITIONAL | SHORT, st.booleans())
+# the edges of that range and of repr's positional form, a power of two, -0.0
+EDGES = [9.999999999999999e-05, 0.0001, 999999999999999.9, 1e15, 9999999999999998.0,
+         0.1, 0.3, 2.0**-10, -0.0]
+
+
 @st.composite
-def datasets(draw):
+def datasets(draw, doubles=DOUBLES):
     """Datasets of either point shape: ``(n,)`` for d = 1, else ``(n, d)``."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 20))
-    values = draw(st.lists(DOUBLES, min_size=n * d, max_size=n * d))
+    values = draw(st.lists(doubles, min_size=n * d, max_size=n * d))
     labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     points = np.array(values, dtype=float).reshape((n,) if d == 1 else (n, d))
     return Dataset(points=points, is_outlier=np.array(labels, dtype=bool))
@@ -163,6 +173,35 @@ class TestCsvRoundTrip:
     @example(Dataset(points=np.array(EXTREMES[:6]).reshape(3, 2),
                      is_outlier=np.array([True, False, True])))
     def test_bitwise_round_trip_and_repr_text(self, tmp_path_factory, ds):
+        self.check(tmp_path_factory, ds)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets(SIGNED))
+    @example(Dataset(points=np.array(EDGES), is_outlier=np.zeros(len(EDGES), dtype=bool)))
+    @example(Dataset(points=np.array(EDGES[:6]).reshape(2, 3), is_outlier=np.array([True, False])))
+    def test_positional_values_round_trip_as_repr_text(self, tmp_path_factory, ds):
+        self.check(tmp_path_factory, ds)
+
+    def test_seeded_batch_is_repr_text(self, tmp_path):
+        """150,000 rows over three blocks: N(0, 1), N(10, 1), random bit
+        patterns and random mantissas at every binary exponent of
+        [1e-4, 1e15), against repr in one comparison."""
+        rng = np.random.default_rng(16)
+        exponents = rng.integers(1023 - 14, 1023 + 50, 30_000, dtype=np.uint64) << np.uint64(52)
+        normal = np.concatenate([rng.standard_normal(40_000), rng.normal(10.0, 1.0, 40_000)])
+        x = np.concatenate([
+            normal, rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(float),
+            (exponents | rng.integers(0, 2**52, 30_000, dtype=np.uint64)).view(float)])
+        rng.shuffle(x)
+        labels = rng.random(x.size) < 0.1
+        Dataset(points=x, is_outlier=labels).to_csv(tmp_path / "data.csv")
+        expected = "".join(f"{v!r},{int(b)}\r\n" for v, b in zip(x.tolist(), labels.tolist()))
+        assert (tmp_path / "data.csv").read_bytes() == f"x_1,outlier\r\n{expected}".encode()
+        # the digits of nearly all normal draws were made without repr
+        assert _shortest(normal)[0].mean() > 0.999
+
+    @staticmethod
+    def check(tmp_path_factory, ds):
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         ds.to_csv(path)
         back = Dataset.from_csv(path)

@@ -83,11 +83,22 @@ class TestMleGompertz:
         assert p.lam > 0
 
     def test_no_sign_change_in_bracket(self):
+        """A likelihood still rising at the bracket's upper end raises."""
         m = Gompertz()
         truth = m.from_natural(GompertzParams(omega=1.0, lam=0.1))
         x = m.sample(truth, np.random.default_rng(4), 500)
-        with pytest.raises(ValueError):
-            mle_gompertz(x, bracket=(10.0, 20.0))
+        with pytest.raises(ValueError, match="peaks outside that bracket"):
+            mle_gompertz(x, bracket=(1e-4, 0.5))
+
+    def test_peak_below_bracket_starts_at_its_lower_end(self):
+        """A likelihood falling across the bracket gives its lower end, with
+        the rate that maximizes the likelihood at that shape."""
+        m = Gompertz()
+        truth = m.from_natural(GompertzParams(omega=1.0, lam=0.1))
+        x = m.sample(truth, np.random.default_rng(4), 500)
+        p = m.to_natural(mle_gompertz(x, bracket=(10.0, 20.0)))
+        assert p.omega == pytest.approx(10.0, rel=1e-12)
+        assert p.lam == pytest.approx(10.0 / np.expm1(10.0 * x).mean(), rel=1e-12)
 
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):
