@@ -257,9 +257,9 @@ def _proposal(text, model):
 
 @dataclass(frozen=True)
 class Run:
-    """A resolved configuration, every value typed and checked.  ``spec``
-    is None with ``--data``, ``init`` None for the MLE start; ``lattices``
-    holds the grid of each ``big_m_values`` size, in order."""
+    """A resolved configuration, every value typed and checked: ``spec`` is
+    None with ``--data``, ``init`` None for the MLE start, ``betas`` maps each
+    ``curves.csv`` column to its beta, ``lattices`` holds each ``big_m_values`` grid."""
 
     model: Model
     spec: ContaminationSpec | None
@@ -270,10 +270,9 @@ class Run:
     gamma: float
     m: int
     T: int
-    n: int
     seed: int
     replications: int
-    betas: list
+    betas: dict
     m_values: list
     lattices: tuple
     gamma_mode: bool
@@ -281,10 +280,11 @@ class Run:
     out_dir: str
 
 
-def read_config(cfg):
+def read_config(cfg, command):
     """The :class:`Run` of a resolved configuration: every key is read and
     checked whatever the subcommand, but ``--data`` leaves the synthetic-data
-    keys (``truth``, ``xi``, ``outlier_*``, ``fixed_outlier_count``) unread."""
+    keys (``truth``, ``xi``, ``outlier_*``, ``fixed_outlier_count``) unread.
+    Then the rules of ``command`` are checked."""
 
     def num(key, kind=float, **checks):
         return _number(cfg[key], key, kind, **checks)
@@ -317,25 +317,42 @@ def read_config(cfg):
         except OverflowError:
             raise ConfigError(f"grid_extent {cfg['grid_extent']} gives {model.name} grids of "
                               f"{lattice.nodes} nodes a weight past the double range") from None
-    return Run(
+    betas = {}
+    for beta in _numbers(cfg["betas"], "betas", above=0, at_most=POWER_MAX):
+        name = f"pdf_beta_{beta:g}"
+        if name in betas:
+            raise ConfigError(f"betas {betas[name]!r} and {beta!r} both name column {name}")
+        betas[name] = beta
+    run = Run(
         model=model, spec=spec, init=init,
         proposal=_proposal(cfg["proposal"], model),
-        schedule=StepDecay(eta0=num("eta0"), rate=num("decay_rate"),
+        schedule=StepDecay(eta0=num("eta0", at_most=MAGNITUDE_MAX), rate=num("decay_rate"),
                            period=num("decay_period", int)),
         beta=num("beta", above=0, at_most=POWER_MAX),
         gamma=num("gamma", above=0, at_most=POWER_MAX),
         m=num("m", int, above=0),
         T=num("T", int, above=-1),
-        n=n,
         seed=num("seed", int, above=-1),
         replications=num("replications", int, above=0),
-        betas=_numbers(cfg["betas"], "betas", above=0, at_most=POWER_MAX),
+        betas=betas,
         m_values=_numbers(cfg["m_values"] or cfg["m"], "m_values", int, above=0),
         lattices=lattices,
         gamma_mode=cfg["divergence"] == "gamma",
         data=cfg["data"],
         out_dir=cfg["out_dir"],
     )
+    if command == "table-compare":
+        if run.data:
+            raise ConfigError("table-compare draws its own samples; it takes no --data")
+        if not isinstance(model, IsoNormal):
+            raise ConfigError("table-compare requires an isonormal<d> model")
+        if run.T < 1:
+            raise ConfigError("T must be >= 1 for table-compare")
+    if command == "density-curves" and model.dim_x != 1:
+        raise ConfigError("density-curves requires a univariate model")
+    if run.gamma_mode and command in ("table-compare", "density-curves"):
+        raise ConfigError(f"{command} fits the DPD; it takes no --divergence gamma")
+    return run
 
 
 def _dataset(run, *stream):
@@ -480,16 +497,6 @@ def _table_cell_run(run, method, size, rep):
 
 
 def cmd_table_compare(run):
-    if run.data:
-        raise ConfigError("table-compare draws its own samples; it takes no --data")
-    model = run.model
-    if not isinstance(model, IsoNormal):
-        raise ConfigError("table-compare requires an isonormal<d> model")
-    if run.T < 1:
-        raise ConfigError("T must be >= 1 for table-compare")
-    if run.gamma_mode:
-        raise ConfigError("table-compare fits the DPD; it takes no --divergence gamma")
-
     reps = run.replications
     cells = [("sgd", m) for m in run.m_values] + [("gd-ni", g) for g in run.lattices]
     jobs = [(method, size, rep) for method, size in cells for rep in range(reps)]
@@ -501,31 +508,21 @@ def cmd_table_compare(run):
     rows = []
     for i, (method, size) in enumerate(cells):
         mses = np.array([c[0] for c in outcomes[i * reps:(i + 1) * reps]])
-        total = size if method == "sgd" else size.total_points(model)
+        total = size if method == "sgd" else size.total_points(run.model)
         sd = mses.std(ddof=1) if reps > 1 else 0.0
-        rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.n + total)])
+        rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.spec.n + total)])
     _write_csv(run, "table.csv", ["method", "size", "mean_mse", "sd_mse", "complexity"], rows)
     return 2 if any(diverged for _, diverged in outcomes) else 0
 
 
 def cmd_density_curves(run):
     model = run.model
-    if model.dim_x != 1:
-        raise ConfigError("density-curves requires a univariate model")
-    if run.gamma_mode:
-        raise ConfigError("density-curves fits the DPD; it takes no --divergence gamma")
-    betas = {}  # column name -> beta
-    for beta in run.betas:
-        name = f"pdf_beta_{beta:g}"
-        if name in betas:
-            raise ConfigError(f"betas {betas[name]!r} and {beta!r} both name column {name}")
-        betas[name] = beta
     ds = _dataset(run)
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     theta_mle = _initial_theta(run, ds)
 
-    fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in betas.items()}
+    fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in run.betas.items()}
 
     grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
     counts = np.histogram(ds.points, bins=grid)[0]
@@ -544,7 +541,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        run = read_config(cfg)
+        run = read_config(cfg, args.command)
         command = {
             "fit": cmd_fit,
             "trace": lambda run: cmd_fit(run, write_estimate=False),

@@ -35,7 +35,11 @@ BLOCK = 8192  # points per kernel call in _weighted_score_sum
 
 @dataclass(frozen=True)
 class CurrentModel:
-    """Draw proposal samples from the model at the current parameters."""
+    """Draw proposal samples from the model at the current parameters; their
+    log-density is None, since the importance weight is one."""
+
+    def draw(self, model, theta, m, rng):
+        return model.sample(theta, rng, m), None
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,17 @@ class FixedNormal:
         if not np.all(np.abs(self.mean) <= MAGNITUDE_MAX):
             raise ValueError(f"fixed normal proposal needs a finite mean in [-{MAGNITUDE_MAX:g}, "
                              f"{MAGNITUDE_MAX:g}], got {np.ravel(self.mean).tolist()}")
+
+    def draw(self, model, theta, m, rng):
+        """``m`` draws and their log-density."""
+        if model.support != "real":
+            raise ValueError(f"fixed normal proposal does not cover the support of {model.name}")
+        mean = np.asarray(self.mean, dtype=float)
+        y = mean + self.sd * rng.standard_normal((m, *model.point_shape))
+        resid = ((y - mean) ** 2).reshape(m, -1).sum(axis=-1)
+        log_q = -0.5 * model.dim_x * (_LOG_2PI + 2.0 * np.log(self.sd)) - resid / (
+            2.0 * self.sd**2)
+        return y, log_q
 
 
 @dataclass
@@ -115,23 +130,8 @@ def data_term(model, theta, data, beta):
 
 
 def _draw_proposal(model, theta, proposal, m, rng):
-    """Sample the proposal; returns draws and their log-density, or None
-    for the current-model proposal (whose importance weight is one)."""
-    if isinstance(proposal, CurrentModel):
-        return model.sample(theta, rng, m), None
-    if isinstance(proposal, FixedNormal):
-        if model.support != "real":
-            raise ValueError(
-                f"fixed normal proposal does not cover the support of {model.name}"
-            )
-        mean = np.asarray(proposal.mean, dtype=float)
-        y = mean + proposal.sd * rng.standard_normal((m, *model.point_shape))
-        resid = ((y - mean) ** 2).reshape(m, -1).sum(axis=-1)
-        log_q = -0.5 * model.dim_x * (_LOG_2PI + 2.0 * np.log(proposal.sd)) - resid / (
-            2.0 * proposal.sd**2
-        )
-        return y, log_q
-    raise ValueError(f"unknown proposal {proposal!r}")
+    """The draws of ``proposal.draw``: the step's one call into the proposal."""
+    return proposal.draw(model, theta, m, rng)
 
 
 def _proposal_terms(lp, score, log_q, power):

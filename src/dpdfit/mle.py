@@ -56,7 +56,7 @@ def mle_inverse_normal(data):
     return InverseNormal().from_natural(InverseNormalParams(mu=mu, lam=1.0 / denom))
 
 
-def newton_bisection(f_df, lo, hi, tol=1e-10, max_iter=100):
+def newton_bisection(f_df, lo, hi):
     """Root of a scalar function bracketed in [lo, hi].
 
     Takes Newton steps from ``f_df(x) -> (f, df)`` and falls back to
@@ -75,7 +75,7 @@ def newton_bisection(f_df, lo, hi, tol=1e-10, max_iter=100):
     dx_old = abs(hi - lo)
     dx = dx_old
     f, df = f_df(x)
-    for _ in range(max_iter):
+    for _ in range(100):
         newton_ok = (
             df != 0.0
             and np.isfinite(df)
@@ -89,7 +89,7 @@ def newton_bisection(f_df, lo, hi, tol=1e-10, max_iter=100):
         else:
             dx = 0.5 * (hi - lo)
             x = lo + dx
-        if abs(dx) < tol:
+        if abs(dx) < 1e-10:
             return x
         f, df = f_df(x)
         if np.sign(f) == np.sign(flo):
@@ -122,7 +122,7 @@ def _gompertz_profile(x):
     return f_df
 
 
-def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
+def mle_gompertz(data, bracket=(1e-4, 20.0)):
     """Newton-bisection root for the shape in ``bracket`` (its lower end, the
     exponential limit, when the score is negative throughout), then the closed-form rate."""
     x = _data_points(data, 2)
@@ -137,12 +137,12 @@ def mle_gompertz(data, bracket=(1e-4, 20.0), tol=1e-10, max_iter=100):
         raise ValueError(f"Gompertz MLE: the profile score of omega has one sign on "
                          f"({lo:g}, {hi:g}), so the likelihood peaks outside that "
                          f"bracket; give a start with --init")
-    omega = lo if signs[0] == signs[1] < 0 else newton_bisection(profile, lo, hi, tol, max_iter)
+    omega = lo if signs[0] == signs[1] < 0 else newton_bisection(profile, lo, hi)
     lam = omega / np.expm1(omega * x).mean()
     return Gompertz().from_natural(GompertzParams(omega=float(omega), lam=float(lam)))
 
 
-def em_mixture(x, init, max_iter=300, tol=1e-9):
+def em_mixture(x, init):
     """EM for the two-component normal mixture.
 
     Returns the fitted :class:`MixtureParams` and the log-likelihood
@@ -155,7 +155,7 @@ def em_mixture(x, init, max_iter=300, tol=1e-9):
     alpha = float(init.alpha)
     logliks = []
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(300):
         # E step on log densities, normalized per point
         lp = -0.5 * (np.log(2 * np.pi * var) + (x[:, None] - mu) ** 2 / var)
         lp = lp + np.log([alpha, 1.0 - alpha])
@@ -175,7 +175,7 @@ def em_mixture(x, init, max_iter=300, tol=1e-9):
         alpha = float(weights[0] / x.shape[0])
         if not 1e-6 < alpha < 1.0 - 1e-6:
             raise ValueError("component collapsed during EM")
-        if loglik - prev < tol * max(1.0, abs(loglik)):
+        if loglik - prev < 1e-9 * max(1.0, abs(loglik)):
             break
         prev = loglik
     params = MixtureParams(
@@ -188,14 +188,12 @@ def em_mixture(x, init, max_iter=300, tol=1e-9):
     return params, logliks
 
 
-def mle_mixture(data, k_restarts=5, rng=None):
-    """Best-of-k restarted EM, initialized by quantile splits."""
+def mle_mixture(data, rng):
+    """Best-of-5 restarted EM, initialized by quantile splits (4 drawn from ``rng``)."""
     x = _data_points(data, 10)
-    if rng is None:
-        rng = np.random.default_rng(0)
     best = None
     best_ll = -np.inf
-    for k in range(k_restarts):
+    for k in range(5):
         q = 0.5 if k == 0 else float(rng.uniform(0.25, 0.75))
         cut = np.quantile(x, q)
         lower, upper = x[x <= cut], x[x > cut]

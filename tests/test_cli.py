@@ -395,16 +395,48 @@ class TestConfigHandling:
         (["table-compare", "--model", "isonormal7", "--grid-extent", "1e50", "--big-m-values",
           "2", "--m-values", "3", "--n", "60", "--replications", "2", "--T", "3"],
          "grid_extent 1e50 gives isonormal7 grids of 2 nodes a weight past the double range"),
+        (["table-compare", "--config", "paper-4.2-d2", "--replications", "2", "--T", "3",
+          "--eta0=1e308"], "eta0 must be <= 1e+50, got '1e308'"),
+        (["fit", "--eta0=1e308", "--T", "3"], "eta0 must be <= 1e+50, got '1e308'"),
+        (["table-compare", "--model", "normal"], "table-compare requires an isonormal<d> model"),
+        (["table-compare", "--config", "paper-4.2-d2", "--T", "0"],
+         "T must be >= 1 for table-compare"),
+        (["density-curves", "--model", "isonormal2"],
+         "density-curves requires a univariate model"),
+        (["fit", "--betas=0.5,0.5"], "betas 0.5 and 0.5 both name column pdf_beta_0.5"),
+        (["fit", "--divergence", "foo"], "divergence must be dpd or gamma, got 'foo'"),
+        (["fit", "--n", "abc"], "n must be an integer, got 'abc'"),
+        (["fit", "--seed", "1.5"], "seed must be an integer, got '1.5'"),
+        (["fit", "--truth", "1,2,3"], "truth for normal needs 2 values"),
+        (["fit", "--proposal", "normal:1"], "proposal normal:<mean...>,<sd> needs mean and sd"),
+        (["fit", "--proposal", "foo"], "unknown proposal 'foo'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exits_one_before_anything_is_written(self, tmp_path, capsys,
                                                             args, message):
-        """Every key is checked whatever the subcommand, before the output
-        directory is created."""
+        """Every key, and then the subcommand's rules, are checked before the
+        output directory is created.  The case's own flags follow ``FAST``."""
         out = tmp_path / "out"
-        rc = main(args + ["--out-dir", str(out)] + FAST)
+        rc = main(args[:1] + FAST + args[1:] + ["--out-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        (["n = 50", "beta 0.5"], "run.cfg:2: expected 'key = value'"),
+        (["", "# comment only", "fixed_outlier_count = maybe"],
+         "fixed_outlier_count must be true/false, got 'maybe'"),
+    ])
+    def test_bad_config_file_exits_one_before_anything_is_written(self, tmp_path, capsys,
+                                                                  lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["fit", "--config", str(cfg), "--out-dir", str(out)] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

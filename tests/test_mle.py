@@ -142,7 +142,7 @@ class TestMleMixture:
 
     def test_tiny_sample_rejected(self):
         with pytest.raises(ValueError):
-            mle_mixture(np.arange(5.0))
+            mle_mixture(np.arange(5.0), rng=np.random.default_rng(0))
 
     def test_collapse_raises(self):
         x = np.concatenate([np.zeros(50) + 1e-9, np.ones(50)])

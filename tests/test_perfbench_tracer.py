@@ -52,6 +52,11 @@ def test_traced_run_counts_objective_once_per_record(tmp_path):
     assert names.count("gradients.stochastic_grad_dpd") == 5
     assert names.count("gradients.data_term") == 0  # the step sums the data itself
     assert tracer.counts["gradients.proposal.draws"] == 50
+    # the seams the benchmark patches: _draw_proposal and _proposal_terms
+    # once a step each, one MLE start, one sample of data and 5 of draws
+    assert names.count("gradients.proposal") == 10
+    assert names.count("mle.init") == 1
+    assert names.count("models.sample") == 6
 
 
 def test_traced_run_counts_zero_weight_draws(tmp_path):
@@ -61,6 +66,10 @@ def test_traced_run_counts_zero_weight_draws(tmp_path):
                           "--out-dir", str(tmp_path)])
     assert tracer.counts["gradients.proposal.draws"] == 50
     assert tracer.counts["gradients.proposal.zero_weight"] == 50
+    names = [span[1] for span in tracer.spans]
+    assert names.count("gradients.proposal") == 10
+    assert names.count("mle.init") == 1
+    assert names.count("models.sample") == 1  # the data only: the draws are the proposal's
 
 
 def test_traced_gamma_run_calls_the_patched_estimator(tmp_path):
