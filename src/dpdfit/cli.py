@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -132,9 +133,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser():
     """One ``--key`` flag per ``DEFAULTS`` key (``_`` written ``-``), in
-    ``DEFAULTS`` order, for every subcommand."""
+    ``DEFAULTS`` order, for every subcommand; built on first use, once per
+    process (it parses without keeping state)."""
     parser = _Parser(prog="dpdfit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("fit", "trace", "table-compare", "density-curves"):

@@ -363,6 +363,13 @@ class TestConfigHandling:
         assert echoed["n"] == "80"        # flag wins
         assert echoed["beta"] == "0.25"   # file beats default
 
+    def test_one_parser_keeps_no_flag_between_runs(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        for n, args in (("80", ["--n", "80"]), (cli.DEFAULTS["n"], [])):
+            out = tmp_path / n
+            assert main(["fit", "--T", "3", "--out-dir", str(out), *args]) == 0
+            assert f"n = {n}\n" in (out / "config.echo").read_text()
+
     @pytest.mark.parametrize("args,message", [
         (["fit", "--m", "0"], "m must be >= 1"),
         (["fit", "--divergence", "gamma", "--gamma", "0"], "gamma must be > 0"),
@@ -666,12 +673,14 @@ class TestCleanDataConsistency:
 
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
-        """dpdfit imports no scipy; only the tests do."""
+        """dpdfit imports no scipy; only the tests do.  Nor does the import
+        build the argument parser: the first ``main`` does."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(dpdfit.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         code = ("import sys, dpdfit.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "print(dpdfit.cli._build_parser.cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "0"]

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dpdfit import gradients
 from dpdfit.divergence import Lattice, empirical_power_term, lattice_r
 from dpdfit.gradients import (
     BLOCK,
@@ -20,6 +23,7 @@ from dpdfit.gradients import (
     stochastic_grad_gamma,
 )
 from dpdfit.models import (
+    _LOG_2PI,
     Gompertz,
     GompertzParams,
     IsoNormal,
@@ -30,6 +34,7 @@ from dpdfit.models import (
 from dpdfit.optim import StepDecay, sgd_run
 
 FAMILIES = ["normal", "inverse-normal", "gompertz", "mixture", "isonormal2", "isonormal3"]
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def fd_grad(fn, theta, h=1e-6):
@@ -239,9 +244,89 @@ class TestWeightedScoreSumBlocks:
         lp, score = model.log_pdf_and_score(theta, x)
         w = np.exp(1.5 * lp)
         assert (w[edges] == 0).all()
-        expected = _weighted_rows(w, score).sum(axis=0)
+        expected = _broadcast_weighting(w, score).sum(axis=0)
         got_w, got, _ = _weighted_score_sum(model, theta, x, 1.5)
         assert got_w.tobytes() == w.tobytes() and got.tobytes() == expected.tobytes()
+
+
+def _broadcast_weighting(w, score):
+    """Oracle of the weighted score rows: dead rows zeroed, then one broadcast
+    product, independent of the in-place column loop of the gradients."""
+    return w[:, None] * np.where((w == 0)[:, None], 0.0, score)
+
+
+class TestColumnOps:
+    """The long blocks run column by column; every column op must give the
+    bytes of the ``(k, d)`` broadcast it replaces."""
+
+    @PROPERTY
+    @given(k=st.integers(1, BLOCK + 50), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    @example(k=1, d=2, seed=0)
+    @example(k=BLOCK + 1, d=5, seed=1)
+    def test_weighting_equals_the_broadcast(self, k, d, seed):
+        rng = np.random.default_rng(seed)
+        w = np.exp(rng.uniform(-800.0, 5.0, k))  # about one weight in 15 underflows to 0
+        w[rng.random(k) < 0.05] = np.nan  # a NaN weight keeps its row, as NaN
+        score = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-300, 300, (k, d))
+        dead = np.flatnonzero(w == 0)  # their scores are undefined: +-inf, NaN
+        score[dead] = rng.choice([np.inf, -np.inf, np.nan], (dead.size, d))
+        want = _broadcast_weighting(w, score)
+        for columns in (True, False):
+            assert _weighted_rows(w, score.copy(), columns).tobytes() == want.tobytes()
+
+    @PROPERTY
+    @given(k=st.integers(1, 300), d=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_isonormal_residual_is_x_minus_theta(self, k, d, seed):
+        """Both ``r2`` branches: left to right below 8 columns, pairwise from 8."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-5, 5, (k, d))
+        theta = rng.standard_normal(d) * 10.0 ** rng.uniform(-5, 5, d)
+        lp, r = IsoNormal(d)._log_pdf(theta, x)
+        assert r.flags.c_contiguous and r.tobytes() == (x - theta).tobytes()
+        r2 = functools.reduce(operator.add, list((x - theta).T ** 2)) if d < 8 else (
+            ((x - theta) ** 2).sum(axis=-1))
+        assert lp.tobytes() == (-0.5 * d * _LOG_2PI - 0.5 * r2).tobytes()
+
+
+class TestBlockIsOnlyASpeedConstant:
+    """The sum carried across blocks makes every gradient the same bytes at
+    any ``BLOCK``."""
+
+    SIZES = (5, 64, BLOCK)
+
+    def same_at_every_block(self, monkeypatch, compute):
+        outputs = []
+        for block in self.SIZES:
+            monkeypatch.setattr(gradients, "BLOCK", block)
+            outputs.append(compute())
+        assert all(np.isfinite(a).all() for a in outputs[0])  # NaN bytes would prove little
+        for other in outputs[1:]:
+            assert [a.tobytes() for a in other] == [a.tobytes() for a in outputs[0]]
+
+    @pytest.mark.parametrize("nodes", [10, 50])
+    def test_lattice_gradient(self, monkeypatch, nodes):
+        model = IsoNormal(3)
+        x = model.sample(np.full(3, 0.5), np.random.default_rng(nodes), 500)
+        x[:5] = 100.5  # outliers, of weight 0
+        lattice = Lattice(extent=2.0, nodes=nodes)
+        self.same_at_every_block(monkeypatch, lambda: [
+            lattice_grad_dpd(model, np.array([0.3, 0.6, 0.9]), x, 0.5, lattice)])
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_stochastic_gradients(self, monkeypatch, name):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(3), 1000)
+
+        def compute():
+            out = []
+            for grad, params, power in ((stochastic_grad_dpd, theta, 0.5),
+                                        (stochastic_grad_gamma, np.append(theta, 0.3), 0.7)):
+                est = grad(model, params, x, power, 10, CurrentModel(), np.random.default_rng(9))
+                out += [est.g, est.draw_terms, est.draw_weights]
+            return out
+
+        self.same_at_every_block(monkeypatch, compute)
 
 
 def _left_fold(rows):
