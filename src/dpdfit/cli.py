@@ -14,7 +14,7 @@ checks the resolved configuration before anything is written; every run
 then writes it to ``config.echo``.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical
-divergence.
+divergence; exits 1 and 2 print one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -388,17 +389,22 @@ def _initial_theta(run, ds):
     raise ConfigError(f"no MLE initializer for {model.name}")
 
 
-def _sgd(run, ds, theta0, beta, m, *stream):
+def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
     """Stochastic descent with ``m`` draws a step from ``run.proposal``, on
     ``default_rng([seed, *stream, 1])``: of the DPD at ``beta`` or, with
-    ``run.gamma_mode``, of the gamma objective on ``(theta, log c)`` from c = 1."""
+    ``run.gamma_mode``, of the gamma objective on ``(theta, log c)`` from c = 1.
+    Given a list ``data_means``, each step appends the mean of its data
+    weights ``p(x_i)**power``, at the iterate it starts from."""
     estimator, power = stochastic_grad_dpd, beta
     if run.gamma_mode:
         estimator, power = stochastic_grad_gamma, run.gamma
         theta0 = np.concatenate([theta0, [0.0]])
 
     def grad(psi, rng):
-        return estimator(run.model, psi, ds.points, power, m, run.proposal, rng).g
+        est = estimator(run.model, psi, ds.points, power, m, run.proposal, rng)
+        if data_means is not None:
+            data_means.append(float(est.data_weights.mean()))
+        return est.g
     rng = np.random.default_rng([run.seed, *stream, 1])
     return sgd_run(grad, theta0, run.schedule, run.T, rng)
 
@@ -411,14 +417,17 @@ def _mse(run, params):
     return float(((params[:len(truth)] - truth) ** 2).sum())
 
 
-def _iterate_columns(run, ds, params):
+def _iterate_columns(run, ds, params, mean_pow=None):
     """The ``objective_exact``, ``scale_c`` and ``mse`` of one recorded
     iterate, each None where it does not apply: the exact objective needs
-    a closed-form family, the scale a gamma run and the MSE a known truth."""
+    a closed-form family, the scale a gamma run and the MSE a known truth.
+    ``mean_pow``, the mean data weight of the step taken from ``params``,
+    spares the objective its pass over the data."""
     model, objective, scale = run.model, None, None
     if model.closed_form_r is not None:
-        objective = (empirical_gce(model, params[:-1], ds.points, run.gamma) if run.gamma_mode
-                     else empirical_dpce(model, params, ds.points, run.beta))
+        objective = (empirical_gce(model, params[:-1], ds.points, run.gamma, mean_pow=mean_pow)
+                     if run.gamma_mode
+                     else empirical_dpce(model, params, ds.points, run.beta, mean_pow=mean_pow))
     if run.gamma_mode:
         with np.errstate(over="ignore"):  # a diverged run may end at c = inf
             scale = float(np.exp(params[-1]))
@@ -467,24 +476,37 @@ def _write_estimate(run, final, columns, complexity):
                [[_fmt(v) for v in values.values()] + [complexity]])
 
 
+def _exit_code(reason):
+    """0 without a ``reason``; else 2, after the one stderr line ``error: <reason>``."""
+    if reason is None:
+        return 0
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
 def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
     ``estimate.csv`` and ``trace.csv``; ``trace`` and a diverged run skip
     ``estimate.csv``."""
     ds = _dataset(run)
-    result = _sgd(run, ds, _initial_theta(run, ds), run.beta, run.m)
+    # step t + 1 starts from iterate t, so its data weights give iterate t's
+    # exact objective; only an iterate that starts no step is evaluated afresh
+    means = [] if run.model.closed_form_r is not None else None
+    result = _sgd(run, ds, _initial_theta(run, ds), run.beta, run.m, data_means=means)
     trace, cost = result.trace, ds.n + run.m  # density evaluations a step
-    columns = [_iterate_columns(run, ds, theta) for theta in trace]
+    columns = [_iterate_columns(run, ds, theta, mean)
+               for theta, mean in itertools.zip_longest(trace, means or ())]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate and not result.diverged:
         _write_estimate(run, trace[-1], columns[-1], (len(trace) - 1) * cost)
     _write_trace(run, trace, columns, cost)
-    return 2 if result.diverged else 0
+    return _exit_code(result.reason)
 
 
 def _table_cell_run(run, method, size, rep):
-    """One replication of one table cell; returns (mse, diverged).  ``size``
+    """One replication of one table cell; returns (mse, reason), the reason
+    None unless the run diverged.  ``size``
     is the draw count of an ``sgd`` cell and the ``Lattice`` of a ``gd-ni`` one."""
     ds = _dataset(run, rep)
     theta0 = _initial_theta(run, ds)
@@ -496,7 +518,7 @@ def _table_cell_run(run, method, size, rep):
         def grad(th):
             return lattice_grad_dpd(run.model, th, ds.points, run.beta, size)
         result = gd_run(grad, theta0, omega, run.T)
-    return _mse(run, result.trace[-1]), result.diverged
+    return _mse(run, result.trace[-1]), result.reason
 
 
 def cmd_table_compare(run):
@@ -508,14 +530,17 @@ def cmd_table_compare(run):
     with ThreadPoolExecutor(max_workers=min(8, reps, cpus or 1)) as pool:
         outcomes = list(pool.map(lambda job: _table_cell_run(run, *job), jobs))
 
-    rows = []
+    rows, stops = [], []
     for i, (method, size) in enumerate(cells):
-        mses = np.array([c[0] for c in outcomes[i * reps:(i + 1) * reps]])
+        cell = outcomes[i * reps:(i + 1) * reps]
+        mses = np.array([mse for mse, _ in cell])
         total = size if method == "sgd" else size.total_points(run.model)
         sd = mses.std(ddof=1) if reps > 1 else 0.0
         rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.spec.n + total)])
+        stops += [f"{reason} ({method} size {total}, replication {rep + 1} of {reps})"
+                  for rep, (_, reason) in enumerate(cell) if reason is not None]
     _write_csv(run, "table.csv", ["method", "size", "mean_mse", "sd_mse", "complexity"], rows)
-    return 2 if any(diverged for _, diverged in outcomes) else 0
+    return _exit_code(stops[0] if stops else None)
 
 
 def cmd_density_curves(run):
@@ -536,7 +561,8 @@ def cmd_density_curves(run):
     rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
             + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
     _write_csv(run, "curves.csv", ["x", "hist_count"] + list(columns), rows)
-    return 2 if any(result.diverged for result in fits.values()) else 0
+    stops = [f"{result.reason} ({name} fit)" for name, result in fits.items() if result.diverged]
+    return _exit_code(stops[0] if stops else None)
 
 
 def main(argv=None):

@@ -53,13 +53,16 @@ def _data_points(data, need=1):
     return x
 
 
-def empirical_power_term(model, theta, data, beta):
-    """Data-side term ``-(beta * n)^{-1} sum_i p(x_i)**beta``."""
+def empirical_power_term(model, theta, data, beta, mean_pow=None):
+    """Data-side term ``-(beta * n)^{-1} sum_i p(x_i)**beta``.  A caller that
+    holds the mean of ``p(x_i)**beta`` already passes it as ``mean_pow``, and
+    the data are not evaluated."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    x = _data_points(data)
-    lp = model.log_pdf(theta, x)
-    return -float(np.exp(beta * lp).mean()) / beta
+    if mean_pow is None:
+        lp = model.log_pdf(theta, _data_points(data))
+        mean_pow = float(np.exp(beta * lp).mean())
+    return -mean_pow / beta
 
 
 def lattice_points(model, lattice):
@@ -93,25 +96,30 @@ def integral_r(model, theta, beta, lattice=None):
     return model.closed_form_r(theta, beta)
 
 
-def empirical_dpce(model, theta, data, beta, lattice=None):
-    """Empirical density-power cross entropy: the data term plus :func:`integral_r`."""
-    return empirical_power_term(model, theta, data, beta) + integral_r(model, theta, beta, lattice)
+def empirical_dpce(model, theta, data, beta, lattice=None, mean_pow=None):
+    """Empirical density-power cross entropy: the data term of
+    :func:`empirical_power_term` (given ``mean_pow``, from it) plus :func:`integral_r`."""
+    return (empirical_power_term(model, theta, data, beta, mean_pow)
+            + integral_r(model, theta, beta, lattice))
 
 
-def empirical_gce(model, theta, data, gamma, lattice=None, scale=1.0):
+def empirical_gce(model, theta, data, gamma, lattice=None, scale=1.0, mean_pow=None):
     """Empirical gamma cross entropy, optionally of the scaled model.
 
     With ``scale=c`` this evaluates the objective for the unnormalized
     model ``c * p``; the value is scale-invariant, so any ``c > 0``
-    returns the same number up to rounding.
+    returns the same number up to rounding.  A caller that holds the mean
+    of ``(c * p(x_i))**gamma`` already passes it as ``mean_pow``, and the
+    data are not evaluated.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    x = _data_points(data)
     log_c = np.log(scale)
-    mean_pow = np.exp(gamma * (model.log_pdf(theta, x) + log_c)).mean()
+    if mean_pow is None:
+        lp = model.log_pdf(theta, _data_points(data))
+        mean_pow = np.exp(gamma * (lp + log_c)).mean()
     if mean_pow <= 0:
         raise ValueError("model density vanishes on the whole dataset")
     # integral of (c p)^(1+gamma) = c^(1+gamma) (1+gamma) r

@@ -79,12 +79,15 @@ class GradEstimate:
     ``draw_terms`` holds the integrand ``w(y) p(y)**beta t(y)`` of every
     proposal draw (one row per draw) and ``draw_weights`` the scalar
     factors ``w(y) p(y)**beta``, so callers can study the Monte Carlo
-    distribution without re-running the model.
+    distribution without re-running the model.  ``data_weights`` holds
+    the weights ``p(x_i)**beta`` of the data points at the step's theta:
+    their mean is the data term of the exact objective.
     """
 
     g: np.ndarray
     draw_terms: np.ndarray
     draw_weights: np.ndarray
+    data_weights: np.ndarray
 
 
 def _weighted_rows(weights, score, columns=False):
@@ -179,7 +182,7 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng):
         raise ValueError("beta must be positive")
     w, total, (terms, weights) = _stochastic_step(model, theta, data, beta, m, proposal, rng)
     g = -total / w.shape[0] + _column_sums(terms) / m
-    return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)
+    return GradEstimate(g=g, draw_terms=terms, draw_weights=weights, data_weights=w)
 
 
 def lattice_grad_dpd(model, theta, data, beta, lattice):
@@ -195,12 +198,13 @@ def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
     """Stochastic gradient for the scaled model ``c * p_theta`` at
     ``psi = (theta, log c)``, the argument list of :func:`stochastic_grad_dpd`.
 
-    Returns a vector of length ``dim_param + 1``; the last entry is the
-    gradient with respect to ``log c`` (the raw scale gradient times
+    The estimate's ``g`` has length ``dim_param + 1``; its last entry is
+    the gradient with respect to ``log c`` (the raw scale gradient times
     ``c``), matching optimizers that update the scale additively in log
     space.  When ``exp(log c)`` leaves (0, inf) every entry is NaN, which
     the descent flags: at ``c = 0`` and ``gamma = 1`` the formula would
-    give a finite zero that freezes the run.
+    give a finite zero that freezes the run.  The ``data_weights`` are
+    those of the unscaled model, ``p_theta(x_i)**gamma``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -219,4 +223,4 @@ def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
         g_theta = -(c**gamma) * g_data / n + c ** (1.0 + gamma) * (_column_sums(terms) / m)
         g_c = -(c ** (gamma - 1.0)) * (float(w.sum()) / n) + c**gamma * (float(weights.sum()) / m)
         g = np.concatenate([g_theta, [g_c * c]])  # chain rule: d/d(log c) = c * d/dc
-    return GradEstimate(g=g, draw_terms=terms, draw_weights=weights)
+    return GradEstimate(g=g, draw_terms=terms, draw_weights=weights, data_weights=w)

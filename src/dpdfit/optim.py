@@ -3,8 +3,8 @@
 ``sgd_run`` applies ``theta <- theta - eta_t * g(theta)`` with a
 decaying step size and a stochastic gradient source; ``gd_run`` is the
 constant-rate variant for deterministic sources.  Both return every
-iterate, the start included, and stop with a divergence flag instead
-of propagating numerical blow-ups.  They only descend: quantities read
+iterate, the start included, and stop with a stated reason instead of
+propagating numerical blow-ups.  They only descend: quantities read
 from the iterates, such as an exact objective, a step size or a count
 of density evaluations, are computed by the caller.
 """
@@ -44,11 +44,30 @@ class StepDecay:
 
 @dataclass
 class RunResult:
-    """``trace[t]`` is theta after ``t`` updates, row 0 the start; a
-    diverged run ends at its last accepted iterate."""
+    """``trace[t]`` is theta after ``t`` updates, row 0 the start.  A
+    diverged run ends at its last accepted iterate, and ``reason`` names
+    the step and the check that stopped it; None for a run that took every step."""
 
     trace: np.ndarray
-    diverged: bool
+    reason: str | None
+
+    @property
+    def diverged(self):
+        return self.reason is not None
+
+
+def _stop_reason(t, what, values, limit_name, limit):
+    """Why step ``t`` stopped: the first entry of ``values`` that is NaN,
+    +-inf or past ``limit``."""
+    i = int(np.argmax(~(np.abs(values) <= limit)))
+    v = float(values[i])
+    if np.isnan(v):
+        state = "is NaN"
+    elif np.isinf(v):
+        state = f"is {v:+}"
+    else:
+        state = f"= {v:.6g} is past {limit_name} = {limit:g}"
+    return f"diverged at step {t}: {what}[{i}] {state}"
 
 
 def _descent(grad_fn, theta0, eta_at, n_steps):
@@ -59,19 +78,19 @@ def _descent(grad_fn, theta0, eta_at, n_steps):
         raise ValueError(f"initial parameters {theta.tolist()} lie past the descent's "
                          f"bound |theta| <= {PARAM_LIMIT:g}")
     trace = [theta.copy()]
-    diverged = False
+    reason = None
     for t in range(1, n_steps + 1):
         g = np.asarray(grad_fn(theta), dtype=float)
         if not np.abs(g).max() <= GRAD_LIMIT:  # also True for NaN and +-inf
-            diverged = True
+            reason = _stop_reason(t, "gradient", g, "GRAD_LIMIT", GRAD_LIMIT)
             break
         candidate = theta - eta_at(t) * g
         if not np.abs(candidate).max() <= PARAM_LIMIT:
-            diverged = True
+            reason = _stop_reason(t, "candidate theta", candidate, "PARAM_LIMIT", PARAM_LIMIT)
             break
         theta = candidate
         trace.append(theta.copy())
-    return RunResult(trace=np.array(trace), diverged=diverged)
+    return RunResult(trace=np.array(trace), reason=reason)
 
 
 def sgd_run(grad_source, theta0, schedule, n_steps, rng):

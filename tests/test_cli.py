@@ -213,29 +213,53 @@ class TestFit:
         header, rows = read_csv(tmp_path / "estimate.csv")
         assert 0 < float(rows[0][header.index("omega")]) < 1e-3
 
-    def test_divergence_exits_two(self, tmp_path):
+    def test_divergence_exits_two(self, tmp_path, capsys):
         rc = main(["fit", "--model", "normal", "--eta0", "1e12",
                    "--out-dir", str(tmp_path)] + FAST)
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: diverged at step 1: candidate theta[")
+        assert err.endswith(" is past PARAM_LIMIT = 1e+08\n")
 
-    @pytest.mark.parametrize("args", [
-        ["paper-4.1-ii", "--eta0", "100"],
-        ["paper-4.1-ii", "--eta0", "1e6"],
-        ["paper-4.1-iii", "--eta0", "1e6"],
-        ["paper-4.1-i", "--divergence", "gamma", "--eta0", "100"],
-        ["paper-4.1-i", "--divergence", "gamma", "--eta0", "1e4"],
-        ["paper-4.1-i", "--divergence", "gamma", "--eta0", "1e6"],
+    @pytest.mark.parametrize("args,stop", [
+        (["paper-4.1-ii", "--eta0", "100"], "step 3: gradient[0] is NaN"),
+        (["paper-4.1-ii", "--eta0", "1e6"], "step 2: gradient[0] is NaN"),
+        (["paper-4.1-iii", "--eta0", "1e6"], "step 2: gradient[0] is NaN"),
+        (["paper-4.1-i", "--divergence", "gamma", "--eta0", "100"], "step 3: gradient[0] is NaN"),
+        (["paper-4.1-i", "--divergence", "gamma", "--eta0", "1e4"], "step 2: gradient[0] is -inf"),
+        (["paper-4.1-i", "--divergence", "gamma", "--eta0", "1e6"], "step 2: gradient[0] is NaN"),
     ], ids=["inverse-normal-100", "inverse-normal-1e6", "gompertz-1e6",
             "gamma-100", "gamma-1e4", "gamma-1e6"])
-    def test_log_coordinate_past_double_range_exits_two(self, tmp_path, capsys, args):
+    def test_log_coordinate_past_double_range_exits_two(self, tmp_path, capsys, args, stop):
         """Once ``exp`` of a log-space coordinate overflows to inf or
         underflows to 0, the gradient is NaN or inf and the descent stops:
-        exit 2, with no warning, no error line and no traceback.  In the
-        Gompertz run every data log-density is NaN from step 1 on; the NaN
-        reaches the descent instead of a zero gradient that freezes theta."""
+        exit 2, with one error line naming the step and the check, no
+        warning and no traceback.  In the Gompertz run every data
+        log-density is NaN from step 1 on; the NaN reaches the descent
+        instead of a zero gradient that freezes theta."""
         rc = main(["fit", "--config", *args, "--T", "50", "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == f"error: diverged at {stop}\n"
+
+    def test_diverged_table_cell_is_named(self, tmp_path, capsys):
+        """Exit 2 from the table names the first diverged cell's method,
+        size and replication, in the order of ``table.csv``."""
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--eta0", "1e9", "--T", "5",
+                   "--replications", "3", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: diverged at step 1: candidate theta[0] = -1.91936e+08 is past "
+            "PARAM_LIMIT = 1e+08 (sgd size 3, replication 1 of 3)\n")
+        assert (tmp_path / "table.csv").exists()
+
+    def test_diverged_density_curve_fit_is_named(self, tmp_path, capsys):
+        rc = main(["density-curves", "--eta0", "1e12", "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: diverged at step 1: candidate theta[")
+        assert err.endswith(" is past PARAM_LIMIT = 1e+08 (pdf_beta_0.1 fit)\n")
 
     @pytest.mark.parametrize("command", ["fit", "trace"])
     @pytest.mark.parametrize("flag", ["--truth=1e9,1", "--init=1e9,1", "--init=0,1e9"])
@@ -346,6 +370,70 @@ class TestTrace:
                 objective = empirical_dpce(model, theta, points, 0.5)
                 assert value["scale_c"] == ""
             assert float(value["objective_exact"]) == float(objective)
+
+
+class TestObjectiveColumn:
+    """``objective_exact`` is the mean of the data weights of the step taken
+    from each iterate; an iterate that starts no step is evaluated afresh.
+    Either way every row holds the bytes of the objective recomputed from
+    the data at that row's theta."""
+
+    @pytest.mark.parametrize("args,rc", [
+        (["trace", "--config", "paper-4.1-i"], 0),
+        (["trace", "--config", "paper-4.1-i", "--divergence", "gamma"], 0),
+        (["fit", "--model", "isonormal2"], 0),
+        (["trace", "--config", "paper-4.1-i", "--divergence", "gamma", "--eta0", "1e6",
+          "--T", "50"], 2),
+    ], ids=["dpd", "gamma", "isonormal2", "gamma-diverged"])
+    def test_every_row_is_the_objective_at_its_theta(self, tmp_path, args, rc):
+        assert main(args + ["--out-dir", str(tmp_path)]) == rc
+        cfg = dict(line.split(" = ", 1)
+                   for line in (tmp_path / "config.echo").read_text().splitlines())
+        model = cli.get_model(cfg["model"])
+        points = Dataset.from_csv(tmp_path / "data.csv").points
+        header, rows = read_csv(tmp_path / "trace.csv")
+        names = [name for name in header if name.startswith("theta_")]
+        for row in rows:
+            value = dict(zip(header, row))
+            theta = np.array([float(value[name]) for name in names])
+            if cfg["divergence"] == "gamma":
+                want = empirical_gce(model, theta, points, float(cfg["gamma"]))
+            else:
+                want = empirical_dpce(model, theta, points, float(cfg["beta"]))
+            assert value["objective_exact"] == repr(float(want))
+        if rc == 2:  # the last accepted iterate, at c = inf, started the failed step
+            assert len(rows) == 2 and rows[-1][header.index("scale_c")] == "inf"
+
+
+class TestDataPasses:
+    """Points seen by ``Model.log_pdf`` and ``Model.log_pdf_and_score``."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+        for name in ("log_pdf", "log_pdf_and_score"):
+            def counted(model, theta, x, kernel=getattr(cli.Model, name)):
+                seen.append(np.shape(x)[0])
+                return kernel(model, theta, x)
+            monkeypatch.setattr(cli.Model, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("divergence", ["dpd", "gamma"])
+    def test_closed_form_fit_evaluates_the_data_once_a_step(self, tmp_path, seen, divergence):
+        """Each step's one kernel call sees the n data points and the m draws,
+        and its data weights give the exact objective of the iterate it
+        starts from; only the last iterate's objective evaluates the data."""
+        n, m, T = 1000, 10, 20
+        assert main(["fit", "--divergence", divergence, "--T", str(T),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sum(seen) == (T + 1) * n + T * m
+
+    def test_run_without_closed_form_evaluates_the_data_once_a_step(self, tmp_path, seen):
+        """No exact objective is recorded, so no pass is added or saved."""
+        n, m, T = 1000, 10, 20
+        assert main(["trace", "--config", "paper-4.1-ii", "--T", str(T),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sum(seen) == T * (n + m)
 
 
 class TestConfigHandling:

@@ -323,10 +323,26 @@ class TestBlockIsOnlyASpeedConstant:
             for grad, params, power in ((stochastic_grad_dpd, theta, 0.5),
                                         (stochastic_grad_gamma, np.append(theta, 0.3), 0.7)):
                 est = grad(model, params, x, power, 10, CurrentModel(), np.random.default_rng(9))
-                out += [est.g, est.draw_terms, est.draw_weights]
+                out += [est.g, est.draw_terms, est.draw_weights, est.data_weights]
             return out
 
         self.same_at_every_block(monkeypatch, compute)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_data_weights_are_those_of_log_pdf(self, monkeypatch, name):
+        """At every ``BLOCK`` a step's ``data_weights`` are the bytes of
+        ``exp(power * log_pdf)`` over the data, which the exact objective's
+        data term averages; for gamma at ``theta = psi[:-1]``, whatever ``c``."""
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(3), 1000)
+        lp = model.log_pdf(theta, x)
+        for block in self.SIZES:
+            monkeypatch.setattr(gradients, "BLOCK", block)
+            for grad, params, power in ((stochastic_grad_dpd, theta, 0.5),
+                                        (stochastic_grad_gamma, np.append(theta, 0.3), 0.7)):
+                est = grad(model, params, x, power, 10, CurrentModel(), np.random.default_rng(9))
+                assert est.data_weights.tobytes() == np.exp(power * lp).tobytes()
 
 
 def _left_fold(rows):

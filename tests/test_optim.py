@@ -68,22 +68,37 @@ class TestSgdRun:
     def test_divergence_on_huge_gradient(self):
         res = gd_run(lambda th: np.array([1e13]), np.array([0.0]), 1.0, 10)
         assert res.diverged and len(res.trace) == 1
+        assert res.reason == "diverged at step 1: gradient[0] = 1e+13 is past GRAD_LIMIT = 1e+12"
 
     def test_divergence_on_parameter_blowup(self):
         res = gd_run(lambda th: np.array([-2e8]), np.array([0.0]), 1.0, 10)
         assert res.diverged
         np.testing.assert_array_equal(res.trace[-1], [0.0])
+        assert res.reason == ("diverged at step 1: candidate theta[0] = 2e+08 is past "
+                              "PARAM_LIMIT = 1e+08")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * GRAD_LIMIT, -2 * GRAD_LIMIT])
-    def test_bad_gradient_stops_at_last_accepted_iterate(self, bad):
+    def test_finished_run_has_no_reason(self):
+        res = gd_run(lambda th: np.zeros(2), np.zeros(2), 0.1, 3)
+        assert res.reason is None and not res.diverged
+
+    @pytest.mark.parametrize("bad,state", [
+        pytest.param(np.nan, "is NaN", id="nan"),
+        pytest.param(np.inf, "is +inf", id="inf"),
+        pytest.param(-np.inf, "is -inf", id="-inf"),
+        pytest.param(2 * GRAD_LIMIT, "= 2e+12 is past GRAD_LIMIT = 1e+12", id="2000000000000.0"),
+        pytest.param(-2 * GRAD_LIMIT, "= -2e+12 is past GRAD_LIMIT = 1e+12",
+                     id="-2000000000000.0")])
+    def test_bad_gradient_stops_at_last_accepted_iterate(self, bad, state):
         grads = iter([np.array([1.0, -1.0])] * 2 + [np.array([0.0, bad])])
         res = sgd_run(lambda th, rng: next(grads), np.zeros(2), StepDecay(0.5, 0.7, 10), 10,
                       np.random.default_rng(0))
         assert res.diverged
         np.testing.assert_array_equal(res.trace, TWO_STEPS)
+        assert res.reason == f"diverged at step 3: gradient[1] {state}"
 
-    @pytest.mark.parametrize("eta", [np.inf, np.nan])
-    def test_non_finite_candidate_stops_at_last_accepted_iterate(self, eta):
+    @pytest.mark.parametrize("eta,state", [pytest.param(np.inf, "is -inf", id="inf"),
+                                           pytest.param(np.nan, "is NaN", id="nan")])
+    def test_non_finite_candidate_stops_at_last_accepted_iterate(self, eta, state):
         """A finite, bounded gradient with a step size of inf or NaN gives
         a candidate of +-inf or NaN at step 3."""
         schedule = SimpleNamespace(at=lambda t: 0.5 if t <= 2 else eta)
@@ -91,6 +106,7 @@ class TestSgdRun:
                       np.random.default_rng(0))
         assert res.diverged
         np.testing.assert_array_equal(res.trace, TWO_STEPS)
+        assert res.reason == f"diverged at step 3: candidate theta[0] {state}"
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
