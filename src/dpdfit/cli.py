@@ -74,59 +74,35 @@ DEFAULTS = {
 # Largest beta or gamma: far above the usual (0, 1], p**beta underflows to 0
 POWER_MAX = 10.0
 
-# Benchmark presets: the four scalar-model settings and the d-variate
-# comparison grids.  Outliers are N(10, 1) for the scalar settings and
-# an isotropic cloud at truth + 100 with spread 0.1 for the d-variate
-# ones, whose datasets carry an exact outlier count.
+# Benchmark presets, stated apart from DEFAULTS so that no default moves
+# them: the four scalar-model settings (outliers N(10, 1)) and the
+# d-variate comparison grids (an isotropic cloud at truth + 100 with
+# spread 0.1, and an exact outlier count).
+_PAPER = {"beta": "0.5", "m": "10", "decay_rate": "0.7"}
+_SCALAR = {**_PAPER, "n": "1000", "outlier_mean": "10.0", "outlier_sd": "1.0", "decay_period": "25"}
+_CELLS = "3,10,50"  # table draw counts m, and grid nodes M per axis
+
+
+def _isonormal_preset(d, m_values=_CELLS, big_m_values=_CELLS):
+    return {**_PAPER, "model": f"isonormal{d}", "truth": ",".join(["0.5"] * d), "n": "500",
+            "xi": "0.01", "outlier_mean": ",".join(["100.5"] * d), "outlier_sd": "0.1",
+            "fixed_outlier_count": "true", "T": "300", "eta0": "1.0", "decay_period": "20",
+            "grid_extent": "2.0", "m_values": m_values, "big_m_values": big_m_values,
+            "replications": "10"}
+
+
 PRESETS = {
-    "paper-4.1-i": {
-        "model": "normal", "truth": "0,1", "n": "1000", "xi": "0.1",
-        "outlier_mean": "10.0", "outlier_sd": "1.0",
-        "T": "500", "eta0": "1.0", "decay_rate": "0.7", "decay_period": "25",
-        "beta": "0.5", "gamma": "0.5", "m": "10",
-    },
-    "paper-4.1-ii": {
-        "model": "inverse-normal", "truth": "1,3", "n": "1000", "xi": "0.1",
-        "outlier_mean": "10.0", "outlier_sd": "1.0",
-        "T": "1000", "eta0": "1.0", "decay_rate": "0.7", "decay_period": "25",
-        "beta": "0.5", "m": "10",
-    },
-    "paper-4.1-iii": {
-        "model": "gompertz", "truth": "1,0.1", "n": "1000", "xi": "0.01",
-        "outlier_mean": "10.0", "outlier_sd": "1.0",
-        "T": "1000", "eta0": "0.5", "decay_rate": "0.7", "decay_period": "25",
-        "beta": "0.5", "m": "10",
-    },
-    "paper-4.1-iv": {
-        "model": "mixture", "truth": "-5,1,0,1,0.6", "n": "1000", "xi": "0.01",
-        "outlier_mean": "10.0", "outlier_sd": "1.0",
-        "T": "1000", "eta0": "1.0", "decay_rate": "0.7", "decay_period": "25",
-        "beta": "0.5", "m": "10",
-    },
-    "paper-4.2-d2": {
-        "model": "isonormal2", "truth": "0.5,0.5", "n": "500", "xi": "0.01",
-        "outlier_mean": "100.5,100.5", "outlier_sd": "0.1",
-        "fixed_outlier_count": "true",
-        "T": "300", "eta0": "1.0", "decay_rate": "0.7", "decay_period": "20",
-        "beta": "0.5", "m": "10", "grid_extent": "2.0",
-        "m_values": "3,10,50", "big_m_values": "3,10,50", "replications": "10",
-    },
-    "paper-4.2-d3": {
-        "model": "isonormal3", "truth": "0.5,0.5,0.5", "n": "500", "xi": "0.01",
-        "outlier_mean": "100.5,100.5,100.5", "outlier_sd": "0.1",
-        "fixed_outlier_count": "true",
-        "T": "300", "eta0": "1.0", "decay_rate": "0.7", "decay_period": "20",
-        "beta": "0.5", "m": "10", "grid_extent": "2.0",
-        "m_values": "3,10,50", "big_m_values": "3,10,50", "replications": "10",
-    },
-    "paper-4.2-d4": {
-        "model": "isonormal4", "truth": "0.5,0.5,0.5,0.5", "n": "500", "xi": "0.01",
-        "outlier_mean": "100.5,100.5,100.5,100.5", "outlier_sd": "0.1",
-        "fixed_outlier_count": "true",
-        "T": "300", "eta0": "1.0", "decay_rate": "0.7", "decay_period": "20",
-        "beta": "0.5", "m": "10", "grid_extent": "2.0",
-        "m_values": "10", "big_m_values": "3", "replications": "10",
-    },
+    "paper-4.1-i": {**_SCALAR, "model": "normal", "truth": "0,1", "xi": "0.1",
+                    "T": "500", "eta0": "1.0", "gamma": "0.5"},
+    "paper-4.1-ii": {**_SCALAR, "model": "inverse-normal", "truth": "1,3", "xi": "0.1",
+                     "T": "1000", "eta0": "1.0"},
+    "paper-4.1-iii": {**_SCALAR, "model": "gompertz", "truth": "1,0.1", "xi": "0.01",
+                      "T": "1000", "eta0": "0.5"},
+    "paper-4.1-iv": {**_SCALAR, "model": "mixture", "truth": "-5,1,0,1,0.6", "xi": "0.01",
+                     "T": "1000", "eta0": "1.0"},
+    "paper-4.2-d2": _isonormal_preset(2),
+    "paper-4.2-d3": _isonormal_preset(3),
+    "paper-4.2-d4": _isonormal_preset(4, m_values="10", big_m_values="3"),  # 50^4: no baseline
 }
 
 class _Parser(argparse.ArgumentParser):
@@ -183,6 +159,9 @@ def resolve_config(args):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
+    for single, cells in (("m", "m_values"), ("big_m", "big_m_values")):
+        if getattr(args, single, None) is not None and getattr(args, cells, None) is None:
+            cfg[cells] = ""  # so the cells fall back to the flag, not to the preset's list
     return cfg
 
 
@@ -373,20 +352,16 @@ def _dataset(run, *stream):
 
 
 def _initial_theta(run, ds):
-    model = run.model
+    """``run.init``, or the MLE of the model's family (its class's ``name``:
+    an IsoNormal's own carries its d) on ``ds``; only the mixture's EM draws,
+    from ``default_rng([seed, 2])``."""
     if run.init is not None:
         return run.init
-    if isinstance(model, IsoNormal):
-        return mle_isonormal(ds)
-    if model.name == "normal":
-        return mle_normal(ds)
-    if model.name == "inverse-normal":
-        return mle_inverse_normal(ds)
-    if model.name == "gompertz":
-        return mle_gompertz(ds)
-    if model.name == "mixture":
-        return mle_mixture(ds, rng=np.random.default_rng([run.seed, 2]))
-    raise ConfigError(f"no MLE initializer for {model.name}")
+    return {  # built per call, so that it reads the mle_* names as they stand
+        "normal": mle_normal, "inverse-normal": mle_inverse_normal, "gompertz": mle_gompertz,
+        "isonormal": mle_isonormal,
+        "mixture": lambda ds: mle_mixture(ds, rng=np.random.default_rng([run.seed, 2])),
+    }[type(run.model).name](ds)
 
 
 def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):

@@ -1,13 +1,21 @@
+import contextlib
+import dataclasses
+import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpdfit
 from dpdfit import cli
-from dpdfit.cli import PRESETS, main
+from dpdfit.cli import DEFAULTS, PRESETS, main
 from dpdfit.datagen import Dataset
 from dpdfit.divergence import empirical_dpce, empirical_gce
 from dpdfit.optim import StepDecay
@@ -285,6 +293,39 @@ class TestFit:
         assert err.startswith("error: truth: ") and err.count("\n") == 1
         assert "outside the support" in err
 
+    @pytest.mark.parametrize("model, name", [
+        ("normal", "mle_normal"), ("inverse-normal", "mle_inverse_normal"),
+        ("gompertz", "mle_gompertz"), ("mixture", "mle_mixture"),
+        ("isonormal2", "mle_isonormal"),
+    ])
+    def test_mle_start_calls_its_family_initializer_once(self, tmp_path, monkeypatch,
+                                                         model, name):
+        """Through ``cli``'s global of that name, looked up at call time."""
+        calls = []
+        initializer = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return initializer(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        rc = main(["fit", "--model", model, "--T", "1", "--n", "200", "--xi", "0",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert calls == [name]
+
+    def test_family_without_mle_initializer_fails_loudly(self, monkeypatch):
+        class Novel(type(cli.get_model("normal"))):
+            name = "novel"
+
+        run = cli.read_config(dict(DEFAULTS, n="20"), "fit")
+        ds = cli._dataset(run)
+        for name in ("mle_normal", "mle_inverse_normal", "mle_gompertz", "mle_mixture",
+                     "mle_isonormal"):
+            monkeypatch.setattr(cli, name, None)  # a fall-through would call None
+        with pytest.raises(KeyError, match="novel"):
+            cli._initial_theta(dataclasses.replace(run, model=Novel()), ds)
+
     def test_explicit_init(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--init", "0.5,2.0",
                    "--out-dir", str(tmp_path), "--T", "0", "--n", "50"])
@@ -551,6 +592,25 @@ class TestConfigHandling:
         assert "xi = 0.1" in echoed
         assert all(name.startswith("paper-4") for name in PRESETS)
 
+    # SHA-256 of repr(sorted(resolve_config(...).items())) for each preset, as
+    # recorded from the literal preset dicts that the two recipes replaced
+    RESOLVED = {
+        "paper-4.1-i": "5b18710a6649a514fb80b67dc7c2e9b263616abb35a7c51fb827217f4e4367b7",
+        "paper-4.1-ii": "5f4e60ea9a41a0ddca31492ecf36382bff2dbd17eff088857ee59e7b79069443",
+        "paper-4.1-iii": "c998cb9e59598d2344066a5e8e557bd6e4d6152b459bf9b54458afd9f8ea740b",
+        "paper-4.1-iv": "de4f9579d9ba486c5ec3d0df0fd488e513c3552ea985ecc4354641d84ef7589c",
+        "paper-4.2-d2": "b541d840297f7dc45eb12c136d7e5c27ca8b774f3e1c0a594cdf10053b19b6e0",
+        "paper-4.2-d3": "a19c9e87639f5a546e320d1b557805669078a4c69db4a1e277bb33c0e648553c",
+        "paper-4.2-d4": "46f828acdddfb14caf80574f91f7dfa1b05587f054bd5f7f279976dbe1655bcf",
+    }
+
+    @pytest.mark.parametrize("name", sorted(RESOLVED))
+    def test_preset_resolves_to_its_recorded_configuration(self, name):
+        assert sorted(PRESETS) == sorted(self.RESOLVED)
+        args = cli._build_parser().parse_args(["fit", "--config", name])
+        resolved = repr(sorted(cli.resolve_config(args).items()))
+        assert hashlib.sha256(resolved.encode()).hexdigest() == self.RESOLVED[name]
+
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -625,6 +685,19 @@ class TestTableCompare:
         assert rc == 0
         _, rows = read_csv(tmp_path / "table.csv")
         assert [r[:2] for r in rows] == [["sgd", "4"], ["gd-ni", "9"]]
+
+    @pytest.mark.parametrize("flags, cells", [
+        (["--m", "4"], [["sgd", "4"], ["gd-ni", "9"], ["gd-ni", "100"], ["gd-ni", "2500"]]),
+        (["--big-m", "4"], [["sgd", "3"], ["sgd", "10"], ["sgd", "50"], ["gd-ni", "16"]]),
+        (["--m", "4", "--m-values", "5,6", "--big-m", "4"],
+         [["sgd", "5"], ["sgd", "6"], ["gd-ni", "16"]]),
+    ])
+    def test_single_value_flag_beats_the_preset_list(self, tmp_path, flags, cells):
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "2", "--n", "60",
+                   "--replications", "2", "--out-dir", str(tmp_path)] + flags)
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "table.csv")
+        assert [r[:2] for r in rows] == cells
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_pool_no_wider_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus):
@@ -772,3 +845,53 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.split() == ["[]", "0"]
+
+
+@contextlib.contextmanager
+def _inside(path):
+    """Run with ``path`` as the working directory."""
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+# edge values of every kind a flag reads: numbers at and past the double
+# range, empty and malformed text, lists, valid names of other keys, and a
+# few ordinary values, so that some runs get as far as the descent
+EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "", "abc", "1,2",
+               "0,0,0", "-1,nan", "1,,2", "normal:0,1", "normal:nan,1", "current", "mle",
+               "isonormal2", "gompertz", "mixture", "gamma", "true",
+               "0.5", "2", "0.5,0.5", "-5,1,0,1,0.6"]
+
+
+class TestInputContract:
+    """Whatever the flags, a run exits 0, 1 or 2 and raises or warns nothing
+    (every warning is an error here); exits 1 and 2 print exactly one
+    stderr line, and exit 0 prints nothing to stderr."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(["fit", "trace", "table-compare", "density-curves"]),
+           n=st.integers(1, 50),
+           values=st.dictionaries(st.sampled_from(sorted(DEFAULTS)), st.sampled_from(EDGE_VALUES),
+                                  min_size=1, max_size=2))
+    def test_every_input_exits_zero_one_or_two(self, command, n, values):
+        argv = [command, "--T", "3", "--n", str(n), "--out-dir", "out"]
+        if command == "table-compare":
+            argv += ["--model", "isonormal2", "--replications", "2"]
+        for key, value in values.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if key == "fixed_outlier_count" else [f"{flag}={value}"]
+        err = io.StringIO()
+        with (tempfile.TemporaryDirectory() as tmp, _inside(tmp),
+              contextlib.redirect_stderr(err), warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc in (0, 1, 2), argv
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == [], argv
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
