@@ -292,7 +292,8 @@ def read_config(cfg, command):
         values = _numbers(cfg["init"], "init", finite=False)
         init = _theta_from_naturals(model, values, "init")
     extent = num("grid_extent", at_most=MAGNITUDE_MAX)
-    big_m_values = _numbers(cfg["big_m_values"] or cfg["big_m"], "big_m_values", int)
+    big_m_key = "big_m_values" if cfg["big_m_values"] else "big_m"  # the key the value came from
+    big_m_values = _numbers(cfg[big_m_key], big_m_key, int, above=1)
     lattices = tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values)
     for lattice in lattices:
         try:
@@ -385,19 +386,18 @@ def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
 
 
 def _mse(run, params):
-    """``||theta - truth||^2`` over the truth's coordinates; None without a truth."""
+    """``||theta - truth||^2`` of one iterate, or the list of a trace's; None without a truth."""
     if run.spec is None:
         return None
     truth = run.spec.truth
-    return float(((params[:len(truth)] - truth) ** 2).sum())
+    return ((params[..., :len(truth)] - truth) ** 2).sum(axis=-1).tolist()
 
 
 def _iterate_columns(run, ds, params, mean_pow=None):
-    """The ``objective_exact``, ``scale_c`` and ``mse`` of one recorded
-    iterate, each None where it does not apply: the exact objective needs
-    a closed-form family, the scale a gamma run and the MSE a known truth.
-    ``mean_pow``, the mean data weight of the step taken from ``params``,
-    spares the objective its pass over the data."""
+    """The ``objective_exact`` and ``scale_c`` of one recorded iterate, each
+    None where it does not apply: the exact objective needs a closed-form
+    family, the scale a gamma run.  ``mean_pow``, the mean data weight of the
+    step taken from ``params``, spares the objective its pass over the data."""
     model, objective, scale = run.model, None, None
     if model.closed_form_r is not None:
         objective = (empirical_gce(model, params[:-1], ds.points, run.gamma, mean_pow=mean_pow)
@@ -406,7 +406,7 @@ def _iterate_columns(run, ds, params, mean_pow=None):
     if run.gamma_mode:
         with np.errstate(over="ignore"):  # a diverged run may end at c = inf
             scale = float(np.exp(params[-1]))
-    return objective, scale, _mse(run, params)
+    return objective, scale
 
 
 def _fmt(value):
@@ -430,17 +430,17 @@ def _write_csv(run, name, header, rows):
 def _write_trace(run, trace, columns, cost):
     """One row per iterate ``t``: the step size that reached it (0.0 for
     the start), ``t * cost`` density evaluations, its coordinates and its
-    :func:`_iterate_columns`."""
+    ``columns``: :func:`_iterate_columns` and the MSE."""
     s = run.model.dim_param
     header = ["t", "eta", "complexity"] + [f"theta_{i + 1}" for i in range(s)]
     rows = ([t, _fmt(run.schedule.at(t) if t else 0.0), t * cost]
-            + [_fmt(v) for v in theta[:s]] + [_fmt(v) for v in values]
-            for t, (theta, values) in enumerate(zip(trace, columns)))
+            + list(map(repr, theta)) + [_fmt(v) for v in values]
+            for t, (theta, values) in enumerate(zip(trace[:, :s].tolist(), columns)))
     _write_csv(run, "trace.csv", header + ["objective_exact", "scale_c", "mse"], rows)
 
 
 def _write_estimate(run, final, columns, complexity):
-    """The ``final`` iterate, with ``columns`` its :func:`_iterate_columns`."""
+    """The ``final`` iterate, with ``columns`` its :func:`_iterate_columns` and MSE."""
     model = run.model
     objective, scale, _ = columns
     values = dict(zip(model.natural_names, model.natural_values(final[: model.dim_param])))
@@ -469,8 +469,9 @@ def cmd_fit(run, write_estimate=True):
     means = [] if run.model.closed_form_r is not None else None
     result = _sgd(run, ds, _initial_theta(run, ds), run.beta, run.m, data_means=means)
     trace, cost = result.trace, ds.n + run.m  # density evaluations a step
-    columns = [_iterate_columns(run, ds, theta, mean)
-               for theta, mean in itertools.zip_longest(trace, means or ())]
+    mses = _mse(run, trace) or [None] * len(trace)  # one array op for the whole trace
+    columns = [(*_iterate_columns(run, ds, theta, mean), mse)
+               for theta, mean, mse in itertools.zip_longest(trace, means or (), mses)]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate and not result.diverged:

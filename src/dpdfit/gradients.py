@@ -17,8 +17,9 @@ Every route evaluates the model through its fused
 stochastic routes make no kernel call for the proposal draws alone: the
 draws ride in the call of the data's last block, so at ``n <= BLOCK`` a
 step is one kernel call.  Every sum of weighted score rows over points,
-``sum_i w_i t(x_i)``, is ``models._column_sums``: each column added row
-after row from +0.0, the order (and so the bytes) of ``sum(axis=0)``.
+``sum_i w_i t(x_i)``, adds each column row after row from +0.0, the order
+(and so the bytes) of ``sum(axis=0)``: in one ``einsum`` on a block shorter
+than ``FUSED_ROWS``, by ``models._column_sums`` of its weighted columns on a longer one.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .models import _LOG_2PI, MAGNITUDE_MAX, _column_sums
 # bytes at any value.  Shorter calls make the table's pool threads trade the
 # GIL instead of overlapping, and 65536 is slower again (measured, 2 MB L2).
 BLOCK = 32768
+FUSED_ROWS = 4096  # from here a column loop beats one fused einsum at 2-3 columns (measured)
 
 
 @dataclass(frozen=True)
@@ -90,33 +92,43 @@ class GradEstimate:
     data_weights: np.ndarray
 
 
-def _weighted_rows(weights, score, columns=False):
+def _weighted_rows(weights, score):
     """Rows ``weights[i] * score[i]``, in place: ``score`` is a kernel's own output.
 
     Only an exactly zero weight (zero density, or underflow) gives a zero
     row: its score, which may be undefined there, is zeroed in place
     first.  A NaN weight propagates, so that the descent loop flags the
-    step instead of losing the point.  The long data and lattice blocks
-    pass ``columns``: numpy walks a ``(k, d)`` broadcast one d-wide row at
-    a time, and a column loop makes the same products in long runs.  On
-    the few proposal draws the one broadcast costs less than the loop.
+    step instead of losing the point.
     """
-    dead = weights == 0
-    if dead.any():  # in place: a masked copy of every row costs more at large n
-        score[dead] = 0.0
-    if not columns:
-        return np.multiply(weights[:, None], score, out=score)
-    for j in range(score.shape[1]):
-        np.multiply(weights, score[:, j], out=score[:, j])
-    return score
+    if not weights.all():  # in place: a masked copy of every row costs more at large n
+        score[weights == 0] = 0.0
+    return np.multiply(weights[:, None], score, out=score)
+
+
+def _weighted_sum(w, rows, total):
+    """``total + sum_i w[i] * rows[i]`` in place, in the order of one sum over
+    all blocks' rows, dead rows as in :func:`_weighted_rows`.  A long block
+    weights its columns in long runs: numpy walks a ``(k, d)`` broadcast row by row."""
+    if not w.all():
+        rows[w == 0] = 0.0
+    if rows.shape[0] < FUSED_ROWS:
+        if total is not None:  # the running sum rides in the first row, at unit weight
+            rows[0] = w[0] * rows[0] + total
+            w = np.concatenate([[1.0], w[1:]])
+        return np.einsum("i,ij->j", w, rows)
+    for j in range(rows.shape[1]):
+        np.multiply(w, rows[:, j], out=rows[:, j])
+    if total is not None:  # no copy of a long block's weights
+        rows[0] += total
+    return _column_sums(rows)
 
 
 def _weighted_score_sum(model, theta, x, power, draws=None):
     """Weights ``w_i = p(x_i)**power``, the sum ``sum_i w_i t(x_i)`` and the
     ``(lp, score)`` of ``draws``, which join the kernel call of the last block
     (empty without them).  The kernel sees one cache-sized block of ``BLOCK``
-    points at a time; each block's first row carries the running sum, which
-    ``_column_sums`` adds in order: the bytes of one sum over all points."""
+    points at a time, and :func:`_weighted_sum` carries the running sum from
+    block to block: the bytes of one sum over all points."""
     n = x.shape[0]
     w, total = np.empty(n), None
     for start in range(0, n, BLOCK):
@@ -126,10 +138,7 @@ def _weighted_score_sum(model, theta, x, power, draws=None):
             pts = np.concatenate([pts, draws])
         lp, score = model.log_pdf_and_score(theta, pts)
         w_k = np.exp(power * lp[:k], out=w[start:start + k])
-        rows = _weighted_rows(w_k, score[:k], columns=True)
-        if total is not None:
-            rows[0] += total
-        total = _column_sums(rows)
+        total = _weighted_sum(w_k, score[:k], total)
     return w, total, (lp[k:], score[k:])
 
 

@@ -23,6 +23,7 @@ from .models import (
     NormalMixture2,
     NormalParams,
     _column_sums,
+    _columns,
 )
 
 
@@ -156,21 +157,21 @@ def em_mixture(x, init):
     logliks = []
     prev = -np.inf
     for _ in range(300):
-        # E step on log densities, normalized per point
-        lp = -0.5 * (np.log(2 * np.pi * var) + (x[:, None] - mu) ** 2 / var)
-        lp = lp + np.log([alpha, 1.0 - alpha])
-        m = lp.max(axis=1, keepdims=True)
-        p = np.exp(lp - m)
-        tot = p.sum(axis=1, keepdims=True)
+        # E step on log densities, normalized per point, a column per component
+        log_norm, log_mix = np.log(2 * np.pi * var), np.log([alpha, 1.0 - alpha])
+        lp0, lp1 = (-0.5 * (log_norm[j] + (x - mu[j]) ** 2 / var[j]) + log_mix[j] for j in (0, 1))
+        m = np.maximum(lp0, lp1)
+        p0, p1 = np.exp(lp0 - m), np.exp(lp1 - m)
+        tot = p0 + p1
         loglik = float((np.log(tot) + m).sum())
-        resp = p / tot
+        resp = _columns(p0 / tot, p1 / tot)
         logliks.append(loglik)
         # M step with the variance floor
         weights = _column_sums(resp)
         if weights.min() < 1e-6 * x.shape[0]:
             raise ValueError("component collapsed during EM")
-        mu = _column_sums(resp * x[:, None]) / weights
-        var = _column_sums(resp * (x[:, None] - mu) ** 2) / weights
+        mu = np.einsum("ij,i->j", resp, x) / weights
+        var = np.einsum("ij,ij->j", resp, (x[:, None] - mu) ** 2) / weights
         var = np.maximum(var, VARIANCE_FLOOR)
         alpha = float(weights[0] / x.shape[0])
         if not 1e-6 < alpha < 1.0 - 1e-6:

@@ -534,6 +534,11 @@ class TestConfigHandling:
         (["table-compare", "--config", "paper-4.2-d2", "--replications", "2", "--T", "3",
           "--eta0=1e308"], "eta0 must be <= 1e+50, got '1e308'"),
         (["fit", "--eta0=1e308", "--T", "3"], "eta0 must be <= 1e+50, got '1e308'"),
+        (["fit", "--big-m=1"], "big_m must be >= 2, got '1'"),
+        (["fit", "--big-m=0"], "big_m must be >= 2, got '0'"),
+        (["fit", "--big-m=-1"], "big_m must be >= 2, got '-1'"),
+        (["table-compare", "--config", "paper-4.2-d2", "--big-m-values=3,1"],
+         "big_m_values must be >= 2, got '1'"),
         (["table-compare", "--model", "normal"], "table-compare requires an isonormal<d> model"),
         (["table-compare", "--config", "paper-4.2-d2", "--T", "0"],
          "T must be >= 1 for table-compare"),

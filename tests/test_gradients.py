@@ -11,12 +11,14 @@ from dpdfit import gradients
 from dpdfit.divergence import Lattice, empirical_power_term, lattice_r
 from dpdfit.gradients import (
     BLOCK,
+    FUSED_ROWS,
     CurrentModel,
     FixedNormal,
     _draw_proposal,
     _proposal_terms,
     _weighted_rows,
     _weighted_score_sum,
+    _weighted_sum,
     data_term,
     lattice_grad_dpd,
     stochastic_grad_dpd,
@@ -256,8 +258,8 @@ def _broadcast_weighting(w, score):
 
 
 class TestColumnOps:
-    """The long blocks run column by column; every column op must give the
-    bytes of the ``(k, d)`` broadcast it replaces."""
+    """The proposal's weighted rows and the isonormal residual must give the
+    bytes of the one-line broadcasts they replace."""
 
     @PROPERTY
     @given(k=st.integers(1, BLOCK + 50), d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -270,9 +272,7 @@ class TestColumnOps:
         score = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-300, 300, (k, d))
         dead = np.flatnonzero(w == 0)  # their scores are undefined: +-inf, NaN
         score[dead] = rng.choice([np.inf, -np.inf, np.nan], (dead.size, d))
-        want = _broadcast_weighting(w, score)
-        for columns in (True, False):
-            assert _weighted_rows(w, score.copy(), columns).tobytes() == want.tobytes()
+        assert _weighted_rows(w, score.copy()).tobytes() == _broadcast_weighting(w, score).tobytes()
 
     @PROPERTY
     @given(k=st.integers(1, 300), d=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
@@ -351,9 +351,9 @@ def _left_fold(rows):
 
 
 class TestColumnSums:
-    """Every sum of weighted score rows over points is ``_column_sums``; it
-    must add in the order of a left fold, the order of ``sum(axis=0)`` that
-    the golden digests were recorded with."""
+    """``_column_sums`` adds every long block's weighted score rows; it must
+    add in the order of a left fold, the order of ``sum(axis=0)`` that the
+    golden digests were recorded with."""
 
     SPECIALS = [[-0.0], [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]]
 
@@ -382,6 +382,78 @@ class TestColumnSums:
         assert col.sum().tobytes() != _left_fold(col[:, None]).tobytes(), (
             f"numpy {np.__version__} summed this column in the fold's order; "
             "pick a column on which pairwise and sequential sums differ")
+
+
+def _weighted_case(k, d, seed, spread, nan):
+    """``k`` weights and ``(k, d)`` scores as a kernel block gives them: zero
+    weights (their scores +-inf or NaN), one NaN weight if ``nan``, whole
+    columns of -0.0, and magnitudes within ``10**+-spread``.  At spread 0 the
+    weights lie in [e^-5, e^5] and every term counts, so a sum in another
+    order shows in the last bits; else they reach e^-800, subnormal or 0."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(rng.uniform(-5.0 if spread == 0 else -800.0, 5.0, k))
+    w[rng.random(k) < 0.05] = 0.0
+    if nan:  # a NaN weight makes its columns' sums NaN
+        w[rng.integers(k)] = np.nan
+    score = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-spread, spread, (k, d))
+    score[:, rng.random(d) < 0.3] = -0.0
+    dead = np.flatnonzero(w == 0)
+    score[dead] = rng.choice([np.inf, -np.inf, np.nan], (dead.size, d))
+    return w, score
+
+
+class TestWeightedSum:
+    """``_weighted_sum`` on blocks of either side of ``FUSED_ROWS``, the sum
+    carried from block to block, must give the bytes of one left fold over
+    all weighted rows.  The bytes of the fused einsum were checked with numpy
+    2.4.6 on x86-64, whose einsum loops round every product before adding it;
+    a build whose einsum fuses multiply-add fails here."""
+
+    @staticmethod
+    def blocked(w, score, size):
+        total, w_before = None, w.copy()
+        for start in range(0, w.shape[0], size):
+            rows = score[start:start + size].copy()
+            total = _weighted_sum(w[start:start + size], rows, total)
+        assert w.tobytes() == w_before.tobytes()  # the step's data weights stay as they are
+        return total
+
+    @PROPERTY
+    @given(k=st.integers(1, 3 * FUSED_ROWS), d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           blocks=st.integers(1, 4), spread=st.sampled_from([0, 150]), nan=st.booleans())
+    @example(k=FUSED_ROWS - 1, d=2, seed=0, blocks=1, spread=0, nan=False)
+    @example(k=FUSED_ROWS, d=3, seed=1, blocks=1, spread=0, nan=False)
+    @example(k=FUSED_ROWS + 3, d=2, seed=2, blocks=2, spread=0, nan=False)  # long, then short
+    @example(k=2 * FUSED_ROWS - 2, d=5, seed=3, blocks=2, spread=0, nan=False)  # two short
+    @example(k=1, d=2, seed=4, blocks=1, spread=150, nan=True)
+    def test_equals_the_fold_of_the_broadcast(self, k, d, seed, blocks, spread, nan):
+        w, score = _weighted_case(k, d, seed, spread, nan)
+        want = _left_fold(_broadcast_weighting(w, score)).tobytes()
+        assert self.blocked(w, score, -(-k // blocks)).tobytes() == want
+
+    @pytest.mark.parametrize("size", [FUSED_ROWS - 1, FUSED_ROWS])
+    def test_zero_weight_with_non_finite_score_and_minus_zero_columns(self, size):
+        """A dead row adds +0.0, whatever its score; a column of -0.0 sums to
+        +0.0, as a fold from +0.0 does, and a NaN weight gives NaN."""
+        w = np.ones(size)
+        score = np.full((size, 3), -0.0)
+        w[[0, size - 1]] = 0.0
+        score[0], score[size - 1] = [np.inf, -np.inf, np.nan], [np.nan, np.inf, -np.inf]
+        for carried in (None, np.array([-0.0, -0.0, 1.5])):
+            got = _weighted_sum(w, score.copy(), carried)
+            want = np.array([0.0, 0.0, 0.0 if carried is None else 1.5])
+            assert got.tobytes() == want.tobytes()
+        w[1] = np.nan
+        assert np.isnan(_weighted_sum(w, score.copy(), None)).all()
+
+    def test_the_oracle_tells_blas_apart(self):
+        """``w @ score`` adds in BLAS order; on this case its bytes differ from
+        the fold's, so the property above would catch a reordered sum."""
+        rng = np.random.default_rng(7)
+        w, score = rng.uniform(0.0, 1.0, 1000), rng.standard_normal((1000, 3))
+        assert (w @ score).tobytes() != _left_fold(_broadcast_weighting(w, score)).tobytes(), (
+            f"numpy {np.__version__} added w @ score in the fold's order; "
+            "pick a case on which BLAS and sequential sums differ")
 
 
 def _two_call_step(model, theta, x, power, m, proposal, rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpdfit.mle import (
     em_mixture,
@@ -11,12 +13,14 @@ from dpdfit.mle import (
     newton_bisection,
 )
 from dpdfit.models import (
+    VARIANCE_FLOOR,
     Gompertz,
     GompertzParams,
     InverseNormal,
     MixtureParams,
     Normal1D,
     NormalMixture2,
+    _column_sums,
 )
 
 
@@ -150,6 +154,75 @@ class TestMleMixture:
                              alpha=1e-7)
         with pytest.raises(ValueError):
             em_mixture(np.zeros(100), init)
+
+
+def _broadcast_em(x, init):
+    """Oracle of :func:`em_mixture`: its E and M steps on ``(n, 2)`` broadcasts,
+    as the one-line formulas state them."""
+    x = np.asarray(x, dtype=float)
+    mu = np.array([init.mu1, init.mu2])
+    var = np.array([init.sigma1**2, init.sigma2**2])
+    alpha = float(init.alpha)
+    logliks = []
+    prev = -np.inf
+    for _ in range(300):
+        lp = -0.5 * (np.log(2 * np.pi * var) + (x[:, None] - mu) ** 2 / var)
+        lp = lp + np.log([alpha, 1.0 - alpha])
+        m = lp.max(axis=1, keepdims=True)
+        p = np.exp(lp - m)
+        tot = p.sum(axis=1, keepdims=True)
+        loglik = float((np.log(tot) + m).sum())
+        resp = p / tot
+        logliks.append(loglik)
+        weights = _column_sums(resp)
+        if weights.min() < 1e-6 * x.shape[0]:
+            raise ValueError("component collapsed during EM")
+        mu = _column_sums(resp * x[:, None]) / weights
+        var = _column_sums(resp * (x[:, None] - mu) ** 2) / weights
+        var = np.maximum(var, VARIANCE_FLOOR)
+        alpha = float(weights[0] / x.shape[0])
+        if not 1e-6 < alpha < 1.0 - 1e-6:
+            raise ValueError("component collapsed during EM")
+        if loglik - prev < 1e-9 * max(1.0, abs(loglik)):
+            break
+        prev = loglik
+    return MixtureParams(float(mu[0]), float(np.sqrt(var[0])), float(mu[1]),
+                         float(np.sqrt(var[1])), alpha), logliks
+
+
+def _em_outcome(em, x, init):
+    try:
+        params, logliks = em(x, init)
+    except ValueError as err:
+        return str(err)
+    return np.array([*params.__dict__.values(), *logliks]).tobytes()
+
+
+class TestEmColumns:
+    """The column-wise EM gives the bytes of the broadcast form: the same
+    parameters, every log-likelihood, and the same error where a component
+    collapses."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(10, 2000), seed=st.integers(0, 2**32 - 1),
+           start=st.tuples(st.floats(-30, 30), st.floats(1e-3, 10), st.floats(-30, 30),
+                           st.floats(1e-3, 10), st.floats(1e-3, 0.999)))
+    @example(n=100, seed=0, start=(0.0, 1e-3, 1.0, 1e-3, 1e-3))
+    @example(n=1000, seed=1, start=(-1.0, 1.0, 1.0, 1.0, 0.5))
+    def test_same_bytes_as_the_broadcast_form(self, n, seed, start):
+        rng = np.random.default_rng(seed)
+        mu, sd = rng.uniform(-5, 5, 2), rng.uniform(0.1, 3.0, 2)
+        first = rng.random(n) < rng.uniform(0.05, 0.95)
+        x = np.where(first, rng.normal(mu[0], sd[0], n), rng.normal(mu[1], sd[1], n))
+        init = MixtureParams(*start)
+        assert _em_outcome(em_mixture, x, init) == _em_outcome(_broadcast_em, x, init)
+
+    def test_the_property_sees_both_outcomes(self):
+        """Both outcomes occur among starts like the property's."""
+        x = np.random.default_rng(2).normal(0.0, 1.0, 500)
+        outcomes = [_em_outcome(em_mixture, x, MixtureParams(0.0, 1.0, mu2, 0.1, 0.5))
+                    for mu2 in (0.5, 30.0)]
+        assert isinstance(outcomes[0], bytes) and outcomes[1] == "component collapsed during EM"
 
 
 class TestMleIsoNormal:

@@ -262,6 +262,43 @@ class TestKernel:
         check()
 
 
+class TestCheckTheta:
+    """Every entry point that takes ``theta`` checks it: a NaN or an infinity
+    at any position, or a wrong shape, is a ValueError naming the family."""
+
+    @staticmethod
+    def entry_points(model):
+        x = model.sample(model.from_natural_values(model.default_truth),
+                         np.random.default_rng(0), 4)
+        return [lambda th: model.log_pdf_and_score(th, x),
+                lambda th: model.sample(th, np.random.default_rng(0), 4),
+                model.to_natural]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_non_finite_entry_rejected_at_every_position(self, name, bad):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        for call in self.entry_points(model):
+            for i in range(model.dim_param):
+                th = theta.copy()
+                th[i] = bad
+                with pytest.raises(ValueError, match=f"{model.name}: non-finite parameter"):
+                    call(th)
+                with pytest.raises(ValueError, match=f"{model.name}: non-finite parameter"):
+                    call(th.tolist())
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_wrong_shape_rejected(self, name):
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        for call in self.entry_points(model):
+            for th in (theta[:-1], np.append(theta, 0.0), theta[None, :], theta[0]):
+                with pytest.raises(ValueError,
+                                   match=f"expected {model.dim_param} parameters, got shape"):
+                    call(th)
+
+
 class TestPointShape:
     """``x`` is ``(n, *point_shape)``; a scalar or one ``(d,)`` point is
     promoted to ``n = 1``, and any other rank is a ValueError naming the
