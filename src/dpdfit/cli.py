@@ -13,8 +13,9 @@ lines; ``--config`` also accepts one of the ``PRESETS``.  ``read_config``
 checks the resolved configuration before anything is written; every run
 then writes it to ``config.echo``.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 numerical
-divergence; exits 1 and 2 print one ``error:`` line to stderr.
+Exit codes: 0 success, 1 configuration or I/O error, 2 numerical divergence.
+``main`` alone turns a run's outcome (a ``cmd_*`` returns its first stop reason
+or None) into the code, and exits 1 and 2 print one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -165,9 +166,10 @@ def resolve_config(args):
     return cfg
 
 
-def _number(text, key, kind=float, above=None, finite=True, at_most=None):
-    """``text`` as one ``kind``: finite unless ``finite=False``, greater
-    than ``above`` and at most ``at_most`` when those are given."""
+def _number(text, key, kind=float, above=None, finite=True, at_most=None, at_least=None,
+            below=None):
+    """``text`` as one ``kind``: finite unless ``finite=False``, and inside
+    each of the bounds ``above``, ``at_least``, ``at_most`` and ``below`` given."""
     try:
         value = kind(text)
     except ValueError:
@@ -178,8 +180,12 @@ def _number(text, key, kind=float, above=None, finite=True, at_most=None):
     if above is not None and value <= above:
         bound = f">= {above + 1}" if kind is int else f"> {above}"
         raise ConfigError(f"{key} must be {bound}, got {text!r}")
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"{key} must be >= {at_least:g}, got {text!r}")
     if at_most is not None and value > at_most:
         raise ConfigError(f"{key} must be <= {at_most:g}, got {text!r}")
+    if below is not None and value >= below:
+        raise ConfigError(f"{key} must be < {below:g}, got {text!r}")
     return value
 
 
@@ -203,7 +209,10 @@ def _theta_from_naturals(model, values, key):
         raise ConfigError(
             f"{key} for {model.name} needs {len(model.natural_names)} values"
         )
-    theta = model.from_natural_values(values)  # names an invalid scale or weight
+    try:
+        theta = model.from_natural_values(values)
+    except ValueError as exc:  # the family's check names the scale, weight or values
+        raise ConfigError(f"{key}: {exc}") from None
     if not all(abs(v) <= MAGNITUDE_MAX for v in values):  # also False for NaN
         raise ConfigError(f"{key} must be finite, in [-{MAGNITUDE_MAX:g}, {MAGNITUDE_MAX:g}], "
                           f"got {','.join(map(repr, values))}")
@@ -277,21 +286,23 @@ def read_config(cfg, command):
         raise ConfigError(f"divergence must be dpd or gamma, got {cfg['divergence']!r}")
     n = num("n", int, above=0)
     spec = init = None
-    if not cfg["data"]:
+    if cfg["data"]:  # checked before main makes the output directory
+        if not (os.path.isfile(cfg["data"]) and os.access(cfg["data"], os.R_OK)):
+            raise ConfigError(f"data {cfg['data']!r} is not a readable file")
+    else:
         values = _numbers(cfg["truth"], "truth") if cfg["truth"] else model.default_truth
         truth = _theta_from_naturals(model, values, "truth")
         outlier_mean = np.asarray(_numbers(cfg["outlier_mean"], "outlier_mean"))
         _check_point_shape(model, outlier_mean.shape, "--outlier-mean", shared=True)
         spec = ContaminationSpec(
             model=model, truth=truth, outlier_mean=outlier_mean,
-            outlier_sd=num("outlier_sd"), xi=num("xi"), n=n,
+            outlier_sd=num("outlier_sd"), xi=num("xi", at_least=0, below=1), n=n,
             fixed_count=_as_bool(cfg["fixed_outlier_count"], "fixed_outlier_count"),
         )
     if cfg["init"] != "mle":
-        # from_natural checks the values and names the parameter at fault
         values = _numbers(cfg["init"], "init", finite=False)
         init = _theta_from_naturals(model, values, "init")
-    extent = num("grid_extent", at_most=MAGNITUDE_MAX)
+    extent = num("grid_extent", above=0, at_most=MAGNITUDE_MAX)
     big_m_key = "big_m_values" if cfg["big_m_values"] else "big_m"  # the key the value came from
     big_m_values = _numbers(cfg[big_m_key], big_m_key, int, above=1)
     lattices = tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values)
@@ -310,8 +321,9 @@ def read_config(cfg, command):
     run = Run(
         model=model, spec=spec, init=init,
         proposal=_proposal(cfg["proposal"], model),
-        schedule=StepDecay(eta0=num("eta0", at_most=MAGNITUDE_MAX), rate=num("decay_rate"),
-                           period=num("decay_period", int)),
+        schedule=StepDecay(eta0=num("eta0", at_most=MAGNITUDE_MAX),
+                           rate=num("decay_rate", above=0, below=1),
+                           period=num("decay_period", int, above=0)),
         beta=num("beta", above=0, at_most=POWER_MAX),
         gamma=num("gamma", above=0, at_most=POWER_MAX),
         m=num("m", int, above=0),
@@ -451,18 +463,10 @@ def _write_estimate(run, final, columns, complexity):
                [[_fmt(v) for v in values.values()] + [complexity]])
 
 
-def _exit_code(reason):
-    """0 without a ``reason``; else 2, after the one stderr line ``error: <reason>``."""
-    if reason is None:
-        return 0
-    print(f"error: {reason}", file=sys.stderr)
-    return 2
-
-
 def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
     ``estimate.csv`` and ``trace.csv``; ``trace`` and a diverged run skip
-    ``estimate.csv``."""
+    ``estimate.csv``.  Returns the stop reason, None unless the run diverged."""
     ds = _dataset(run)
     # step t + 1 starts from iterate t, so its data weights give iterate t's
     # exact objective; only an iterate that starts no step is evaluated afresh
@@ -477,7 +481,7 @@ def cmd_fit(run, write_estimate=True):
     if write_estimate and not result.diverged:
         _write_estimate(run, trace[-1], columns[-1], (len(trace) - 1) * cost)
     _write_trace(run, trace, columns, cost)
-    return _exit_code(result.reason)
+    return result.reason
 
 
 def _table_cell_run(run, method, size, rep):
@@ -516,7 +520,7 @@ def cmd_table_compare(run):
         stops += [f"{reason} ({method} size {total}, replication {rep + 1} of {reps})"
                   for rep, (_, reason) in enumerate(cell) if reason is not None]
     _write_csv(run, "table.csv", ["method", "size", "mean_mse", "sd_mse", "complexity"], rows)
-    return _exit_code(stops[0] if stops else None)
+    return stops[0] if stops else None
 
 
 def cmd_density_curves(run):
@@ -537,8 +541,8 @@ def cmd_density_curves(run):
     rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
             + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
     _write_csv(run, "curves.csv", ["x", "hist_count"] + list(columns), rows)
-    stops = [f"{result.reason} ({name} fit)" for name, result in fits.items() if result.diverged]
-    return _exit_code(stops[0] if stops else None)
+    return next((f"{result.reason} ({name} fit)" for name, result in fits.items()
+                 if result.diverged), None)
 
 
 def main(argv=None):
@@ -555,10 +559,13 @@ def main(argv=None):
         }[args.command]
         os.makedirs(run.out_dir, exist_ok=True)
         _write_config_echo(cfg, run.out_dir)
-        return command(run)
+        reason, code = command(run), 2
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        reason, code = exc, 1
+    if reason is None:
+        return 0
+    print(f"error: {reason}", file=sys.stderr)
+    return code
 
 
 def entry():

@@ -10,13 +10,14 @@ and ``x`` and applies the support mask for every entry point.  Families
 with positivity constraints are parameterized so that every point of
 R^s maps to a valid density: variances take the form ``c**2 +
 VARIANCE_FLOOR``, mixing weights go through a sigmoid, and purely
-positive parameters (inverse normal, Gompertz) live in log space.
+positive parameters (inverse normal, Gompertz) live in log space, through
+the one ``_LogScale`` map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,18 +49,6 @@ def _sigma_coordinate(sigma):
     if var < VARIANCE_FLOOR:
         raise ValueError(f"variance {var} below floor {VARIANCE_FLOOR}")
     return np.sqrt(var - VARIANCE_FLOOR)
-
-
-def _exp_params(theta):
-    """``exp`` of the two log-space coordinates, or NaN for both when either
-    leaves (0, inf).  NaN reaches the gradient without a warning, and the
-    descent flags the step; an inf or a 0 would warn or raise on the way."""
-    t0, t1 = theta[0], theta[1]
-    if t0 <= _LOG_MAX and t1 <= _LOG_MAX:
-        a, b = np.exp(t0), np.exp(t1)
-        if 0.0 < a < np.inf and 0.0 < b < np.inf:
-            return a, b
-    return np.nan, np.nan
 
 
 def _normal_var_score(r2, var):
@@ -98,36 +87,11 @@ def _log_add_exp(a, b):
     return hi + np.log1p(np.exp(np.minimum(a, b) - np.maximum(hi, _FLOAT_MIN)))
 
 
-@dataclass(frozen=True)
-class NormalParams:
-    mu: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class IsoNormalParams:
-    mean: np.ndarray
-
-
-@dataclass(frozen=True)
-class InverseNormalParams:
-    mu: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class GompertzParams:
-    omega: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class MixtureParams:
-    mu1: float
-    sigma1: float
-    mu2: float
-    sigma2: float
-    alpha: float
+NormalParams = namedtuple("NormalParams", "mu sigma")
+IsoNormalParams = namedtuple("IsoNormalParams", "mean")
+InverseNormalParams = namedtuple("InverseNormalParams", "mu lam")
+GompertzParams = namedtuple("GompertzParams", "omega lam")
+MixtureParams = namedtuple("MixtureParams", "mu1 sigma1 mu2 sigma2 alpha")
 
 
 class Model:
@@ -135,7 +99,8 @@ class Model:
 
     ``theta`` is always a flat float array in the unconstrained space,
     ``x`` an array of observations of shape ``(n, *point_shape)``.
-    ``params_cls`` is the dataclass of the natural parameters and
+    ``params_cls`` is the namedtuple of the natural parameters, whose
+    ``_fields`` a scalar family takes as its ``natural_names``, and
     ``default_truth`` their values when a synthetic run names none.
     A family whose integral term ``int p**(1+beta) / (1+beta)`` has a
     closed form defines it as ``closed_form_r(theta, beta)``.
@@ -190,8 +155,7 @@ class Model:
 
     def natural_values(self, theta):
         """Natural parameters of ``theta`` as a flat float array."""
-        p = self.to_natural(theta)
-        return np.hstack([getattr(p, f) for f in p.__dataclass_fields__]).astype(float)
+        return np.hstack(self.to_natural(theta)).astype(float)
 
     # -- helpers -------------------------------------------------------
 
@@ -257,8 +221,8 @@ class Normal1D(Model):
 
     name = "normal"
     dim_param = 2
-    natural_names = ("mu", "sigma")
     params_cls = NormalParams
+    natural_names = NormalParams._fields
     default_truth = (0.0, 1.0)
 
     def _moments(self, theta):
@@ -355,17 +319,41 @@ class IsoNormal(Model):
         return f"IsoNormal({self.d})"
 
 
-class InverseNormal(Model):
+class _LogScale:
+    """The map of a family with two positive natural parameters, optimized
+    as their logs.  A mixin, not a ``Model`` subclass, so that
+    ``Model.__subclasses__()`` still lists each family itself."""
+
+    @staticmethod
+    def _params(theta):
+        """``exp`` of the two log-space coordinates, or NaN for both when either
+        leaves (0, inf).  NaN reaches the gradient without a warning, and the
+        descent flags the step; an inf or a 0 would warn or raise on the way."""
+        t0, t1 = theta[0], theta[1]
+        if t0 <= _LOG_MAX and t1 <= _LOG_MAX:
+            a, b = np.exp(t0), np.exp(t1)
+            if 0.0 < a < np.inf and 0.0 < b < np.inf:
+                return a, b
+        return np.nan, np.nan
+
+    def to_natural(self, theta):
+        return self.params_cls(*map(float, self._params(self._check_theta(theta))))
+
+    def from_natural(self, params):
+        if any(v <= 0 for v in params):  # per value: min() would pass (nan, -1)
+            raise ValueError(f"{self.name} parameters must be positive, got {params}")
+        return np.log(params)
+
+
+class InverseNormal(_LogScale, Model):
     """Inverse normal (inverse Gaussian), optimized as (log mu, log lam)."""
 
     name = "inverse-normal"
     dim_param = 2
     support = "positive"
-    natural_names = ("mu", "lam")
     params_cls = InverseNormalParams
+    natural_names = InverseNormalParams._fields
     default_truth = (1.0, 3.0)
-
-    _params = staticmethod(_exp_params)
 
     def _in_support(self, x):
         return ~(x <= 0)  # a NaN point stays in, so its NaN reaches the caller
@@ -389,27 +377,16 @@ class InverseNormal(Model):
         mu, lam = self._params(self._check_theta(theta))
         return rng.wald(mu, lam, size)
 
-    def to_natural(self, theta):
-        mu, lam = self._params(self._check_theta(theta))
-        return InverseNormalParams(mu=float(mu), lam=float(lam))
 
-    def from_natural(self, params):
-        if params.mu <= 0 or params.lam <= 0:
-            raise ValueError("inverse normal parameters must be positive")
-        return np.log([params.mu, params.lam])
-
-
-class Gompertz(Model):
+class Gompertz(_LogScale, Model):
     """Gompertz distribution on [0, inf), optimized as (log omega, log lam)."""
 
     name = "gompertz"
     dim_param = 2
     support = "positive"
-    natural_names = ("omega", "lam")
     params_cls = GompertzParams
+    natural_names = GompertzParams._fields
     default_truth = (1.0, 0.1)
-
-    _params = staticmethod(_exp_params)
 
     def _in_support(self, x):
         return ~(x < 0)  # a NaN point stays in, so its NaN reaches the caller
@@ -437,15 +414,6 @@ class Gompertz(Model):
         u = rng.random(size)
         return np.log1p(-omega / lam * np.log1p(-u)) / omega
 
-    def to_natural(self, theta):
-        omega, lam = self._params(self._check_theta(theta))
-        return GompertzParams(omega=float(omega), lam=float(lam))
-
-    def from_natural(self, params):
-        if params.omega <= 0 or params.lam <= 0:
-            raise ValueError("Gompertz parameters must be positive")
-        return np.log([params.omega, params.lam])
-
 
 class NormalMixture2(Model):
     """Two-component normal mixture.
@@ -457,8 +425,8 @@ class NormalMixture2(Model):
 
     name = "mixture"
     dim_param = 5
-    natural_names = ("mu1", "sigma1", "mu2", "sigma2", "alpha")
     params_cls = MixtureParams
+    natural_names = MixtureParams._fields
     default_truth = (-5.0, 1.0, 0.0, 1.0, 0.6)
 
     def _params(self, theta):

@@ -143,7 +143,7 @@ class TestFit:
                    "--out-dir", str(tmp_path)] + FAST)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: sigma must be finite and > 0") and err.count("\n") == 1
+        assert err.startswith("error: init: sigma must be finite and > 0") and err.count("\n") == 1
         assert not (tmp_path / "estimate.csv").exists()
 
     @pytest.mark.parametrize("key,args", [
@@ -510,10 +510,28 @@ class TestConfigHandling:
         (["density-curves", "--betas=0.5,1e308"], "betas must be <= 10"),
         (["trace", "--outlier-sd=1e308"],
          "outlier_sd (the outlier spread) must lie in [0, 1e+50], got 1e+308"),
-        (["fit", "--truth=0,1e200"], "sigma must be finite and > 0, at most 1e+50, got 1e+200"),
-        (["fit", "--init=0,1e200"], "sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--truth=0,1e200"],
+         "truth: sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--init=0,1e200"],
+         "init: sigma must be finite and > 0, at most 1e+50, got 1e+200"),
         (["fit", "--model", "mixture", "--truth=-5,1e200,0,1,0.6"],
-         "sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+         "truth: sigma must be finite and > 0, at most 1e+50, got 1e+200"),
+        (["fit", "--truth=0,-1"], "truth: sigma must be finite and > 0"),
+        (["fit", "--model", "mixture", "--init=-5,1,0,1,1.5"],
+         "init: mixing weight must lie strictly inside (0, 1)"),
+        (["fit", "--model", "inverse-normal", "--truth=-1,3"],
+         "truth: inverse-normal parameters must be positive, "
+         "got InverseNormalParams(mu=-1.0, lam=3.0)"),
+        (["fit", "--model", "gompertz", "--init=1,-2"],
+         "init: gompertz parameters must be positive, got GompertzParams(omega=1.0, lam=-2.0)"),
+        (["fit", "--xi=1.5"], "xi must be < 1, got '1.5'"),
+        (["fit", "--xi=-0.1"], "xi must be >= 0, got '-0.1'"),
+        (["fit", "--decay-rate=2"], "decay_rate must be < 1, got '2'"),
+        (["fit", "--decay-rate=0"], "decay_rate must be > 0, got '0'"),
+        (["fit", "--decay-period=0"], "decay_period must be >= 1, got '0'"),
+        (["fit", "--grid-extent=-1"], "grid_extent must be > 0, got '-1'"),
+        (["fit", "--data=no-such-file.csv"], "data 'no-such-file.csv' is not a readable file"),
+        (["fit", "--data=."], "data '.' is not a readable file"),
         (["fit", "--truth=1e200,1"], "truth must be finite, in [-1e+50, 1e+50], got 1e+200,1.0"),
         (["fit", "--init=1e200,1"], "init must be finite, in [-1e+50, 1e+50], got 1e+200,1.0"),
         (["fit", "--outlier-mean=1e300"],
@@ -657,11 +675,11 @@ class TestTableCompare:
     @pytest.mark.parametrize("flag,value,message", [
         ("--T", "0", "T must be >= 1 for table-compare"),
         ("--grid-extent", "nan", "grid_extent must be finite"),
-        ("--grid-extent", "0", "lattice extent must be finite and > 0"),
+        ("--grid-extent", "0", "grid_extent must be > 0, got '0'"),
         ("--beta", "-1", "beta must be > 0"),
         ("--m-values", "0", "m_values must be >= 1"),
         ("--eta0", "0", "eta0 must be finite and > 0"),
-        ("--decay-rate", "2", "decay rate must lie in (0, 1)"),
+        ("--decay-rate", "2", "decay_rate must be < 1, got '2'"),
     ])
     def test_bad_value_exits_one_before_any_cell_runs(self, tmp_path, capsys,
                                                       monkeypatch, flag, value, message):

@@ -195,7 +195,7 @@ def _em_outcome(em, x, init):
         params, logliks = em(x, init)
     except ValueError as err:
         return str(err)
-    return np.array([*params.__dict__.values(), *logliks]).tobytes()
+    return np.array([*params, *logliks]).tobytes()
 
 
 class TestEmColumns:

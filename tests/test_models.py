@@ -512,6 +512,16 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_model("cauchy")
 
+    def test_families_are_the_direct_model_subclasses(self):
+        """The tracer finds the kernels through ``Model.__subclasses__()``,
+        which lists direct subclasses only: a shared map between ``Model`` and
+        a family belongs in a mixin, or the family drops out of the trace.
+        The tracer also wraps only a ``sample`` the class itself defines."""
+        classes = {type(get_model(name)) for name in FAMILIES}
+        assert classes == set(Model.__subclasses__())
+        for cls in classes:
+            assert "sample" in cls.__dict__, cls.__name__
+
     @pytest.mark.parametrize("name", ["isonormal1", "isonormal0"])
     def test_isonormal_below_two_dimensions_rejected(self, name):
         """At d = 1 the (n, d) code would read n points as one point."""
