@@ -40,10 +40,6 @@ from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
 from .optim import StepDecay, gd_run, sgd_run
 
 
-class ConfigError(Exception):
-    pass
-
-
 DEFAULTS = {
     "model": "normal",
     "divergence": "dpd",
@@ -108,7 +104,7 @@ PRESETS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 @functools.cache
@@ -135,7 +131,7 @@ def _read_config_file(path):
     if path in PRESETS:
         return dict(PRESETS[path])
     if not os.path.exists(path):
-        raise ConfigError(f"config {path!r} is neither a file nor a preset")
+        raise ValueError(f"config {path!r} is neither a file nor a preset")
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -143,10 +139,10 @@ def _read_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
 
@@ -174,18 +170,17 @@ def _number(text, key, kind=float, above=None, finite=True, at_most=None, at_lea
         value = kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {text!r}") from None
+        raise ValueError(f"{key} must be {what}, got {text!r}") from None
     if finite and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {text!r}")
+        raise ValueError(f"{key} must be finite, got {text!r}")
     if above is not None and value <= above:
-        bound = f">= {above + 1}" if kind is int else f"> {above}"
-        raise ConfigError(f"{key} must be {bound}, got {text!r}")
+        raise ValueError(f"{key} must be > {above}, got {text!r}")
     if at_least is not None and value < at_least:
-        raise ConfigError(f"{key} must be >= {at_least:g}, got {text!r}")
+        raise ValueError(f"{key} must be >= {at_least:g}, got {text!r}")
     if at_most is not None and value > at_most:
-        raise ConfigError(f"{key} must be <= {at_most:g}, got {text!r}")
+        raise ValueError(f"{key} must be <= {at_most:g}, got {text!r}")
     if below is not None and value >= below:
-        raise ConfigError(f"{key} must be < {below:g}, got {text!r}")
+        raise ValueError(f"{key} must be < {below:g}, got {text!r}")
     return value
 
 
@@ -200,32 +195,32 @@ def _as_bool(text, key):
         return True
     if v in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true/false, got {text!r}")
+    raise ValueError(f"{key} must be true/false, got {text!r}")
 
 
 def _theta_from_naturals(model, values, key):
     """Unconstrained coordinates from a flat list of natural parameters."""
     if len(values) != len(model.natural_names):
-        raise ConfigError(
+        raise ValueError(
             f"{key} for {model.name} needs {len(model.natural_names)} values"
         )
     try:
         theta = model.from_natural_values(values)
     except ValueError as exc:  # the family's check names the scale, weight or values
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ValueError(f"{key}: {exc}") from None
     if not all(abs(v) <= MAGNITUDE_MAX for v in values):  # also False for NaN
-        raise ConfigError(f"{key} must be finite, in [-{MAGNITUDE_MAX:g}, {MAGNITUDE_MAX:g}], "
+        raise ValueError(f"{key} must be finite, in [-{MAGNITUDE_MAX:g}, {MAGNITUDE_MAX:g}], "
                           f"got {','.join(map(repr, values))}")
     return theta
 
 
 def _check_point_shape(model, shape, source, shared=False):
-    """ConfigError unless ``shape`` is that of one point of ``model`` or,
+    """ValueError unless ``shape`` is that of one point of ``model`` or,
     with ``shared``, one value for every coordinate."""
     if shape == model.point_shape or (shared and shape == (1,)):
         return
     need = f"1 or {model.dim_x}" if shared and model.dim_x > 1 else f"{model.dim_x}"
-    raise ConfigError(f"{source} has {math.prod(shape)} value(s) per point, "
+    raise ValueError(f"{source} has {math.prod(shape)} value(s) per point, "
                       f"but {model.name} needs {need}")
 
 
@@ -237,14 +232,14 @@ def _proposal(text, model):
         # FixedNormal checks the values and names them
         parts = _numbers(text[len("normal:"):], "proposal", finite=False)
         if len(parts) < 2:
-            raise ConfigError("proposal normal:<mean...>,<sd> needs mean and sd")
+            raise ValueError("proposal normal:<mean...>,<sd> needs mean and sd")
         mean = np.asarray(parts[:-1])
         _check_point_shape(model, mean.shape, "--proposal normal: mean", shared=True)
         if model.support != "real":  # else found only at the first descent step
-            raise ConfigError("fixed normal proposal does not cover the support "
+            raise ValueError("fixed normal proposal does not cover the support "
                               f"of {model.name}")
         return FixedNormal(mean=mean, sd=parts[-1])
-    raise ConfigError(f"unknown proposal {text!r}")
+    raise ValueError(f"unknown proposal {text!r}")
 
 
 @dataclass(frozen=True)
@@ -283,12 +278,14 @@ def read_config(cfg, command):
 
     model = get_model(cfg["model"])
     if cfg["divergence"] not in ("dpd", "gamma"):
-        raise ConfigError(f"divergence must be dpd or gamma, got {cfg['divergence']!r}")
-    n = num("n", int, above=0)
+        raise ValueError(f"divergence must be dpd or gamma, got {cfg['divergence']!r}")
+    if not cfg["out_dir"]:  # else os.makedirs('') fails naming no key
+        raise ValueError("out_dir must name a directory, got ''")
+    n = num("n", int, at_least=1)
     spec = init = None
     if cfg["data"]:  # checked before main makes the output directory
         if not (os.path.isfile(cfg["data"]) and os.access(cfg["data"], os.R_OK)):
-            raise ConfigError(f"data {cfg['data']!r} is not a readable file")
+            raise ValueError(f"data {cfg['data']!r} is not a readable file")
     else:
         values = _numbers(cfg["truth"], "truth") if cfg["truth"] else model.default_truth
         truth = _theta_from_naturals(model, values, "truth")
@@ -304,34 +301,34 @@ def read_config(cfg, command):
         init = _theta_from_naturals(model, values, "init")
     extent = num("grid_extent", above=0, at_most=MAGNITUDE_MAX)
     big_m_key = "big_m_values" if cfg["big_m_values"] else "big_m"  # the key the value came from
-    big_m_values = _numbers(cfg[big_m_key], big_m_key, int, above=1)
+    big_m_values = _numbers(cfg[big_m_key], big_m_key, int, at_least=2)
     lattices = tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values)
     for lattice in lattices:
         try:
             lattice.weight(model)
         except OverflowError:
-            raise ConfigError(f"grid_extent {cfg['grid_extent']} gives {model.name} grids of "
+            raise ValueError(f"grid_extent {cfg['grid_extent']} gives {model.name} grids of "
                               f"{lattice.nodes} nodes a weight past the double range") from None
     betas = {}
     for beta in _numbers(cfg["betas"], "betas", above=0, at_most=POWER_MAX):
         name = f"pdf_beta_{beta:g}"
         if name in betas:
-            raise ConfigError(f"betas {betas[name]!r} and {beta!r} both name column {name}")
+            raise ValueError(f"betas {betas[name]!r} and {beta!r} both name column {name}")
         betas[name] = beta
     run = Run(
         model=model, spec=spec, init=init,
         proposal=_proposal(cfg["proposal"], model),
         schedule=StepDecay(eta0=num("eta0", at_most=MAGNITUDE_MAX),
                            rate=num("decay_rate", above=0, below=1),
-                           period=num("decay_period", int, above=0)),
+                           period=num("decay_period", int, at_least=1)),
         beta=num("beta", above=0, at_most=POWER_MAX),
         gamma=num("gamma", above=0, at_most=POWER_MAX),
-        m=num("m", int, above=0),
-        T=num("T", int, above=-1),
-        seed=num("seed", int, above=-1),
-        replications=num("replications", int, above=0),
+        m=num("m", int, at_least=1),
+        T=num("T", int, at_least=0),
+        seed=num("seed", int, at_least=0),
+        replications=num("replications", int, at_least=1),
         betas=betas,
-        m_values=_numbers(cfg["m_values"] or cfg["m"], "m_values", int, above=0),
+        m_values=_numbers(cfg["m_values"] or cfg["m"], "m_values", int, at_least=1),
         lattices=lattices,
         gamma_mode=cfg["divergence"] == "gamma",
         data=cfg["data"],
@@ -339,15 +336,15 @@ def read_config(cfg, command):
     )
     if command == "table-compare":
         if run.data:
-            raise ConfigError("table-compare draws its own samples; it takes no --data")
+            raise ValueError("table-compare draws its own samples; it takes no --data")
         if not isinstance(model, IsoNormal):
-            raise ConfigError("table-compare requires an isonormal<d> model")
+            raise ValueError("table-compare requires an isonormal<d> model")
         if run.T < 1:
-            raise ConfigError("T must be >= 1 for table-compare")
+            raise ValueError("T must be >= 1 for table-compare")
     if command == "density-curves" and model.dim_x != 1:
-        raise ConfigError("density-curves requires a univariate model")
+        raise ValueError("density-curves requires a univariate model")
     if run.gamma_mode and command in ("table-compare", "density-curves"):
-        raise ConfigError(f"{command} fits the DPD; it takes no --divergence gamma")
+        raise ValueError(f"{command} fits the DPD; it takes no --divergence gamma")
     return run
 
 
@@ -358,7 +355,7 @@ def _dataset(run, *stream):
         ds = Dataset.from_csv(run.data)  # reads every finite double, as to_csv writes it
         _check_point_shape(run.model, ds.points.shape[1:], run.data)
         if max(ds.points.max(), -ds.points.min()) > MAGNITUDE_MAX:
-            raise ConfigError(f"{run.data}: value outside [-{MAGNITUDE_MAX:g}, "
+            raise ValueError(f"{run.data}: value outside [-{MAGNITUDE_MAX:g}, "
                               f"{MAGNITUDE_MAX:g}] in the data")
         return ds
     return contaminated_sample(run.spec, np.random.default_rng([run.seed, *stream, 0]))
@@ -397,27 +394,26 @@ def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
     return sgd_run(grad, theta0, run.schedule, run.T, rng)
 
 
-def _mse(run, params):
+def _mse(run, theta):
     """``||theta - truth||^2`` of one iterate, or the list of a trace's; None without a truth."""
     if run.spec is None:
         return None
-    truth = run.spec.truth
-    return ((params[..., :len(truth)] - truth) ** 2).sum(axis=-1).tolist()
+    return ((theta - run.spec.truth) ** 2).sum(axis=-1).tolist()
 
 
-def _iterate_columns(run, ds, params, mean_pow=None):
-    """The ``objective_exact`` and ``scale_c`` of one recorded iterate, each
-    None where it does not apply: the exact objective needs a closed-form
-    family, the scale a gamma run.  ``mean_pow``, the mean data weight of the
-    step taken from ``params``, spares the objective its pass over the data."""
+def _iterate_columns(run, ds, theta, log_c, mean_pow=None):
+    """The ``objective_exact`` and ``scale_c`` of one recorded iterate ``(theta, log_c)``,
+    each None where it does not apply: the exact objective needs a closed-form
+    family, the scale a gamma run (``log_c`` is empty otherwise).  ``mean_pow``, the
+    mean data weight of the step taken from it, spares the objective its data pass."""
     model, objective, scale = run.model, None, None
     if model.closed_form_r is not None:
-        objective = (empirical_gce(model, params[:-1], ds.points, run.gamma, mean_pow=mean_pow)
+        objective = (empirical_gce(model, theta, ds.points, run.gamma, mean_pow=mean_pow)
                      if run.gamma_mode
-                     else empirical_dpce(model, params, ds.points, run.beta, mean_pow=mean_pow))
+                     else empirical_dpce(model, theta, ds.points, run.beta, mean_pow=mean_pow))
     if run.gamma_mode:
         with np.errstate(over="ignore"):  # a diverged run may end at c = inf
-            scale = float(np.exp(params[-1]))
+            scale = float(np.exp(log_c[0]))
     return objective, scale
 
 
@@ -439,23 +435,22 @@ def _write_csv(run, name, header, rows):
         writer.writerows(rows)
 
 
-def _write_trace(run, trace, columns, cost):
+def _write_trace(run, theta, columns, cost):
     """One row per iterate ``t``: the step size that reached it (0.0 for
-    the start), ``t * cost`` density evaluations, its coordinates and its
+    the start), ``t * cost`` density evaluations, its ``theta`` row and its
     ``columns``: :func:`_iterate_columns` and the MSE."""
-    s = run.model.dim_param
-    header = ["t", "eta", "complexity"] + [f"theta_{i + 1}" for i in range(s)]
+    header = ["t", "eta", "complexity"] + [f"theta_{i + 1}" for i in range(theta.shape[1])]
     rows = ([t, _fmt(run.schedule.at(t) if t else 0.0), t * cost]
-            + list(map(repr, theta)) + [_fmt(v) for v in values]
-            for t, (theta, values) in enumerate(zip(trace[:, :s].tolist(), columns)))
+            + list(map(repr, row)) + [_fmt(v) for v in values]
+            for t, (row, values) in enumerate(zip(theta.tolist(), columns)))
     _write_csv(run, "trace.csv", header + ["objective_exact", "scale_c", "mse"], rows)
 
 
 def _write_estimate(run, final, columns, complexity):
-    """The ``final`` iterate, with ``columns`` its :func:`_iterate_columns` and MSE."""
+    """The ``final`` theta row, with ``columns`` its :func:`_iterate_columns` and MSE."""
     model = run.model
     objective, scale, _ = columns
-    values = dict(zip(model.natural_names, model.natural_values(final[: model.dim_param])))
+    values = dict(zip(model.natural_names, model.natural_values(final)))
     if scale is not None:
         values["scale_c"] = scale
     values["objective"] = objective
@@ -472,24 +467,23 @@ def cmd_fit(run, write_estimate=True):
     # exact objective; only an iterate that starts no step is evaluated afresh
     means = [] if run.model.closed_form_r is not None else None
     result = _sgd(run, ds, _initial_theta(run, ds), run.beta, run.m, data_means=means)
-    trace, cost = result.trace, ds.n + run.m  # density evaluations a step
-    mses = _mse(run, trace) or [None] * len(trace)  # one array op for the whole trace
-    columns = [(*_iterate_columns(run, ds, theta, mean), mse)
-               for theta, mean, mse in itertools.zip_longest(trace, means or (), mses)]
+    s, cost = run.model.dim_param, ds.n + run.m  # density evaluations a step
+    theta, log_c = result.trace[:, :s], result.trace[:, s:]  # log_c: gamma runs only
+    mses = _mse(run, theta) or [None] * len(theta)  # one array op for the whole trace
+    columns = [(*_iterate_columns(run, ds, th, c, mean), mse)
+               for th, c, mean, mse in itertools.zip_longest(theta, log_c, means or (), mses)]
     if not run.data:
         ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     if write_estimate and not result.diverged:
-        _write_estimate(run, trace[-1], columns[-1], (len(trace) - 1) * cost)
-    _write_trace(run, trace, columns, cost)
+        _write_estimate(run, theta[-1], columns[-1], (len(theta) - 1) * cost)
+    _write_trace(run, theta, columns, cost)
     return result.reason
 
 
-def _table_cell_run(run, method, size, rep):
-    """One replication of one table cell; returns (mse, reason), the reason
-    None unless the run diverged.  ``size``
+def _table_cell_run(run, method, size, rep, ds, theta0):
+    """Replication ``rep`` of one table cell, on its sample ``ds`` and start ``theta0``;
+    returns (mse, reason), the reason None unless the run diverged.  ``size``
     is the draw count of an ``sgd`` cell and the ``Lattice`` of a ``gd-ni`` one."""
-    ds = _dataset(run, rep)
-    theta0 = _initial_theta(run, ds)
     if method == "sgd":
         result = _sgd(run, ds, theta0, run.beta, size, rep)
     else:
@@ -504,7 +498,9 @@ def _table_cell_run(run, method, size, rep):
 def cmd_table_compare(run):
     reps = run.replications
     cells = [("sgd", m) for m in run.m_values] + [("gd-ni", g) for g in run.lattices]
-    jobs = [(method, size, rep) for method, size in cells for rep in range(reps)]
+    # every cell of a replication fits the same sample from the same start
+    starts = [(ds, _initial_theta(run, ds)) for ds in (_dataset(run, rep) for rep in range(reps))]
+    jobs = [(method, size, rep, *starts[rep]) for method, size in cells for rep in range(reps)]
     # more threads than usable CPUs only contend for the GIL and the caches
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max_workers=min(8, reps, cpus or 1)) as pool:
@@ -526,8 +522,6 @@ def cmd_table_compare(run):
 def cmd_density_curves(run):
     model = run.model
     ds = _dataset(run)
-    if not run.data:
-        ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     theta_mle = _initial_theta(run, ds)
 
     fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in run.betas.items()}
@@ -540,6 +534,8 @@ def cmd_density_curves(run):
 
     rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
             + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
+    if not run.data:
+        ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     _write_csv(run, "curves.csv", ["x", "hist_count"] + list(columns), rows)
     return next((f"{result.reason} ({name} fit)" for name, result in fits.items()
                  if result.diverged), None)
@@ -560,7 +556,7 @@ def main(argv=None):
         os.makedirs(run.out_dir, exist_ok=True)
         _write_config_echo(cfg, run.out_dir)
         reason, code = command(run), 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         reason, code = exc, 1
     if reason is None:
         return 0

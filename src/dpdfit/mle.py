@@ -15,13 +15,10 @@ from .divergence import _data_points
 from .models import (
     VARIANCE_FLOOR,
     Gompertz,
-    GompertzParams,
     InverseNormal,
-    InverseNormalParams,
     MixtureParams,
     Normal1D,
     NormalMixture2,
-    NormalParams,
     _column_sums,
     _columns,
 )
@@ -34,7 +31,7 @@ def mle_normal(data):
     var = float(x.var())
     if var <= 0:
         raise ValueError("zero-variance sample")
-    return Normal1D().from_natural(NormalParams(mu=mu, sigma=float(np.sqrt(var))))
+    return Normal1D().from_natural_values((mu, float(np.sqrt(var))))
 
 
 def mle_isonormal(data):
@@ -54,7 +51,7 @@ def mle_inverse_normal(data):
     denom = float((1.0 / x).mean() - 1.0 / mu)
     if denom <= 0:
         raise ValueError("degenerate sample: shape denominator is not positive")
-    return InverseNormal().from_natural(InverseNormalParams(mu=mu, lam=1.0 / denom))
+    return InverseNormal().from_natural_values((mu, 1.0 / denom))
 
 
 def newton_bisection(f_df, lo, hi):
@@ -140,7 +137,7 @@ def mle_gompertz(data, bracket=(1e-4, 20.0)):
                          f"bracket; give a start with --init")
     omega = lo if signs[0] == signs[1] < 0 else newton_bisection(profile, lo, hi)
     lam = omega / np.expm1(omega * x).mean()
-    return Gompertz().from_natural(GompertzParams(omega=float(omega), lam=float(lam)))
+    return Gompertz().from_natural_values((float(omega), float(lam)))
 
 
 def em_mixture(x, init):

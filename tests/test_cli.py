@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -598,6 +599,26 @@ class TestConfigHandling:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["fit", "--out-dir", "out", "--bogus"],
+                                      ["fit", "--out-dir", "out", "--T"], []],
+                             ids=["unknown flag", "flag without value", "no subcommand"])
+    def test_unparsable_command_line_exits_one_before_anything_is_written(self, tmp_path,
+                                                                         capsys, args):
+        """The parser's own errors take ``main``'s exit-1 path too."""
+        with _inside(tmp_path):
+            rc = main(args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_empty_out_dir_exits_one_naming_it(self, tmp_path, capsys):
+        with _inside(tmp_path):
+            rc = main(["fit", "--out-dir="] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out_dir must name a directory, got ''\n"
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -831,6 +852,13 @@ class TestDensityCurves:
                        f"pdf_beta_{named[0]}\n")
         assert not (tmp_path / "curves.csv").exists()
 
+    def test_failed_mle_start_leaves_only_the_config_echo(self, tmp_path, capsys):
+        """As with ``fit``: ``data.csv`` is written with ``curves.csv``, after the fits."""
+        rc = main(["density-curves", "--n", "1", "--T", "3", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need 2 or more observations, got 1\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.echo"]
+
     def test_gompertz_curves_suppress_outlier_bump(self, tmp_path):
         """The robust curve puts less mass at the outlier location than
         the MLE curve."""
@@ -889,11 +917,29 @@ EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "", "abc", "1
                "isonormal2", "gompertz", "mixture", "gamma", "true",
                "0.5", "2", "0.5,0.5", "-5,1,0,1,0.6"]
 
+# a value of one of these keys may be reported under the other
+ALIASES = {"big_m": ("big_m", "big_m_values"), "big_m_values": ("big_m", "big_m_values"),
+           "m": ("m", "m_values"), "m_values": ("m", "m_values")}
+# the exits 1 that only the drawn sample decides, after config.echo is written:
+# the MLE start fails, or the start lies past the descent's bound
+SAMPLE_DEPENDENT = re.compile(r"error: (need \d+ or more observations|zero-variance sample|"
+                              r"inverse normal requires|degenerate sample|Gompertz |"
+                              r"all-zero sample|every EM restart collapsed|initial parameters \[)")
+
+
+def _names(line, key):
+    """Whether ``line`` names ``key``, an alias of it, or the flag of either."""
+    return any(re.search(rf"\b{k}\b", line) or "--" + k.replace("_", "-") in line
+               for k in ALIASES.get(key, (key,)))
+
 
 class TestInputContract:
     """Whatever the flags, a run exits 0, 1 or 2 and raises or warns nothing
     (every warning is an error here); exits 1 and 2 print exactly one
-    stderr line, and exit 0 prints nothing to stderr."""
+    stderr line, and exit 0 prints nothing to stderr.  An exit 1 names a
+    drawn key (``n`` or one of ``values``) and leaves no ``--out-dir``,
+    unless the sample decides it (``SAMPLE_DEPENDENT``): then the directory
+    holds ``config.echo`` alone."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(command=st.sampled_from(["fit", "trace", "table-compare", "density-curves"]),
@@ -907,14 +953,21 @@ class TestInputContract:
         for key, value in values.items():
             flag = "--" + key.replace("_", "-")
             argv += [flag] if key == "fixed_outlier_count" else [f"{flag}={value}"]
+        out = values.get("out_dir", "out")
         err = io.StringIO()
         with (tempfile.TemporaryDirectory() as tmp, _inside(tmp),
               contextlib.redirect_stderr(err), warnings.catch_warnings()):
             warnings.simplefilter("error")
             rc = main(argv)
+            written = sorted(os.listdir(out)) if out and os.path.isdir(out) else None
         assert rc in (0, 1, 2), argv
         lines = err.getvalue().splitlines()
         if rc == 0:
             assert lines == [], argv
         else:
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        if rc == 1 and SAMPLE_DEPENDENT.match(lines[0]):
+            assert written == ["config.echo"], (argv, lines, written)
+        elif rc == 1:
+            assert any(_names(lines[0], key) for key in ["n", *values]), (argv, lines)
+            assert written is None, (argv, lines, written)
