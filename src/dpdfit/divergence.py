@@ -53,16 +53,21 @@ def _data_points(data, need=1):
     return x
 
 
+def _mean_pow(model, theta, data, power, name, mean_pow):
+    """Data mean of ``p(x_i)**power``, ``power > 0``, unless the caller holds it as ``mean_pow``."""
+    if power <= 0:
+        raise ValueError(f"{name} must be positive")
+    if mean_pow is None:
+        lp = model.log_pdf(theta, _data_points(data))
+        mean_pow = float(np.exp(power * lp).mean())
+    return mean_pow
+
+
 def empirical_power_term(model, theta, data, beta, mean_pow=None):
     """Data-side term ``-(beta * n)^{-1} sum_i p(x_i)**beta``.  A caller that
     holds the mean of ``p(x_i)**beta`` already passes it as ``mean_pow``, and
     the data are not evaluated."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if mean_pow is None:
-        lp = model.log_pdf(theta, _data_points(data))
-        mean_pow = float(np.exp(beta * lp).mean())
-    return -mean_pow / beta
+    return -_mean_pow(model, theta, data, beta, "beta", mean_pow) / beta
 
 
 def lattice_points(model, lattice):
@@ -103,26 +108,13 @@ def empirical_dpce(model, theta, data, beta, lattice=None, mean_pow=None):
             + integral_r(model, theta, beta, lattice))
 
 
-def empirical_gce(model, theta, data, gamma, lattice=None, scale=1.0, mean_pow=None):
-    """Empirical gamma cross entropy, optionally of the scaled model.
-
-    With ``scale=c`` this evaluates the objective for the unnormalized
-    model ``c * p``; the value is scale-invariant, so any ``c > 0``
-    returns the same number up to rounding.  A caller that holds the mean
-    of ``(c * p(x_i))**gamma`` already passes it as ``mean_pow``, and the
-    data are not evaluated.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    log_c = np.log(scale)
-    if mean_pow is None:
-        lp = model.log_pdf(theta, _data_points(data))
-        mean_pow = np.exp(gamma * (lp + log_c)).mean()
+def empirical_gce(model, theta, data, gamma, lattice=None, *, mean_pow=None):
+    """Empirical gamma cross entropy, the same for ``c * p`` at every ``c > 0``.
+    A caller that holds the mean of ``p(x_i)**gamma`` already passes it as
+    ``mean_pow``, and the data are not evaluated."""
+    mean_pow = _mean_pow(model, theta, data, gamma, "gamma", mean_pow)
     if mean_pow <= 0:
         raise ValueError("model density vanishes on the whole dataset")
-    # integral of (c p)^(1+gamma) = c^(1+gamma) (1+gamma) r
+    # integral of p^(1+gamma) = (1+gamma) r
     r = integral_r(model, theta, gamma, lattice)
-    log_int = (1.0 + gamma) * log_c + np.log1p(gamma) + np.log(r)
-    return float(-np.log(mean_pow) / gamma + log_int / (1.0 + gamma))
+    return float(-np.log(mean_pow) / gamma + (np.log1p(gamma) + np.log(r)) / (1.0 + gamma))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _data_points, lattice_points
-from .models import _LOG_2PI, MAGNITUDE_MAX, _column_sums
+from .models import _LOG_2PI, MAGNITUDE_MAX, _column_sums, _positive_exp
 
 # Points per kernel call in _weighted_score_sum; the carried sum gives the same
 # bytes at any value.  Shorter calls make the table's pool threads trade the
@@ -148,6 +148,8 @@ def data_term(model, theta, data, beta):
     Points where the density vanishes contribute zero and their score is
     never evaluated (it may be undefined outside the support).
     """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     x = _data_points(data)
     return -_weighted_score_sum(model, theta, x, beta)[1] / x.shape[0]
 
@@ -196,8 +198,6 @@ def stochastic_grad_dpd(model, theta, data, beta, m, proposal, rng):
 
 def lattice_grad_dpd(model, theta, data, beta, lattice):
     """Deterministic gradient with the integral term on a regular grid."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     g = data_term(model, theta, data, beta)
     pts, w = lattice_points(model, lattice)
     return g + w * _weighted_score_sum(model, theta, pts, 1.0 + beta)[1]
@@ -217,11 +217,7 @@ def stochastic_grad_gamma(model, psi, data, gamma, m, proposal, rng):
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    theta = psi[:-1]
-    with np.errstate(over="ignore"):
-        c = np.exp(psi[-1])
-    if not 0.0 < c < np.inf:  # log c left the double range
-        c = np.float64(np.nan)
+    theta, c = psi[:-1], _positive_exp(psi[-1])
     # the data term of data_term, with the scale's powers applied
     w, g_data, (terms, weights) = _stochastic_step(model, theta, data, gamma, m, proposal, rng)
     n = w.shape[0]

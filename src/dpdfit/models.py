@@ -34,6 +34,13 @@ _FLOAT_MIN = float(np.finfo(float).min)
 _LOG_MAX = float(np.log(np.finfo(float).max))  # exp overflows above it
 
 
+def _positive_exp(t):
+    """``np.exp`` of a log-space coordinate, NaN where that leaves (0, inf); an
+    ``np.float64``, since a Python float's ``**`` raises OverflowError."""
+    e = np.exp(t) if t <= _LOG_MAX else np.float64(np.nan)  # a NaN t fails the test too
+    return e if e > 0.0 else np.float64(np.nan)
+
+
 def _normal_log_pdf(r2, var):
     """Normal log-density from the squared residual and the variance."""
     return -0.5 * (_LOG_2PI + np.log(var)) - r2 / (2.0 * var)
@@ -329,12 +336,8 @@ class _LogScale:
         """``exp`` of the two log-space coordinates, or NaN for both when either
         leaves (0, inf).  NaN reaches the gradient without a warning, and the
         descent flags the step; an inf or a 0 would warn or raise on the way."""
-        t0, t1 = theta[0], theta[1]
-        if t0 <= _LOG_MAX and t1 <= _LOG_MAX:
-            a, b = np.exp(t0), np.exp(t1)
-            if 0.0 < a < np.inf and 0.0 < b < np.inf:
-                return a, b
-        return np.nan, np.nan
+        a, b = _positive_exp(theta[0]), _positive_exp(theta[1])
+        return (np.nan, np.nan) if np.isnan(a) or np.isnan(b) else (a, b)
 
     def to_natural(self, theta):
         return self.params_cls(*map(float, self._params(self._check_theta(theta))))

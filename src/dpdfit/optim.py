@@ -17,7 +17,7 @@ import numpy as np
 
 # A run is flagged as diverged when any parameter magnitude passes
 # PARAM_LIMIT, any gradient component passes GRAD_LIMIT, or anything
-# goes non-finite; a start past PARAM_LIMIT is an input error.
+# goes non-finite; a start that is NaN, +-inf or past PARAM_LIMIT is an input error.
 PARAM_LIMIT = 1e8
 GRAD_LIMIT = 1e12
 
@@ -57,36 +57,33 @@ class RunResult:
 
 
 def _stop_reason(t, what, values, limit_name, limit):
-    """Why step ``t`` stopped: the first entry of ``values`` that is NaN,
-    +-inf or past ``limit``."""
-    i = int(np.argmax(~(np.abs(values) <= limit)))
-    v = float(values[i])
-    if np.isnan(v):
-        state = "is NaN"
-    elif np.isinf(v):
-        state = f"is {v:+}"
-    else:
-        state = f"= {v:.6g} is past {limit_name} = {limit:g}"
-    return f"diverged at step {t}: {what}[{i}] {state}"
+    """Why step ``t`` stops, or None: the first entry of ``values`` that is NaN,
+    +-inf or past ``limit``, read as Python floats."""
+    for i, v in enumerate(values.ravel().tolist()):  # ravel: a 0-d theta is one entry
+        if not abs(v) <= limit:  # also True for NaN
+            if np.isnan(v):
+                state = "is NaN"
+            elif np.isinf(v):
+                state = f"is {v:+}"
+            else:
+                state = f"= {v:.6g} is past {limit_name} = {limit:g}"
+            return f"diverged at step {t}: {what}[{i}] {state}"
+    return None
 
 
 def _descent(grad_fn, theta0, eta_at, n_steps):
     theta = np.array(theta0, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("non-finite initial parameters")
-    if not np.abs(theta).max() <= PARAM_LIMIT:
+    if _stop_reason(0, "theta", theta, "PARAM_LIMIT", PARAM_LIMIT):
         raise ValueError(f"initial parameters {theta.tolist()} lie past the descent's "
                          f"bound |theta| <= {PARAM_LIMIT:g}")
     trace = [theta.copy()]
     reason = None
     for t in range(1, n_steps + 1):
         g = np.asarray(grad_fn(theta), dtype=float)
-        if not np.abs(g).max() <= GRAD_LIMIT:  # also True for NaN and +-inf
-            reason = _stop_reason(t, "gradient", g, "GRAD_LIMIT", GRAD_LIMIT)
+        if reason := _stop_reason(t, "gradient", g, "GRAD_LIMIT", GRAD_LIMIT):
             break
         candidate = theta - eta_at(t) * g
-        if not np.abs(candidate).max() <= PARAM_LIMIT:
-            reason = _stop_reason(t, "candidate theta", candidate, "PARAM_LIMIT", PARAM_LIMIT)
+        if reason := _stop_reason(t, "candidate theta", candidate, "PARAM_LIMIT", PARAM_LIMIT):
             break
         theta = candidate
         trace.append(theta.copy())

@@ -287,12 +287,17 @@ class TestEmpiricalGce:
             assert value == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance(self):
+        """The cross entropy of the unnormalized model ``c * p``, written out,
+        is the library's value at every ``c``."""
         m = Normal1D()
         th = m.from_natural(NormalParams(mu=0.2, sigma=1.1))
         x = np.random.default_rng(10).normal(size=100)
-        base = empirical_gce(m, th, x, 0.5, scale=1.0)
+        gamma = 0.5
+        base = empirical_gce(m, th, x, gamma)
+        p, r = np.exp(m.log_pdf(th, x)), m.closed_form_r(th, gamma)
         for c in (0.1, 0.9, 7.3):
-            scaled = empirical_gce(m, th, x, 0.5, scale=c)
+            scaled = (-np.log(np.mean((c * p) ** gamma)) / gamma
+                      + np.log(c ** (1 + gamma) * (1 + gamma) * r) / (1 + gamma))
             assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_vanishing_density_rejected(self):

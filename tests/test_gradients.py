@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from test_models import thetas
 
 from dpdfit import gradients
-from dpdfit.divergence import Lattice, empirical_power_term, lattice_r
+from dpdfit.divergence import (
+    Lattice,
+    empirical_dpce,
+    empirical_gce,
+    empirical_power_term,
+    lattice_r,
+)
 from dpdfit.gradients import (
     BLOCK,
     FUSED_ROWS,
@@ -566,10 +572,20 @@ class TestLatticeGradDpd:
     def test_rejects_non_positive_beta_before_any_arithmetic(self, beta):
         # with beta = -1, p(x)**beta overflows for a point 100 units from
         # the mean, so a late check would come after a RuntimeWarning
-        x = np.full((5, 2), 100.5)
-        with pytest.raises(ValueError, match="beta must be positive"):
-            lattice_grad_dpd(IsoNormal(2), np.full(2, 0.5), x, beta,
-                             Lattice(extent=2.0, nodes=3))
+        m, th, x = IsoNormal(2), np.full(2, 0.5), np.full((5, 2), 100.5)
+        lattice, rng = Lattice(extent=2.0, nodes=3), np.random.default_rng(0)
+        calls = [
+            lambda: lattice_grad_dpd(m, th, x, beta, lattice),
+            lambda: data_term(m, th, x, beta),
+            lambda: stochastic_grad_dpd(m, th, x, beta, 4, CurrentModel(), rng),
+            lambda: stochastic_grad_gamma(m, np.append(th, 0.0), x, beta, 4, CurrentModel(), rng),
+            lambda: empirical_power_term(m, th, x, beta),
+            lambda: empirical_dpce(m, th, x, beta, lattice),
+            lambda: empirical_gce(m, th, x, beta, lattice),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="(beta|gamma) must be positive"):
+                call()
 
     def test_multivariate_grid_shape(self):
         m = IsoNormal(2)

@@ -104,9 +104,22 @@ class TestMleGompertz:
         assert p.omega == pytest.approx(10.0, rel=1e-12)
         assert p.lam == pytest.approx(10.0 / np.expm1(10.0 * x).mean(), rel=1e-12)
 
+    def test_overflow_at_bracket_end_starts_at_its_lower_end(self):
+        """At the default bracket's upper end ``omega * x`` passes 700 for the
+        point at 50; the profile takes the overflow's limit there, the
+        likelihood falls across the bracket, and the start is its lower end."""
+        x = np.array([0.1, 0.5, 1.0, 2.0, 50.0])
+        p = Gompertz().to_natural(mle_gompertz(x))
+        assert p.omega == pytest.approx(1e-4, rel=1e-12)
+        assert p.lam == pytest.approx(1e-4 / np.expm1(1e-4 * x).mean(), rel=1e-12)
+
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):
             mle_gompertz(np.array([0.5, -0.1, 1.0]))
+
+    def test_all_zero_sample_rejected(self):
+        with pytest.raises(ValueError, match="all-zero sample"):
+            mle_gompertz(np.zeros(5))
 
 
 class TestNewtonBisection:
@@ -154,6 +167,12 @@ class TestMleMixture:
                              alpha=1e-7)
         with pytest.raises(ValueError):
             em_mixture(np.zeros(100), init)
+
+    def test_every_restart_collapsing_raises(self):
+        """Nine zeros and a one: every quantile split leaves one side empty
+        and is skipped, so no restart is left."""
+        with pytest.raises(ValueError, match="every EM restart collapsed"):
+            mle_mixture(np.r_[np.zeros(9), 1.0], rng=np.random.default_rng(0))
 
 
 def _broadcast_em(x, init):

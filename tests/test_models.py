@@ -11,6 +11,7 @@ from dpdfit.models import (
     InverseNormal,
     InverseNormalParams,
     IsoNormal,
+    IsoNormalParams,
     MixtureParams,
     Model,
     Normal1D,
@@ -432,6 +433,10 @@ class TestReparameterization:
             with pytest.raises(ValueError):
                 m.from_natural(MixtureParams(0, 1, 1, 1, alpha))
 
+    def test_isonormal_mean_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"mean must have shape \(3,\)"):
+            IsoNormal(3).from_natural(IsoNormalParams(mean=[0, 0]))
+
     def test_variance_below_floor_rejected(self):
         with pytest.raises(ValueError):
             Normal1D().from_natural(NormalParams(mu=0.0, sigma=1e-4))
@@ -461,8 +466,9 @@ class TestNormalization:
             th = random_theta(model, rng)
             if model.support == "positive":
                 if isinstance(model, InverseNormal):
+                    # a closed tail bound: scipy's quantile fails inside the box
                     p = model.to_natural(th)
-                    hi = float(stats.invgauss.ppf(1 - 1e-12, p.mu / p.lam, scale=p.lam))
+                    hi = 2.0 * p.mu + 70.0 * p.mu**2 / p.lam
                 else:
                     u = 1 - 1e-13
                     p = model.to_natural(th)

@@ -109,8 +109,9 @@ class TestSgdRun:
         assert res.reason == f"diverged at step 3: candidate theta[0] {state}"
 
     def test_non_finite_start_rejected(self):
-        with pytest.raises(ValueError):
-            gd_run(lambda th: th, np.array([np.inf]), 0.1, 3)
+        for start in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"bound \|theta\| <= 1e\+08"):
+                gd_run(lambda th: th, np.array([start]), 0.1, 3)
 
     @pytest.mark.parametrize("start", [[0.0, 2 * PARAM_LIMIT], [-2 * PARAM_LIMIT, 0.0]])
     def test_start_past_param_limit_rejected(self, start):
@@ -135,6 +136,11 @@ class TestSgdRun:
         res = gd_run(lambda th: th, np.array([1.0]), 0.1, 0)
         assert res.trace.shape == (1, 1) and res.trace[0, 0] == 1.0
 
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="number of steps must be >= 0"):
+            sgd_run(lambda th, rng: th, np.zeros(1), StepDecay(0.5, 0.7, 5), -1,
+                    np.random.default_rng(0))
+
 
 class TestGdRun:
     def test_zero_rate_keeps_parameters(self):
@@ -145,6 +151,16 @@ class TestGdRun:
         target = np.array([2.0, -1.0])
         res = gd_run(lambda th: th - target, np.zeros(2), 0.5, 100)
         np.testing.assert_allclose(res.trace[-1], target, atol=1e-12)
+
+    def test_scalar_start_gives_a_flat_trace(self):
+        res = gd_run(lambda th: th, 1.0, 0.1, 2)
+        np.testing.assert_allclose(res.trace, [1.0, 0.9, 0.81], rtol=1e-15)
+        with pytest.raises(ValueError, match=r"bound \|theta\| <= 1e\+08"):
+            gd_run(lambda th: th, 2 * PARAM_LIMIT, 0.1, 2)
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="learning rate must be >= 0"):
+            gd_run(lambda th: th, np.zeros(1), -0.1, 3)
 
 
 class TestSelectTau:
@@ -171,6 +187,8 @@ class TestSelectTau:
     def test_step_size_assumption_enforced(self):
         with pytest.raises(ValueError):
             select_tau([0.1, 2.0], 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="Lipschitz constant must be positive"):
+            select_tau([0.1], 0, np.random.default_rng(0))
 
     def test_valid_draws_for_random_inputs(self):
         # any valid (etas, L) pair yields a well-formed distribution;
