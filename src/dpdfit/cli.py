@@ -21,6 +21,7 @@ or None) into the code, and exits 1 and 2 print one ``error:`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -32,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ContaminationSpec, Dataset, contaminated_sample
+from .datagen import _BLOCK_ROWS, ContaminationSpec, Dataset, contaminated_sample
 from .divergence import Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
-from .optim import StepDecay, gd_run, sgd_run
+from .optim import StepDecay, checked_start, gd_run, sgd_run
 
 
 DEFAULTS = {
@@ -362,28 +363,26 @@ def _dataset(run, *stream):
 
 
 def _initial_theta(run, ds):
-    """``run.init``, or the MLE of the model's family (its class's ``name``:
-    an IsoNormal's own carries its d) on ``ds``; only the mixture's EM draws,
-    from ``default_rng([seed, 2])``."""
-    if run.init is not None:
-        return run.init
-    return {  # built per call, so that it reads the mle_* names as they stand
+    """The descent's start, checked against its bound: ``run.init``, or the MLE
+    of the model's family (its class's ``name``: an IsoNormal's own carries its
+    d) on ``ds``, with ``log c = 0`` appended in gamma mode.  Only the
+    mixture's EM draws, from ``default_rng([seed, 2])``."""
+    theta = run.init if run.init is not None else {  # read the mle_* names as they stand
         "normal": mle_normal, "inverse-normal": mle_inverse_normal, "gompertz": mle_gompertz,
         "isonormal": mle_isonormal,
         "mixture": lambda ds: mle_mixture(ds, rng=np.random.default_rng([run.seed, 2])),
     }[type(run.model).name](ds)
+    return checked_start(np.append(theta, 0.0) if run.gamma_mode else theta)
 
 
 def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
-    """Stochastic descent with ``m`` draws a step from ``run.proposal``, on
-    ``default_rng([seed, *stream, 1])``: of the DPD at ``beta`` or, with
-    ``run.gamma_mode``, of the gamma objective on ``(theta, log c)`` from c = 1.
-    Given a list ``data_means``, each step appends the mean of its data
-    weights ``p(x_i)**power``, at the iterate it starts from."""
-    estimator, power = stochastic_grad_dpd, beta
-    if run.gamma_mode:
-        estimator, power = stochastic_grad_gamma, run.gamma
-        theta0 = np.concatenate([theta0, [0.0]])
+    """Stochastic descent from ``theta0`` with ``m`` draws a step from
+    ``run.proposal``, on ``default_rng([seed, *stream, 1])``: of the DPD at
+    ``beta`` or, with ``run.gamma_mode``, of the gamma objective on ``theta0 =
+    (theta, log c)``.  Given a list ``data_means``, each step appends the mean
+    of its data weights ``p(x_i)**power``, at the iterate it starts from."""
+    estimator, power = ((stochastic_grad_gamma, run.gamma) if run.gamma_mode
+                        else (stochastic_grad_dpd, beta))
 
     def grad(psi, rng):
         est = estimator(run.model, psi, ds.points, power, m, run.proposal, rng)
@@ -458,22 +457,39 @@ def _write_estimate(run, final, columns, complexity):
                [[_fmt(v) for v in values.values()] + [complexity]])
 
 
+@contextlib.contextmanager
+def _writing_data_csv(run, ds):
+    """Writes a synthetic sample to ``data.csv`` after the ``with`` body or, past one
+    CSV block, on a worker thread while the body runs (numpy releases the GIL in
+    both); the worker is joined, its error raised, before the ``with`` exits."""
+    path = os.path.join(run.out_dir, "data.csv")
+    if run.data or ds.n <= _BLOCK_ROWS:  # a thread costs more than it hides here
+        yield
+        if not run.data:
+            ds.to_csv(path)
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        written = pool.submit(ds.to_csv, path)
+        yield
+    written.result()
+
+
 def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
     ``estimate.csv`` and ``trace.csv``; ``trace`` and a diverged run skip
     ``estimate.csv``.  Returns the stop reason, None unless the run diverged."""
     ds = _dataset(run)
+    theta0 = _initial_theta(run, ds)
     # step t + 1 starts from iterate t, so its data weights give iterate t's
     # exact objective; only an iterate that starts no step is evaluated afresh
     means = [] if run.model.closed_form_r is not None else None
-    result = _sgd(run, ds, _initial_theta(run, ds), run.beta, run.m, data_means=means)
-    s, cost = run.model.dim_param, ds.n + run.m  # density evaluations a step
-    theta, log_c = result.trace[:, :s], result.trace[:, s:]  # log_c: gamma runs only
-    mses = _mse(run, theta) or [None] * len(theta)  # one array op for the whole trace
-    columns = [(*_iterate_columns(run, ds, th, c, mean), mse)
-               for th, c, mean, mse in itertools.zip_longest(theta, log_c, means or (), mses)]
-    if not run.data:
-        ds.to_csv(os.path.join(run.out_dir, "data.csv"))
+    with _writing_data_csv(run, ds):
+        result = _sgd(run, ds, theta0, run.beta, run.m, data_means=means)
+        s, cost = run.model.dim_param, ds.n + run.m  # density evaluations a step
+        theta, log_c = result.trace[:, :s], result.trace[:, s:]  # log_c: gamma runs only
+        mses = _mse(run, theta) or [None] * len(theta)  # one array op for the whole trace
+        columns = [(*_iterate_columns(run, ds, th, c, mean), mse) for th, c, mean, mse
+                   in itertools.zip_longest(theta, log_c, means or (), mses)]
     if write_estimate and not result.diverged:
         _write_estimate(run, theta[-1], columns[-1], (len(theta) - 1) * cost)
     _write_trace(run, theta, columns, cost)
@@ -524,18 +540,16 @@ def cmd_density_curves(run):
     ds = _dataset(run)
     theta_mle = _initial_theta(run, ds)
 
-    fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in run.betas.items()}
-
-    grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
-    counts = np.histogram(ds.points, bins=grid)[0]
-    columns = {"pdf_mle": np.exp(model.log_pdf(theta_mle, grid))}
-    for name, result in fits.items():
-        columns[name] = np.exp(model.log_pdf(result.trace[-1], grid))
+    with _writing_data_csv(run, ds):
+        fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in run.betas.items()}
+        grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
+        counts = np.histogram(ds.points, bins=grid)[0]
+        columns = {"pdf_mle": np.exp(model.log_pdf(theta_mle, grid))}
+        for name, result in fits.items():
+            columns[name] = np.exp(model.log_pdf(result.trace[-1], grid))
 
     rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
             + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
-    if not run.data:
-        ds.to_csv(os.path.join(run.out_dir, "data.csv"))
     _write_csv(run, "curves.csv", ["x", "hist_count"] + list(columns), rows)
     return next((f"{result.reason} ({name} fit)" for name, result in fits.items()
                  if result.diverged), None)

@@ -28,13 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _data_points, lattice_points
+from .divergence import BLOCK, _data_points, lattice_points
 from .models import _LOG_2PI, MAGNITUDE_MAX, _column_sums, _positive_exp
 
-# Points per kernel call in _weighted_score_sum; the carried sum gives the same
-# bytes at any value.  Shorter calls make the table's pool threads trade the
-# GIL instead of overlapping, and 65536 is slower again (measured, 2 MB L2).
-BLOCK = 32768
 FUSED_ROWS = 4096  # from here a column loop beats one fused einsum at 2-3 columns (measured)
 
 

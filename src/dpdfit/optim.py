@@ -71,11 +71,17 @@ def _stop_reason(t, what, values, limit_name, limit):
     return None
 
 
-def _descent(grad_fn, theta0, eta_at, n_steps):
+def checked_start(theta0):
+    """``theta0`` as a new float array; ValueError if an entry is NaN or past ``PARAM_LIMIT``."""
     theta = np.array(theta0, dtype=float)
     if _stop_reason(0, "theta", theta, "PARAM_LIMIT", PARAM_LIMIT):
         raise ValueError(f"initial parameters {theta.tolist()} lie past the descent's "
                          f"bound |theta| <= {PARAM_LIMIT:g}")
+    return theta
+
+
+def _descent(grad_fn, theta0, eta_at, n_steps):
+    theta = checked_start(theta0)
     trace = [theta.copy()]
     reason = None
     for t in range(1, n_steps + 1):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import dpdfit
 from dpdfit import cli
 from dpdfit.cli import DEFAULTS, PRESETS, main
-from dpdfit.datagen import Dataset
+from dpdfit.datagen import _BLOCK_ROWS, Dataset
 from dpdfit.divergence import empirical_dpce, empirical_gce
 from dpdfit.optim import StepDecay
 
@@ -31,6 +32,10 @@ def read_csv(path):
 
 
 FAST = ["--T", "40", "--n", "200", "--seed", "3"]
+# starts past the descent's bound, as it prints them (a gamma run appends log c = 0)
+STARTS = {"--truth=1e9,1": "880000001.2331969, 324961533.0641584",
+          "--init=1e9,1": "1000000000.0, 0.999999499999875",
+          "--init=0,1e9": "0.0, 1000000000.0"}
 
 
 class TestFit:
@@ -120,10 +125,11 @@ class TestFit:
         ("normal", "x_1\n\n0.5\r\n\r\n1_0\n", "line 5: could not convert string '1_0'"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,0.5\n", "outlier labels must be 0 or 1"),
         ("normal", "x_1,outlier\n0.5,0\n1.5,nan\n", "outlier labels must be 0 or 1"),
+        ("normal", "x_1,outlier\n0.5,0\n1.5,2\n", "outlier labels must be 0 or 1"),
         ("normal", "x_1\n0.5\n1e200\n-1e200\n", "value outside [-1e+50, 1e+50] in the data"),
     ], ids=["short-row", "long-row", "every-row-long", "label-missing", "not-a-number",
             "not-a-number-after-empty-lines", "numpy-only-rejects", "label-0.5",
-            "label-nan", "past-magnitude-bound"])
+            "label-nan", "label-2", "past-magnitude-bound"])
     def test_malformed_csv_exits_one(self, tmp_path, capsys, model, content, message):
         path = tmp_path / "input.csv"
         path.write_text(content)
@@ -270,17 +276,24 @@ class TestFit:
         assert err.startswith("error: diverged at step 1: candidate theta[")
         assert err.endswith(" is past PARAM_LIMIT = 1e+08 (pdf_beta_0.1 fit)\n")
 
-    @pytest.mark.parametrize("command", ["fit", "trace"])
-    @pytest.mark.parametrize("flag", ["--truth=1e9,1", "--init=1e9,1", "--init=0,1e9"])
-    def test_start_past_param_limit_exits_one(self, tmp_path, capsys, command, flag):
+    @pytest.mark.parametrize("args, start", [
+        *(pytest.param([command, flag], STARTS[flag], id=f"{flag}-{command}")
+          for flag in STARTS for command in ("fit", "trace")),
+        pytest.param(["density-curves", "--truth=1e9,1"], STARTS["--truth=1e9,1"],
+                     id="--truth=1e9,1-density-curves"),
+        pytest.param(["fit", "--divergence", "gamma", "--init=1e9,1"],
+                     STARTS["--init=1e9,1"] + ", 0.0", id="--init=1e9,1-fit-gamma"),
+    ])
+    def test_start_past_param_limit_exits_one(self, tmp_path, capsys, args, start):
         """Such a start passes the 1e50 magnitude bound but lies past the
         descent's 1e8 bound, so the first step could only be rejected: the
-        run exits 1 naming the bound, with no trace, instead of a silent 2."""
-        rc = main([command, "--T", "5", "--n", "50", flag, "--out-dir", str(tmp_path)])
-        err = capsys.readouterr().err
+        run exits 1 naming the bound, before any output but ``config.echo``
+        (and before a large sample's ``data.csv`` writer starts), instead of
+        a silent 2."""
+        rc = main([*args, "--T", "5", "--n", "50", "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert err.startswith("error: initial parameters [") and err.count("\n") == 1
-        assert "past the descent's bound |theta| <= 1e+08" in err
+        assert capsys.readouterr().err == (f"error: initial parameters [{start}] lie past "
+                                           "the descent's bound |theta| <= 1e+08\n")
         assert sorted(os.listdir(tmp_path)) == ["config.echo"]
 
     def test_truth_the_sampler_cannot_draw_exits_one(self, tmp_path, capsys):
@@ -476,6 +489,57 @@ class TestDataPasses:
         assert main(["trace", "--config", "paper-4.1-ii", "--T", str(T),
                      "--out-dir", str(tmp_path)]) == 0
         assert sum(seen) == T * (n + m)
+
+
+class TestDataCsvWriter:
+    """A sample of more than one CSV block is written on a worker thread while
+    the descent runs; the run joins it before any other output and before
+    ``main`` returns."""
+
+    LARGE = ["--n", "20000", "--T", "2"]  # above datagen._BLOCK_ROWS
+
+    @pytest.fixture
+    def writers(self, monkeypatch):
+        """The thread of each ``Dataset.to_csv`` call."""
+        writers, to_csv = [], Dataset.to_csv
+
+        def recorded(ds, path):
+            writers.append(threading.current_thread())
+            return to_csv(ds, path)
+        monkeypatch.setattr(Dataset, "to_csv", recorded)
+        return writers
+
+    @pytest.mark.parametrize("command", ["fit", "density-curves"])
+    @pytest.mark.parametrize("n, worker", [(_BLOCK_ROWS, False), (_BLOCK_ROWS + 1, True)])
+    def test_a_sample_past_one_block_is_written_on_a_worker(self, tmp_path, writers,
+                                                            command, n, worker):
+        rc = main([command, "--n", str(n), "--T", "2", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert [w is not threading.main_thread() for w in writers] == [worker]
+
+    @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
+    @pytest.mark.parametrize("n", ["50", "20000"])
+    def test_unwritable_data_csv_exits_one_before_other_outputs(self, tmp_path, capsys,
+                                                                 command, n):
+        (tmp_path / "data.csv").mkdir()
+        rc = main([command, "--n", n, "--T", "2", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "data.csv" in err
+        assert sorted(os.listdir(tmp_path)) == ["config.echo", "data.csv"]
+
+    @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
+    @pytest.mark.parametrize("code, extra", [(0, []), (2, ["--eta0", "1e12"]), (1, None)],
+                             ids=["exit-0", "exit-2", "exit-1"])
+    def test_no_thread_outlives_main(self, tmp_path, capsys, writers, command, code, extra):
+        if extra is None:  # the worker starts, and fails
+            (tmp_path / "data.csv").mkdir()
+        before = set(threading.enumerate())
+        rc = main([command, *self.LARGE, *(extra or []), "--out-dir", str(tmp_path)])
+        assert rc == code, capsys.readouterr().err
+        assert not set(threading.enumerate()) - before
+        assert len(writers) == 1 and writers[0] is not threading.main_thread()
+        assert not writers[0].is_alive()
 
 
 class TestConfigHandling:

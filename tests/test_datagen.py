@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpdfit import datagen
 from dpdfit.datagen import ContaminationSpec, Dataset, _shortest, contaminated_sample
 from dpdfit.models import (
     MAGNITUDE_MAX,
@@ -116,6 +117,11 @@ class TestDatasetCsv:
         assert ds.points.tolist() == [0.5, 1.5, -0.25]
         assert ds.is_outlier.tolist() == [False, True, False]
 
+    def test_negative_zero_label_reads_as_zero(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text("x_1,outlier\n0.5,-0.0\n1.5,1\n2.5,0.0\n")
+        assert Dataset.from_csv(path).is_outlier.tolist() == [False, True, False]
+
     def test_roundtrip_scalar(self, tmp_path):
         ds = contaminated_sample(normal_spec(n=200), np.random.default_rng(5))
         path = tmp_path / "data.csv"
@@ -182,8 +188,23 @@ class TestCsvRoundTrip:
     def test_positional_values_round_trip_as_repr_text(self, tmp_path_factory, ds):
         self.check(tmp_path_factory, ds)
 
+    @pytest.mark.parametrize("rows", [1, 3, 16384, 65536])
+    def test_same_bytes_at_every_block_size(self, tmp_path, monkeypatch, rows):
+        """``_BLOCK_ROWS`` only bounds the text held at once: a sample of two
+        blocks and a partial third gives repr's text at any block size."""
+        rng = np.random.default_rng(rows)
+        n = 2 * rows + 1 + rows // 2  # two full blocks and a partial third (at rows > 1)
+        x = np.where(rng.random(n) < 0.5, rng.standard_normal(n),
+                     rng.integers(0, 2**64, n, dtype=np.uint64).view(float))
+        x[np.isnan(x)] = -0.0  # a finite sample, with values repr alone formats
+        labels = rng.random(n) < 0.1
+        monkeypatch.setattr(datagen, "_BLOCK_ROWS", rows)
+        Dataset(points=x, is_outlier=labels).to_csv(tmp_path / "data.csv")
+        expected = "".join(f"{v!r},{int(b)}\r\n" for v, b in zip(x.tolist(), labels.tolist()))
+        assert (tmp_path / "data.csv").read_bytes() == f"x_1,outlier\r\n{expected}".encode()
+
     def test_seeded_batch_is_repr_text(self, tmp_path):
-        """150,000 rows over three blocks: N(0, 1), N(10, 1), random bit
+        """150,000 rows over ten blocks: N(0, 1), N(10, 1), random bit
         patterns and random mantissas at every binary exponent of
         [1e-4, 1e15), against repr in one comparison."""
         rng = np.random.default_rng(16)

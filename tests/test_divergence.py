@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from dpdfit import divergence
 from dpdfit.divergence import (
     Lattice,
     empirical_dpce,
@@ -56,6 +57,19 @@ class TestEmpiricalPowerTerm:
             naive = -np.mean(np.exp(m.log_pdf(th, x)) ** beta) / beta
             value = empirical_power_term(m, th, x, beta)
             assert value == pytest.approx(naive, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["normal", "inverse-normal", "gompertz", "mixture",
+                                      "isonormal2"])
+    def test_blocked_data_mean_is_one_pass_at_every_block(self, monkeypatch, name):
+        """The data mean fills one weight array block by block, then averages
+        it: the bytes of ``exp(beta * log_pdf)`` over all points, averaged."""
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(4), 1000)
+        want = -float(np.exp(0.5 * model.log_pdf(theta, x)).mean()) / 0.5
+        for block in (1, 7, 64, divergence.BLOCK):
+            monkeypatch.setattr(divergence, "BLOCK", block)
+            assert repr(empirical_power_term(model, theta, x, 0.5)) == repr(want)
 
     def test_empty_dataset_rejected(self):
         m = Normal1D()

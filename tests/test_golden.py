@@ -12,8 +12,10 @@ path and the stochastic descents one run helper, and the ``isonormal3`` and
 blocks and read it with ``np.loadtxt``.  The ``paper-4.2-d3`` ``table.csv``
 and the ``n = 20000`` ``estimate.csv`` were recorded before the lattice and
 data terms were evaluated in blocks of points; they are the runs whose
-kernel calls exceed one block.  Change them only for an intended numeric
-change, and say so in CHANGES.md.
+kernel calls exceed one block.  The ``n = 20000`` ``data.csv`` was recorded
+before a sample of more than one CSV block was written on a worker thread,
+in blocks of 16384 rows.  Change them only for an intended numeric change,
+and say so in CHANGES.md.
 """
 
 import hashlib
@@ -71,6 +73,8 @@ OUTPUTS = {
         "7e690562070c30896539a079474c3d68f55a502dde02da4525387a4ba3637872",
     ("fit --config paper-4.2-d2 --T 5", "data.csv"):
         "689030a97f945dbc722a4629feb44704f6d7b9b9217ad870f7ed09c3b20c3c15",
+    ("fit --n 20000 --T 3", "data.csv"):
+        "3fbaaf8a593d4d1e684dfed6f27b660bf0eae61e51b9f3d25ba44bb933d5743e",
 }
 
 
