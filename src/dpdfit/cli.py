@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _BLOCK_ROWS, ContaminationSpec, Dataset, contaminated_sample
+from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
@@ -71,6 +71,8 @@ DEFAULTS = {
 }
 # Largest beta or gamma: far above the usual (0, 1], p**beta underflows to 0
 POWER_MAX = 10.0
+# Larger synthetic samples write data.csv on a worker thread (cut-off measured: README)
+_THREADED_CSV_ROWS = 131072
 
 # Benchmark presets, stated apart from DEFAULTS so that no default moves
 # them: the four scalar-model settings (outliers N(10, 1)) and the
@@ -459,11 +461,11 @@ def _write_estimate(run, final, columns, complexity):
 
 @contextlib.contextmanager
 def _writing_data_csv(run, ds):
-    """Writes a synthetic sample to ``data.csv`` after the ``with`` body or, past one
-    CSV block, on a worker thread while the body runs (numpy releases the GIL in
-    both); the worker is joined, its error raised, before the ``with`` exits."""
+    """Writes a synthetic sample to ``data.csv`` after the ``with`` body or, past
+    ``_THREADED_CSV_ROWS`` rows, on a worker thread while the body runs; the
+    worker is joined, its error raised, before the ``with`` exits."""
     path = os.path.join(run.out_dir, "data.csv")
-    if run.data or ds.n <= _BLOCK_ROWS:  # a thread costs more than it hides here
+    if run.data or ds.n <= _THREADED_CSV_ROWS:
         yield
         if not run.data:
             ds.to_csv(path)

@@ -14,9 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import MAGNITUDE_MAX, Model
 
-# Rows per write in to_csv (same bytes at any value), so that a large dataset's text
-# never exists all at once.  The CLI writes more rows on a worker thread, whose scratch
-# in its own malloc arena adds to peak RSS: 5 MB at 16384 rows, 20 MB at 65536 (n = 1e6).
+# Rows per write in to_csv, same bytes at any value: a large dataset's text never exists at
+# once, and the CLI's writer thread's scratch (own arena, so peak RSS) is 5 MB here, 20 MB at 65536.
 _BLOCK_ROWS = 16384
 
 # Per binary exponent E in [1e-4, 1e15): q with |x| * 10**q in [1e16, 2e17),

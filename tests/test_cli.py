@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import dpdfit
 from dpdfit import cli
-from dpdfit.cli import DEFAULTS, PRESETS, main
-from dpdfit.datagen import _BLOCK_ROWS, Dataset
+from dpdfit.cli import _THREADED_CSV_ROWS, DEFAULTS, PRESETS, main
+from dpdfit.datagen import Dataset
 from dpdfit.divergence import empirical_dpce, empirical_gce
 from dpdfit.optim import StepDecay
 
@@ -492,11 +492,11 @@ class TestDataPasses:
 
 
 class TestDataCsvWriter:
-    """A sample of more than one CSV block is written on a worker thread while
-    the descent runs; the run joins it before any other output and before
-    ``main`` returns."""
+    """A sample of more than ``cli._THREADED_CSV_ROWS`` rows is written on a
+    worker thread while the descent runs; the run joins it before any other
+    output and before ``main`` returns."""
 
-    LARGE = ["--n", "20000", "--T", "2"]  # above datagen._BLOCK_ROWS
+    LARGE = ["--n", str(_THREADED_CSV_ROWS + 1), "--T", "2"]
 
     @pytest.fixture
     def writers(self, monkeypatch):
@@ -510,15 +510,16 @@ class TestDataCsvWriter:
         return writers
 
     @pytest.mark.parametrize("command", ["fit", "density-curves"])
-    @pytest.mark.parametrize("n, worker", [(_BLOCK_ROWS, False), (_BLOCK_ROWS + 1, True)])
-    def test_a_sample_past_one_block_is_written_on_a_worker(self, tmp_path, writers,
-                                                            command, n, worker):
+    @pytest.mark.parametrize("n, worker", [(_THREADED_CSV_ROWS, False),
+                                           (_THREADED_CSV_ROWS + 1, True)])
+    def test_a_large_sample_is_written_on_a_worker(self, tmp_path, writers, command, n,
+                                                   worker):
         rc = main([command, "--n", str(n), "--T", "2", "--out-dir", str(tmp_path)])
         assert rc == 0
         assert [w is not threading.main_thread() for w in writers] == [worker]
 
     @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
-    @pytest.mark.parametrize("n", ["50", "20000"])
+    @pytest.mark.parametrize("n", ["50", str(_THREADED_CSV_ROWS + 1)])
     def test_unwritable_data_csv_exits_one_before_other_outputs(self, tmp_path, capsys,
                                                                  command, n):
         (tmp_path / "data.csv").mkdir()
