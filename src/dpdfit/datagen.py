@@ -7,6 +7,7 @@ form, but estimators never see them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +151,14 @@ class Dataset:
         try:
             with open(path, newline="") as fh:
                 header = fh.readline().rstrip("\r\n").split(",")
-                body = fh.tell()
                 if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
                     raise ValueError("no data rows")
-                fh.seek(body)
-                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                fh.seek(0)
+                # numpy parses a path in chunks but a handle line by line; it opens a path
+                # ending in .gz, .bz2, .xz or .lzma as compressed, and scheme://host/... as a URL
+                plain = os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma")
+                values = np.loadtxt(os.path.abspath(path) if plain else fh, delimiter=",",
+                                    comments=None, ndmin=2, skiprows=1)
         except ValueError as exc:
             # numpy ends its messages on a bad row with " at row <k>" and, for a
             # column count, advice on its own ``usecols`` argument; <k> skips

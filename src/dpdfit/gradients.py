@@ -133,7 +133,8 @@ def _weighted_score_sum(model, theta, x, power, draws=None):
         if draws is not None and start + k == n:
             pts = np.concatenate([pts, draws])
         lp, score = model.log_pdf_and_score(theta, pts)
-        w_k = np.exp(power * lp[:k], out=w[start:start + k])
+        lp_k = np.multiply(power, lp[:k], out=lp[:k])  # the draws' lp[k:] stay as they are
+        w_k = np.exp(lp_k, out=w[start:start + k])
         total = _weighted_sum(w_k, score[:k], total)
     return w, total, (lp[k:], score[k:])
 

@@ -20,7 +20,6 @@ from .models import (
     Normal1D,
     NormalMixture2,
     _column_sums,
-    _columns,
 )
 
 
@@ -161,7 +160,7 @@ def em_mixture(x, init):
         p0, p1 = np.exp(lp0 - m), np.exp(lp1 - m)
         tot = p0 + p1
         loglik = float((np.log(tot) + m).sum())
-        resp = _columns(p0 / tot, p1 / tot)
+        resp = np.stack([p0 / tot, p1 / tot], axis=-1)
         logliks.append(loglik)
         # M step with the variance floor
         weights = _column_sums(resp)

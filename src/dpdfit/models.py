@@ -42,8 +42,9 @@ def _positive_exp(t):
 
 
 def _normal_log_pdf(r2, var):
-    """Normal log-density from the squared residual and the variance."""
-    return -0.5 * (_LOG_2PI + np.log(var)) - r2 / (2.0 * var)
+    """Normal log-density from the squared residual and the variance, in a fresh array."""
+    lp = np.divide(r2, 2.0 * var)
+    return np.subtract(-0.5 * (_LOG_2PI + np.log(var)), lp, out=lp)
 
 
 def _sigma_coordinate(sigma):
@@ -59,24 +60,15 @@ def _sigma_coordinate(sigma):
 
 
 def _normal_var_score(r2, var):
-    """Derivative of the normal log-density in its variance."""
-    return -0.5 / var + r2 / (2.0 * var**2)
-
-
-def _columns(*cols):
-    """Equal-length 1-D arrays as the columns of one C-ordered array;
-    ``np.stack(cols, axis=-1)``, at a third of its overhead."""
-    out = np.empty((cols[0].shape[0], len(cols)))
-    for j, col in enumerate(cols):
-        out[:, j] = col
-    return out
+    """Derivative of the normal log-density in its variance, written over ``r2``."""
+    return np.add(-0.5 / var, np.divide(r2, 2.0 * var**2, out=r2), out=r2)
 
 
 def _column_sums(rows):
     """Each column's sum, added row after row from +0.0: the bytes of
     ``rows.sum(axis=0)`` without its per-row overhead.  einsum adds in that
     order only while the columns are the contiguous axis, so ``rows`` is a
-    C-ordered block of two or more columns, as :func:`_columns` builds."""
+    C-ordered block of two or more columns, as every family's score is."""
     return np.einsum("ij->j", rows)
 
 
@@ -171,6 +163,7 @@ class Model:
         raise NotImplementedError
 
     def _score(self, theta, x, parts):
+        """The C-ordered ``(n, dim_param)`` score; it may write over the arrays in ``parts``."""
         raise NotImplementedError
 
     def _in_support(self, x):
@@ -210,7 +203,7 @@ class Model:
     def _check_x(self, x):
         """``x`` as an ``(n, *point_shape)`` float array; a lone point, a
         scalar or a ``(d,)`` vector, becomes ``n = 1``."""
-        x = np.asarray(x, dtype=float, order="C")  # so every score is C-ordered
+        x = np.asarray(x, dtype=float)
         shape = self.point_shape
         if x.ndim == len(shape):
             x = x[np.newaxis]
@@ -237,14 +230,16 @@ class Normal1D(Model):
 
     def _log_pdf(self, theta, x):
         mu, var = self._moments(theta)
-        # Squared in place: keeping x - mu for the score would give the
-        # score-free log_pdf one more n-long array to fill.
-        r2 = (x - mu) ** 2
-        return _normal_log_pdf(r2, var), (mu, var, r2)
+        r = x - mu
+        r2 = r * r  # the bytes of r**2
+        return _normal_log_pdf(r2, var), (var, r, r2)
 
     def _score(self, theta, x, parts):
-        mu, var, r2 = parts
-        return _columns((x - mu) / var, _normal_var_score(r2, var) * (2.0 * theta[1]))
+        var, r, r2 = parts
+        out = np.empty((x.shape[0], 2))
+        np.divide(r, var, out=out[:, 0])
+        np.multiply(_normal_var_score(r2, var), 2.0 * theta[1], out=out[:, 1])
+        return out
 
     def sample(self, theta, rng, size):
         mu, var = self._moments(self._check_theta(theta))
@@ -371,9 +366,10 @@ class InverseNormal(_LogScale, Model):
 
     def _score(self, theta, x, parts):
         mu, lam, r, r2, denom = parts
-        d_mu = lam * r / mu**3
-        d_lam = 0.5 / lam - r2 / denom
-        return _columns(d_mu * mu, d_lam * lam)
+        out = np.empty((x.shape[0], 2))  # d/dmu * mu and d/dlam * lam
+        np.multiply(lam * r / mu**3, mu, out=out[:, 0])
+        np.multiply(0.5 / lam - r2 / denom, lam, out=out[:, 1])
+        return out
 
     def sample(self, theta, rng, size):
         # Generator.wald draws via the Michael-Schucany-Haas transform.
@@ -406,10 +402,11 @@ class Gompertz(_LogScale, Model):
 
     def _score(self, theta, x, parts):
         omega, lam, ox, em1 = parts
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_omega = x - lam * (-em1 / omega**2 + x * np.exp(ox) / omega)
-            d_lam = 1.0 / lam - em1 / omega
-        return _columns(d_omega * omega, d_lam * lam)
+        out = np.empty((x.shape[0], 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # d/domega * omega, d/dlam * lam
+            np.multiply(x - lam * (-em1 / omega**2 + x * np.exp(ox) / omega), omega, out=out[:, 0])
+            np.multiply(1.0 / lam - em1 / omega, lam, out=out[:, 1])
+        return out
 
     def sample(self, theta, rng, size):
         # Inverse CDF: x = log(1 - (omega/lam) * log(1 - u)) / omega.
@@ -450,13 +447,15 @@ class NormalMixture2(Model):
 
     def _score(self, theta, x, parts):
         lp, alpha, v1, v2, z1, z2, q1, q2, a1, a2 = parts
+        out = np.empty((x.shape[0], 5))
         r1 = np.exp(a1 - lp)  # responsibility of component 1
         r2 = np.exp(a2 - lp)
-        d_a = r1 - alpha  # = alpha*(1-alpha)*(phi1-phi2)/p
-        d_v1 = r1 * _normal_var_score(q1, v1)
-        d_v2 = r2 * _normal_var_score(q2, v2)
-        return _columns(d_a, r1 * z1 / v1, d_v1 * (2.0 * theta[2]), r2 * z2 / v2,
-                        d_v2 * (2.0 * theta[4]))
+        np.subtract(r1, alpha, out=out[:, 0])  # = alpha*(1-alpha)*(phi1-phi2)/p
+        np.divide(r1 * z1, v1, out=out[:, 1])
+        np.multiply(r1 * _normal_var_score(q1, v1), 2.0 * theta[2], out=out[:, 2])
+        np.divide(r2 * z2, v2, out=out[:, 3])
+        np.multiply(r2 * _normal_var_score(q2, v2), 2.0 * theta[4], out=out[:, 4])
+        return out
 
     def sample(self, theta, rng, size):
         alpha, mu1, v1, mu2, v2 = self._params(self._check_theta(theta))

@@ -117,6 +117,38 @@ class TestDatasetCsv:
         assert ds.points.tolist() == [0.5, 1.5, -0.25]
         assert ds.is_outlier.tolist() == [False, True, False]
 
+    def test_lone_carriage_return_line_ends(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"x_1,outlier\r0.5,0\r1.5,1\r\r-2.5,0\r")
+        ds = Dataset.from_csv(path)
+        assert ds.points.tolist() == [0.5, 1.5, -2.5]
+        assert ds.is_outlier.tolist() == [False, True, False]
+
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"\xef\xbb\xbfx_1,outlier\r\n0.5,0\r\n1.5,1\r\n")
+        ds = Dataset.from_csv(path)
+        assert ds.points.tolist() == [0.5, 1.5]
+        assert ds.is_outlier.tolist() == [False, True]
+
+    def test_byte_that_is_not_utf8_is_one_line(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"x_1,outlier\r\n0.5,0\r\n1.5\xff,1\r\n")
+        with pytest.raises(ValueError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                                  "position 23: invalid start byte")
+
+    @pytest.mark.parametrize("name", ["data.gz", "data.bz2", "data.xz", "data.lzma",
+                                      "http://localhost/data.csv"])
+    def test_plain_text_under_any_name(self, tmp_path, monkeypatch, name):
+        """numpy would open these names as compressed files or as a URL."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        with open(name, "w") as fh:
+            fh.write("x_1,outlier\n0.5,0\n1.5,1\n")
+        assert Dataset.from_csv(name).points.tolist() == [0.5, 1.5]
+
     def test_negative_zero_label_reads_as_zero(self, tmp_path):
         path = tmp_path / "input.csv"
         path.write_text("x_1,outlier\n0.5,-0.0\n1.5,1\n2.5,0.0\n")

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dpdfit.divergence import Lattice, lattice_r
+from dpdfit.divergence import BLOCK, Lattice, lattice_r
 from dpdfit.models import (
+    _LOG_2PI,
+    VARIANCE_FLOOR,
     Gompertz,
     GompertzParams,
     InverseNormal,
@@ -261,6 +263,90 @@ class TestKernel:
                     model.score(th, x)
 
         check()
+
+
+def _normal_parts(r2, var):
+    """The normal log-density and variance score as whole-array expressions."""
+    return (-0.5 * (_LOG_2PI + np.log(var)) - r2 / (2.0 * var),
+            -0.5 / var + r2 / (2.0 * var**2))
+
+
+def _oracle_normal(th, x):
+    var = th[1] ** 2 + VARIANCE_FLOOR
+    lp, d_var = _normal_parts((x - th[0]) ** 2, var)
+    return lp, [(x - th[0]) / var, d_var * (2.0 * th[1])]
+
+
+def _oracle_inverse_normal(th, x):
+    mu, lam = np.exp(th[0]), np.exp(th[1])
+    r = x - mu
+    r2, denom = r**2, 2.0 * mu**2 * x
+    lp = 0.5 * (np.log(lam) - _LOG_2PI - 3.0 * np.log(x)) - lam * r2 / denom
+    return lp, [lam * r / mu**3 * mu, (0.5 / lam - r2 / denom) * lam]
+
+
+def _oracle_gompertz(th, x):
+    omega, lam = np.exp(th[0]), np.exp(th[1])
+    ox = omega * x
+    em1 = np.expm1(ox)
+    lp = np.log(lam) + ox - lam / omega * em1
+    d_omega = x - lam * (-em1 / omega**2 + x * np.exp(ox) / omega)
+    return lp, [d_omega * omega, (1.0 / lam - em1 / omega) * lam]
+
+
+def _oracle_mixture(th, x):
+    alpha = 1.0 / (1.0 + np.exp(-th[0]))
+    v1, v2 = th[2] ** 2 + VARIANCE_FLOOR, th[4] ** 2 + VARIANCE_FLOOR
+    z1, z2 = x - th[1], x - th[3]
+    (lp1, s1), (lp2, s2) = _normal_parts(z1**2, v1), _normal_parts(z2**2, v2)
+    a1, a2 = lp1 + np.log(alpha), lp2 + np.log1p(-alpha)
+    hi = np.maximum(a1, a2)
+    lp = hi + np.log1p(np.exp(np.minimum(a1, a2) - np.maximum(hi, np.finfo(float).min)))
+    r1, r2 = np.exp(a1 - lp), np.exp(a2 - lp)
+    return lp, [r1 - alpha, r1 * z1 / v1, r1 * s1 * (2.0 * th[2]), r2 * z2 / v2,
+                r2 * s2 * (2.0 * th[4])]
+
+
+def _oracle_isonormal(th, x):
+    r = x - th
+    r2 = r[:, 0] ** 2
+    for j in range(1, x.shape[1]):
+        r2 = r2 + r[:, j] ** 2
+    return -0.5 * x.shape[1] * _LOG_2PI - 0.5 * r2, list(r.T)
+
+
+# Each family's log-density and score columns, as separate whole-array
+# expressions: what an in-place score must reproduce byte for byte.
+ORACLE = {"normal": _oracle_normal, "inverse-normal": _oracle_inverse_normal,
+          "gompertz": _oracle_gompertz, "mixture": _oracle_mixture,
+          "isonormal2": _oracle_isonormal, "isonormal3": _oracle_isonormal}
+
+
+class TestScoreBytes:
+    """Every family fills its score in place; the bytes are those of its
+    column formulas evaluated one whole array at a time and then stacked."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_in_place_score_matches_the_column_formulas(self, name, n):
+        model = get_model(name)
+        rng = np.random.default_rng(n)
+        for theta in (model.from_natural_values(model.default_truth), random_theta(model, rng)):
+            x = model.sample(theta, rng, n)
+            flat = x.reshape(-1)  # some points far out, and some outside a positive support
+            flat[rng.choice(flat.size, 40, replace=False)] = np.repeat([1e150, -1e150], 20)
+            if model.support == "positive":
+                flat[rng.choice(flat.size, 40, replace=False)] = -rng.random(40)
+            lp, score = model.log_pdf_and_score(theta, x)
+            assert score.shape == (n, model.dim_param) and score.flags.c_contiguous
+
+            inside = np.ones(n, dtype=bool) if model.support == "real" else model._in_support(x)
+            want_lp, want = np.full(n, -np.inf), np.zeros((n, model.dim_param))
+            with np.errstate(all="ignore"):
+                lp_in, cols = ORACLE[name](theta, x[inside])
+            want_lp[inside], want[inside] = lp_in, np.stack(cols, axis=-1)
+            assert lp.tobytes() == want_lp.tobytes()
+            assert score.tobytes() == want.tobytes()
 
 
 class TestCheckTheta:
