@@ -118,6 +118,19 @@ def _first_bad_line(path):
     return None
 
 
+def _undecodable(path, encoding):
+    """File line (the header is line 1) and file offset of the first byte of
+    ``path`` that is not ``encoding`` text; None if there is none."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = len(raw[:exc.start + 1].splitlines())  # \n, \r\n and \r end a line
+        return (f"line {line}: byte 0x{raw[exc.start]:02x} at file offset {exc.start} "
+                f"is not {encoding} text ({exc.reason})")
+
+
 @dataclass
 class Dataset:
     """Observed points plus per-point origin labels (True = outlier)."""
@@ -147,7 +160,8 @@ class Dataset:
         a value that is not a finite number, with a row whose column count
         differs from the header's, or with a label other than 0 or 1
         raises ``ValueError`` naming ``path``, and the file line (the
-        header is line 1) of a row that does not parse."""
+        header is line 1) of a row that does not parse; so does a byte
+        that is not text, with its offset from the start of the file."""
         try:
             with open(path, newline="") as fh:
                 header = fh.readline().rstrip("\r\n").split(",")
@@ -159,6 +173,8 @@ class Dataset:
                 plain = os.path.splitext(path)[1] not in (".gz", ".bz2", ".xz", ".lzma")
                 values = np.loadtxt(os.path.abspath(path) if plain else fh, delimiter=",",
                                     comments=None, ndmin=2, skiprows=1)
+        except UnicodeDecodeError as exc:  # its position counts from a decoded chunk
+            raise ValueError(f"{path}: {_undecodable(path, exc.encoding) or exc}") from None
         except ValueError as exc:
             # numpy ends its messages on a bad row with " at row <k>" and, for a
             # column count, advice on its own ``usecols`` argument; <k> skips

@@ -117,12 +117,12 @@ def empirical_dpce(model, theta, data, beta, lattice=None, mean_pow=None):
 
 
 def empirical_gce(model, theta, data, gamma, lattice=None, *, mean_pow=None):
-    """Empirical gamma cross entropy, the same for ``c * p`` at every ``c > 0``.
-    A caller that holds the mean of ``p(x_i)**gamma`` already passes it as
-    ``mean_pow``, and the data are not evaluated."""
+    """Empirical gamma cross entropy, the same for ``c * p`` at every ``c > 0``
+    (inf where ``p`` vanishes at every point).  A caller that holds the mean of
+    ``p(x_i)**gamma`` already passes it as ``mean_pow``, and the data are not evaluated."""
     mean_pow = _mean_pow(model, theta, data, gamma, "gamma", mean_pow)
-    if mean_pow <= 0:
-        raise ValueError("model density vanishes on the whole dataset")
+    if mean_pow <= 0:  # -log(0) / gamma, which np.log would give with a warning
+        return np.inf
     # integral of p^(1+gamma) = (1+gamma) r
     r = integral_r(model, theta, gamma, lattice)
     return float(-np.log(mean_pow) / gamma + (np.log1p(gamma) + np.log(r)) / (1.0 + gamma))

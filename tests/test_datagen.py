@@ -136,8 +136,22 @@ class TestDatasetCsv:
         path.write_bytes(b"x_1,outlier\r\n0.5,0\r\n1.5\xff,1\r\n")
         with pytest.raises(ValueError) as err:
             Dataset.from_csv(path)
-        assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in "
-                                  "position 23: invalid start byte")
+        assert str(err.value) == (f"{path}: line 3: byte 0xff at file offset 23 is not "
+                                  "utf-8 text (invalid start byte)")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    def test_byte_past_the_first_chunk_is_named_by_line_and_offset(self, tmp_path, end):
+        """numpy decodes the file in chunks, and the codec's position counts
+        from the start of a chunk; the message counts from the file's."""
+        rows = ["x_1,outlier"] + [f"{0.1 * i!r},0" for i in range(5000)]
+        head = (end.join(rows[:3002]) + end).encode()  # lines 1 .. 3002
+        path = tmp_path / "input.csv"
+        path.write_bytes(head + b"\xff" + (end.join(rows[3002:]) + end).encode()[1:])
+        assert len(head) > 16384
+        with pytest.raises(ValueError) as err:
+            Dataset.from_csv(path)
+        assert str(err.value) == (f"{path}: line 3003: byte 0xff at file offset {len(head)} "
+                                  "is not utf-8 text (invalid start byte)")
 
     @pytest.mark.parametrize("name", ["data.gz", "data.bz2", "data.xz", "data.lzma",
                                       "http://localhost/data.csv"])

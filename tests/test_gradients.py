@@ -23,7 +23,6 @@ from dpdfit.gradients import (
     FixedNormal,
     _draw_proposal,
     _proposal_terms,
-    _weighted_rows,
     _weighted_score_sum,
     _weighted_sum,
     data_term,
@@ -274,12 +273,15 @@ class TestColumnOps:
     @example(k=BLOCK + 1, d=5, seed=1)
     def test_weighting_equals_the_broadcast(self, k, d, seed):
         rng = np.random.default_rng(seed)
-        w = np.exp(rng.uniform(-800.0, 5.0, k))  # about one weight in 15 underflows to 0
-        w[rng.random(k) < 0.05] = np.nan  # a NaN weight keeps its row, as NaN
+        lp = rng.uniform(-800.0, 5.0, k)  # about one weight in 15 underflows to 0
+        lp[rng.random(k) < 0.05] = np.nan  # a NaN weight keeps its row, as NaN
+        w = np.exp(lp)
         score = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-300, 300, (k, d))
         dead = np.flatnonzero(w == 0)  # their scores are undefined: +-inf, NaN
         score[dead] = rng.choice([np.inf, -np.inf, np.nan], (dead.size, d))
-        assert _weighted_rows(w, score.copy()).tobytes() == _broadcast_weighting(w, score).tobytes()
+        terms, weights = _proposal_terms(lp, score.copy(), None, 1.0)
+        assert weights.tobytes() == w.tobytes()
+        assert terms.tobytes() == _broadcast_weighting(w, score).tobytes()
 
     @PROPERTY
     @given(k=st.integers(1, 300), d=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
@@ -472,7 +474,7 @@ def _two_call_step(model, theta, x, power, m, proposal, rng):
     lp, score = model.log_pdf_and_score(theta, y)
     log_w = power * lp if log_q is None else (1.0 + power) * lp - log_q
     weights = np.exp(log_w)
-    return w, total, _weighted_rows(weights, score), weights
+    return w, total, _broadcast_weighting(weights, score), weights
 
 
 def _two_call_dpd(model, theta, x, beta, m, proposal, rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpdfit import mle
 from dpdfit.mle import (
     em_mixture,
     mle_gompertz,
@@ -136,6 +137,28 @@ class TestNewtonBisection:
         with pytest.raises(ValueError):
             newton_bisection(lambda x: (x + 10.0, 1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (-1.0, 2.0)], ids=["lo", "hi"])
+    def test_exact_root_at_an_end_is_returned_without_a_step(self, lo, hi):
+        calls = []
+
+        def f_df(x):
+            calls.append(x)
+            return x - 2.0, 1.0
+        assert newton_bisection(f_df, lo, hi) == 2.0
+        assert calls == [lo, hi]
+
+    def test_last_iterate_is_returned_after_100_steps(self):
+        """A zero derivative forces bisection, and 100 halvings of a bracket
+        of 2**200 leave steps far above 1e-10: the loop ends, and the last
+        point it evaluated is returned, the root or not."""
+        calls = []
+
+        def f_df(x):
+            calls.append(x)
+            return x - 1.0, 0.0
+        assert newton_bisection(f_df, 0.0, 2.0**200) == calls[-1] == 2.0**100
+        assert len(calls) == 2 + 1 + 100  # both ends, the midpoint, one per step
+
 
 class TestMleMixture:
     def test_recovers_separated_components(self):
@@ -167,6 +190,26 @@ class TestMleMixture:
                              alpha=1e-7)
         with pytest.raises(ValueError):
             em_mixture(np.zeros(100), init)
+
+    def test_collapsed_restart_is_skipped(self, monkeypatch):
+        """A restart whose EM collapses drops out, and the best of the
+        others is kept."""
+        m = NormalMixture2()
+        x = m.sample(m.from_natural(MixtureParams(-5, 1, 0, 1, 0.6)),
+                     np.random.default_rng(5), 1000)
+        starts, runs = [], []
+
+        def first_collapses(x, init):
+            starts.append(init)
+            if len(starts) == 1:
+                raise ValueError("component collapsed during EM")
+            runs.append(em_mixture(x, init))
+            return runs[-1]
+        monkeypatch.setattr(mle, "em_mixture", first_collapses)
+        got = mle_mixture(x, rng=np.random.default_rng(6))
+        assert len(starts) == 5 and len(runs) == 4
+        best = max(runs, key=lambda run: run[1][-1])[0]
+        assert got.tobytes() == m.from_natural(best).tobytes()
 
     def test_every_restart_collapsing_raises(self):
         """Nine zeros and a one: every quantile split leaves one side empty
