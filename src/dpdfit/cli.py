@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
-from .divergence import Lattice, empirical_dpce, empirical_gce
+from .divergence import BLOCK, Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
@@ -506,29 +506,34 @@ def _table_cell_run(run, method, size, rep, ds, theta0):
         result = _sgd(run, ds, theta0, run.beta, size, rep)
     else:
         omega = float(np.mean([run.schedule.at(t) for t in range(1, run.T + 1)]))
-
-        def grad(th):
-            return lattice_grad_dpd(run.model, th, ds.points, run.beta, size)
-        result = gd_run(grad, theta0, omega, run.T)
+        result = gd_run(lambda th: lattice_grad_dpd(run.model, th, ds.points, run.beta, size),
+                        theta0, omega, run.T)
     return _mse(run, result.trace[-1]), result.reason
 
 
 def cmd_table_compare(run):
+    """Cells whose steps each evaluate ``BLOCK`` or more points (``n + size``) release the GIL
+    inside numpy, so they run first, on a pool; every other cell then runs here, in order."""
     reps = run.replications
-    cells = [("sgd", m) for m in run.m_values] + [("gd-ni", g) for g in run.lattices]
+    cells = [("sgd", m, m) for m in run.m_values] + [("gd-ni", g, g.total_points(run.model))
+                                                     for g in run.lattices]
     # every cell of a replication fits the same sample from the same start
     starts = [(ds, _initial_theta(run, ds)) for ds in (_dataset(run, rep) for rep in range(reps))]
-    jobs = [(method, size, rep, *starts[rep]) for method, size in cells for rep in range(reps)]
+    jobs = [(method, size, rep, *starts[rep]) for method, size, _ in cells for rep in range(reps)]
     # more threads than usable CPUs only contend for the GIL and the caches
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(8, reps, cpus or 1)) as pool:
-        outcomes = list(pool.map(lambda job: _table_cell_run(run, *job), jobs))
+    width = min(8, reps, cpus or 1)
+    pooled = [j for j in range(len(jobs)) if width > 1 and run.spec.n + cells[j // reps][2] >= BLOCK]
+    done = {}
+    if pooled:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            done = dict(zip(pooled, pool.map(lambda j: _table_cell_run(run, *jobs[j]), pooled)))
+    outcomes = [done[j] if j in done else _table_cell_run(run, *jobs[j]) for j in range(len(jobs))]
 
     rows, stops = [], []
-    for i, (method, size) in enumerate(cells):
+    for i, (method, _, total) in enumerate(cells):
         cell = outcomes[i * reps:(i + 1) * reps]
         mses = np.array([mse for mse, _ in cell])
-        total = size if method == "sgd" else size.total_points(run.model)
         sd = mses.std(ddof=1) if reps > 1 else 0.0
         rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.spec.n + total)])
         stops += [f"{reason} ({method} size {total}, replication {rep + 1} of {reps})"

@@ -19,7 +19,7 @@ import dpdfit
 from dpdfit import cli
 from dpdfit.cli import _THREADED_CSV_ROWS, DEFAULTS, PRESETS, main
 from dpdfit.datagen import Dataset
-from dpdfit.divergence import empirical_dpce, empirical_gce
+from dpdfit.divergence import BLOCK, empirical_dpce, empirical_gce
 from dpdfit.optim import StepDecay
 
 
@@ -845,11 +845,58 @@ class TestTableCompare:
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        # the 200^2-node lattice is the one cell whose steps reach BLOCK points
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
-                   "--replications", "4", "--m-values", "4", "--big-m-values", "3",
+                   "--replications", "4", "--m-values", "4", "--big-m-values", "200",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
-        assert widths == [cpus]
+        assert widths == ([cpus] if cpus > 1 else [])  # one thread makes no pool
+
+    @pytest.mark.parametrize("flags, pooled", [
+        (["--n", "60", "--m-values", "4", "--big-m-values", "200,3"], {("gd-ni", 200)}),
+        (["--n", "60", "--m-values", "4", "--big-m-values", "3"], set()),
+        # n + size against BLOCK: 3 draws fall one point short, 4 reach it
+        (["--n", str(BLOCK - 4), "--m-values", "3,4", "--big-m-values", "3"],
+         {("sgd", 4), ("gd-ni", 3)}),
+    ])
+    def test_only_cells_of_block_points_run_on_the_pool(self, tmp_path, monkeypatch,
+                                                        flags, pooled):
+        ran, pools, cell_run = [], [], cli._table_cell_run
+
+        def cell(run, method, size, *rest):
+            ran.append(((method, getattr(size, "nodes", size)), threading.current_thread()))
+            return cell_run(run, method, size, *rest)
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "_table_cell_run", cell)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--replications", "3",
+                   "--out-dir", str(tmp_path)] + flags)
+        assert rc == 0
+        on_main = [thread is threading.main_thread() for _, thread in ran]
+        assert {key for key, _ in ran} >= pooled
+        assert [not main for main in on_main] == [key in pooled for key, _ in ran]
+        # the pool is done before the first serial cell starts
+        assert on_main == sorted(on_main)
+        assert pools == ([2] if pooled else [])
+
+    def test_pooled_table_is_the_same_on_one_cpu_and_three(self, tmp_path, monkeypatch):
+        tables = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / str(cpus)
+            rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                       "--replications", "3", "--m-values", "4,10", "--big-m-values", "3,200",
+                       "--out-dir", str(out)])
+            assert rc == 0
+            tables.append((out / "table.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("flag", ["--init=9,9", "--proposal=normal:0.5,1"])
     def test_cells_take_init_and_proposal(self, tmp_path, flag):

@@ -185,11 +185,22 @@ class TestMleMixture:
             mle_mixture(np.arange(5.0), rng=np.random.default_rng(0))
 
     def test_collapse_raises(self):
-        x = np.concatenate([np.zeros(50) + 1e-9, np.ones(50)])
         init = MixtureParams(mu1=0.0, sigma1=1e-3, mu2=1.0, sigma2=1e-3,
                              alpha=1e-7)
         with pytest.raises(ValueError):
             em_mixture(np.zeros(100), init)
+
+    def test_tiny_share_on_two_tight_clusters_does_not_collapse(self):
+        """A start with alpha = 1e-7 on two clusters of 50 points each
+        recovers both: the first E step hands the 1e-9 cluster to the
+        first component, and both variances settle on the floor."""
+        x = np.concatenate([np.zeros(50) + 1e-9, np.ones(50)])
+        init = MixtureParams(mu1=0.0, sigma1=1e-3, mu2=1.0, sigma2=1e-3,
+                             alpha=1e-7)
+        got, _ = em_mixture(x, init)
+        assert got.alpha == 0.5
+        assert got.mu1 == pytest.approx(1e-9, rel=1e-12) and got.mu2 == 1.0
+        assert got.sigma1 == got.sigma2 == np.sqrt(VARIANCE_FLOOR)
 
     def test_collapsed_restart_is_skipped(self, monkeypatch):
         """A restart whose EM collapses drops out, and the best of the
