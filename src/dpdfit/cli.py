@@ -47,7 +47,6 @@ DEFAULTS = {
     "beta": "0.5",
     "gamma": "0.5",
     "m": "10",
-    "big_m": "10",
     "grid_extent": "2.0",
     "T": "500",
     "eta0": "1.0",
@@ -64,8 +63,8 @@ DEFAULTS = {
     "init": "mle",
     "truth": "",
     "betas": "0.1,0.5,1.0",
-    "m_values": "",      # table-compare cells; falls back to m
-    "big_m_values": "",  # table-compare cells; falls back to big_m
+    "m_values": "",        # table-compare sgd cells; falls back to m
+    "big_m_values": "10",  # table-compare gd-ni grids, nodes per axis
     "data": "",
     "out_dir": ".",
 }
@@ -112,21 +111,17 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser():
-    """One ``--key`` flag per ``DEFAULTS`` key (``_`` written ``-``), in
-    ``DEFAULTS`` order, for every subcommand; built on first use, once per
-    process (it parses without keeping state)."""
-    parser = _Parser(prog="dpdfit", description=__doc__.splitlines()[0])
+    """One ``--key <value>`` flag per ``DEFAULTS`` key (``_`` written ``-``), in
+    ``DEFAULTS`` order, for every subcommand, and no abbreviation of one: the
+    command line takes exactly the keys of a config file, plus ``--config``.
+    Built on first use, once per process (it parses without keeping state)."""
+    parser = _Parser(prog="dpdfit", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("fit", "trace", "table-compare", "density-curves"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="config file path or preset name")
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="config file path or preset name")
         for key in DEFAULTS:
-            flag = "--" + key.replace("_", "-")
-            if key == "fixed_outlier_count":
-                p.add_argument(flag, action="store_const", const="true", default=None)
-            else:
-                p.add_argument(flag, default=None)
+            p.add_argument("--" + key.replace("_", "-"))
     return parser
 
 
@@ -159,9 +154,8 @@ def resolve_config(args):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
-    for single, cells in (("m", "m_values"), ("big_m", "big_m_values")):
-        if getattr(args, single, None) is not None and getattr(args, cells, None) is None:
-            cfg[cells] = ""  # so the cells fall back to the flag, not to the preset's list
+    if args.m is not None and args.m_values is None:  # m is also fit's draw count
+        cfg["m_values"] = ""  # so the sgd cells fall back to --m, not to the preset's list
     return cfg
 
 
@@ -303,8 +297,7 @@ def read_config(cfg, command):
         values = _numbers(cfg["init"], "init", finite=False)
         init = _theta_from_naturals(model, values, "init")
     extent = num("grid_extent", above=0, at_most=MAGNITUDE_MAX)
-    big_m_key = "big_m_values" if cfg["big_m_values"] else "big_m"  # the key the value came from
-    big_m_values = _numbers(cfg[big_m_key], big_m_key, int, at_least=2)
+    big_m_values = _numbers(cfg["big_m_values"], "big_m_values", int, at_least=2)
     lattices = tuple(Lattice(extent=extent, nodes=mm) for mm in big_m_values)
     for lattice in lattices:
         try:
@@ -392,7 +385,8 @@ def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
             data_means.append(float(est.data_weights.mean()))
         return est.g
     rng = np.random.default_rng([run.seed, *stream, 1])
-    return sgd_run(grad, theta0, run.schedule, run.T, rng)
+    with np.errstate(all="ignore"):  # a non-finite gradient stops the run, naming its step
+        return sgd_run(grad, theta0, run.schedule, run.T, rng)
 
 
 def _mse(run, theta):
@@ -579,6 +573,8 @@ def main(argv=None):
         reason, code = command(run), 2
     except (ValueError, OSError) as exc:
         reason, code = exc, 1
+    except MemoryError as exc:  # numpy's names the array; a bare MemoryError() names nothing
+        reason, code = str(exc) or "out of memory: the run's arrays do not fit", 1
     if reason is None:
         return 0
     print(f"error: {reason}", file=sys.stderr)

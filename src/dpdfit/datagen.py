@@ -247,11 +247,16 @@ def contaminated_sample(spec, rng):
     k = int(labels.sum())
 
     shape = spec.model.point_shape
-    inliers = spec.model.sample(spec.truth, rng, n - k)
+    with np.errstate(over="ignore", invalid="ignore"):  # such draws are rejected below
+        inliers = spec.model.sample(spec.truth, rng, n - k)
+    bad = ~np.isfinite(inliers)  # Gompertz draws overflow at a huge omega/lam
     inside = spec.model._in_support(inliers)
-    if inside is not None and not inside.all():  # numpy's wald gives 0.0 at huge mu/lam
-        raise ValueError(f"truth: {(~inside).sum()} of {n - k} {spec.model.name} draws fell "
-                         f"outside the support; numpy's sampler fails at these parameters")
+    if inside is not None:
+        bad |= ~inside  # numpy's wald gives 0.0 at huge mu/lam
+    if bad.any():
+        raise ValueError(f"truth: {bad.sum()} of {n - k} {spec.model.name} draws fell "
+                         f"outside the support or overflowed; numpy's sampler fails at these "
+                         f"parameters")
     mean = np.asarray(spec.outlier_mean, dtype=float)
     outliers = mean + spec.outlier_sd * rng.standard_normal((k, *shape))
     points = np.empty((n, *shape))

@@ -129,13 +129,18 @@ def mle_gompertz(data, bracket=(1e-4, 20.0)):
         raise ValueError("all-zero sample")
     lo, hi = bracket
     profile = _gompertz_profile(x)
-    signs = np.sign([profile(lo)[0], profile(hi)[0]])
-    if signs[0] == signs[1] > 0:
-        raise ValueError(f"Gompertz MLE: the profile score of omega has one sign on "
-                         f"({lo:g}, {hi:g}), so the likelihood peaks outside that "
-                         f"bracket; give a start with --init")
-    omega = lo if signs[0] == signs[1] < 0 else newton_bisection(profile, lo, hi)
-    lam = omega / np.expm1(omega * x).mean()
+    # toward the bracket's top df overflows (Newton then bisects) and the rate may too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        signs = np.sign([profile(lo)[0], profile(hi)[0]])
+        if signs[0] == signs[1] > 0:
+            raise ValueError(f"Gompertz MLE: the profile score of omega has one sign on "
+                             f"({lo:g}, {hi:g}), so the likelihood peaks outside that "
+                             f"bracket; give a start with --init")
+        omega = lo if signs[0] == signs[1] < 0 else newton_bisection(profile, lo, hi)
+        lam = omega / np.expm1(omega * x).mean()
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"Gompertz MLE: the rate at omega = {omega:g} is {lam:g}, not a "
+                         f"finite number > 0; give a start with --init")
     return Gompertz().from_natural_values((float(omega), float(lam)))
 
 

@@ -366,6 +366,53 @@ class TestFit:
         with pytest.raises(KeyError, match="novel"):
             cli._initial_theta(dataclasses.replace(run, model=Novel()), ds)
 
+    @pytest.mark.filterwarnings("error")
+    def test_gompertz_start_on_lifetime_scale_data_is_silent(self, tmp_path, capsys):
+        """1,000 draws of Gompertz(0.01, 0.01), up to about 215: the MLE's
+        profile derivative overflows toward its bracket's top, and nothing is said."""
+        model = cli.get_model("gompertz")
+        x = model.sample(model.from_natural_values((0.01, 0.01)), np.random.default_rng(0), 1000)
+        Dataset(points=x, is_outlier=np.zeros(x.size, dtype=bool)).to_csv(tmp_path / "g.csv")
+        rc = main(["fit", "--model", "gompertz", "--data", str(tmp_path / "g.csv"), "--T", "5",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("truth, message", [
+        ("1e-10,1e-10", "Gompertz MLE: the rate at omega = 0.0001 is 0, not a finite number > 0; "
+                        "give a start with --init"),
+        ("1e10,1e-300", "truth: 44 of 44 gompertz draws fell outside the support or overflowed; "
+                        "numpy's sampler fails at these parameters"),
+    ])
+    def test_gompertz_sample_that_no_start_fits_exits_one(self, tmp_path, capsys, truth,
+                                                         message):
+        """A rate that underflows to 0 at the MLE's shape, and truth draws that
+        overflow at a huge omega / lam, each end in one line naming the cause."""
+        rc = main(["fit", "--model", "gompertz", f"--truth={truth}", "--T", "3", "--n", "50",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["config.echo"]
+
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError(), "out of memory: the run's arrays do not fit"),
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+    ])
+    def test_memory_error_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch, raised,
+                                                  line):
+        """Never a real allocation: one that the host cannot meet may be granted
+        and then killed."""
+        def no_memory(*args):
+            raise raised
+
+        monkeypatch.setattr(cli, "sgd_run", no_memory)
+        rc = main(["fit", "--out-dir", str(tmp_path)] + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert os.listdir(tmp_path) == ["config.echo"]
+
     def test_explicit_init(self, tmp_path):
         rc = main(["fit", "--model", "normal", "--init", "0.5,2.0",
                    "--out-dir", str(tmp_path), "--T", "0", "--n", "50"])
@@ -644,9 +691,9 @@ class TestConfigHandling:
         (["table-compare", "--config", "paper-4.2-d2", "--replications", "2", "--T", "3",
           "--eta0=1e308"], "eta0 must be <= 1e+50, got '1e308'"),
         (["fit", "--eta0=1e308", "--T", "3"], "eta0 must be <= 1e+50, got '1e308'"),
-        (["fit", "--big-m=1"], "big_m must be >= 2, got '1'"),
-        (["fit", "--big-m=0"], "big_m must be >= 2, got '0'"),
-        (["fit", "--big-m=-1"], "big_m must be >= 2, got '-1'"),
+        (["fit", "--big-m-values=1"], "big_m_values must be >= 2, got '1'"),
+        (["fit", "--big-m-values=0"], "big_m_values must be >= 2, got '0'"),
+        (["fit", "--big-m-values=-1"], "big_m_values must be >= 2, got '-1'"),
         (["table-compare", "--config", "paper-4.2-d2", "--big-m-values=3,1"],
          "big_m_values must be >= 2, got '1'"),
         (["table-compare", "--model", "normal"], "table-compare requires an isonormal<d> model"),
@@ -710,6 +757,37 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error: out_dir must name a directory, got ''\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("args", [["--see", "3"], ["--fixed"], ["--gri", "3"],
+                                      ["--big-m", "4"], ["--fixed-outlier-count"]])
+    def test_flag_that_is_no_whole_key_and_value_exits_one(self, tmp_path, capsys, args):
+        """A config file takes whole keys only, and so does the command line:
+        no prefix of a flag is read as the flag, and every flag takes a value."""
+        out = tmp_path / "out"
+        rc = main(["fit", *args, "--T", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_fixed_outlier_count_flag_takes_a_value(self, tmp_path, value):
+        """So a flag can undo the ``true`` of the paper-4.2 presets."""
+        rc = main(["fit", "--config", "paper-4.2-d2", "--fixed-outlier-count", value, "--T", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert f"fixed_outlier_count = {value}\n" in (tmp_path / "config.echo").read_text()
+
+    def test_readme_lists_every_flag_of_every_subcommand(self):
+        """README's ``Flags (any subcommand)`` sentence, in the parser's order."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            listed = re.search(r"Flags \(any subcommand\): `([^`]*)`", fh.read()).group(1).split()
+        subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        for name, parser in subcommands.choices.items():
+            flags = [s for a in parser._actions for s in a.option_strings
+                     if s not in ("-h", "--help")]
+            assert listed == flags, name
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -727,16 +805,18 @@ class TestConfigHandling:
         assert "xi = 0.1" in echoed
         assert all(name.startswith("paper-4") for name in PRESETS)
 
-    # SHA-256 of repr(sorted(resolve_config(...).items())) for each preset, as
-    # recorded from the literal preset dicts that the two recipes replaced
+    # SHA-256 of repr(sorted(resolve_config(...).items())) for each preset.  First
+    # recorded from the literal preset dicts that the two recipes replaced; then,
+    # when big_m folded into big_m_values, re-derived from those recorded dicts
+    # with big_m dropped and an empty big_m_values set to big_m's value
     RESOLVED = {
-        "paper-4.1-i": "5b18710a6649a514fb80b67dc7c2e9b263616abb35a7c51fb827217f4e4367b7",
-        "paper-4.1-ii": "5f4e60ea9a41a0ddca31492ecf36382bff2dbd17eff088857ee59e7b79069443",
-        "paper-4.1-iii": "c998cb9e59598d2344066a5e8e557bd6e4d6152b459bf9b54458afd9f8ea740b",
-        "paper-4.1-iv": "de4f9579d9ba486c5ec3d0df0fd488e513c3552ea985ecc4354641d84ef7589c",
-        "paper-4.2-d2": "b541d840297f7dc45eb12c136d7e5c27ca8b774f3e1c0a594cdf10053b19b6e0",
-        "paper-4.2-d3": "a19c9e87639f5a546e320d1b557805669078a4c69db4a1e277bb33c0e648553c",
-        "paper-4.2-d4": "46f828acdddfb14caf80574f91f7dfa1b05587f054bd5f7f279976dbe1655bcf",
+        "paper-4.1-i": "80381870cea36f05b4f4e755d6dfea72136648e100b7e8cf1fb7cbc6c81bc82b",
+        "paper-4.1-ii": "feab8a29078eea500a1c0e3d856f4e573706949ebb99334dbd4e45c128fdb2a3",
+        "paper-4.1-iii": "7af745099f4765db5a59c4b14905980693285bfd529e857d95968f830c151aa6",
+        "paper-4.1-iv": "53a0ee83f8258b1604c317f7a5e2c06accd33dc0a02e8eb64aa332e09988738b",
+        "paper-4.2-d2": "ac21aea281dda146f7aa1c5ad2531a858593ab5550795fc73365148fd68ea18f",
+        "paper-4.2-d3": "05e18bf048b0d02aa4c87b94690dd44c3c0ace0d7475323ed6bedd0e137f7012",
+        "paper-4.2-d4": "827b0d27a68a40793b57c12adf61511b59e39aa3859f06f0adadbd16776081a9",
     }
 
     @pytest.mark.parametrize("name", sorted(RESOLVED))
@@ -814,7 +894,7 @@ class TestTableCompare:
     def test_single_value_flags_define_cells(self, tmp_path):
         rc = main(["table-compare", "--model", "isonormal2", "--T", "10",
                    "--n", "60", "--replications", "2", "--m", "4",
-                   "--big-m", "3", "--truth", "0.5,0.5",
+                   "--big-m-values", "3", "--truth", "0.5,0.5",
                    "--outlier-mean", "100.5,100.5", "--outlier-sd", "0.1",
                    "--xi", "0.01", "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -823,8 +903,8 @@ class TestTableCompare:
 
     @pytest.mark.parametrize("flags, cells", [
         (["--m", "4"], [["sgd", "4"], ["gd-ni", "9"], ["gd-ni", "100"], ["gd-ni", "2500"]]),
-        (["--big-m", "4"], [["sgd", "3"], ["sgd", "10"], ["sgd", "50"], ["gd-ni", "16"]]),
-        (["--m", "4", "--m-values", "5,6", "--big-m", "4"],
+        (["--big-m-values", "4"], [["sgd", "3"], ["sgd", "10"], ["sgd", "50"], ["gd-ni", "16"]]),
+        (["--m", "4", "--m-values", "5,6", "--big-m-values", "4"],
          [["sgd", "5"], ["sgd", "6"], ["gd-ni", "16"]]),
     ])
     def test_single_value_flag_beats_the_preset_list(self, tmp_path, flags, cells):
@@ -911,6 +991,24 @@ class TestTableCompare:
         else:  # only the sgd rows draw from the proposal
             assert default.splitlines()[1] != changed.splitlines()[1]
             assert default.splitlines()[2] == changed.splitlines()[2]
+
+    def test_memory_error_in_a_pooled_cell_exits_one_with_one_line(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        threads = []
+
+        def no_memory(*args):
+            threads.append(threading.current_thread())
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "lattice_grad_dpd", no_memory)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                   "--replications", "2", "--m-values", "4", "--big-m-values", "200",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out of memory: the run's arrays do not fit\n"
+        assert os.listdir(tmp_path) == ["config.echo"]
+        assert threads and threading.main_thread() not in threads
 
     @pytest.mark.parametrize("command", ["table-compare", "density-curves"])
     def test_dpd_commands_reject_gamma(self, tmp_path, capsys, command):
@@ -1056,8 +1154,7 @@ EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "", "abc", "1
                "0.5", "2", "0.5,0.5", "-5,1,0,1,0.6"]
 
 # a value of one of these keys may be reported under the other
-ALIASES = {"big_m": ("big_m", "big_m_values"), "big_m_values": ("big_m", "big_m_values"),
-           "m": ("m", "m_values"), "m_values": ("m", "m_values")}
+ALIASES = {"m": ("m", "m_values"), "m_values": ("m", "m_values")}
 # the exits 1 that only the drawn sample decides, after config.echo is written:
 # the MLE start fails, or the start lies past the descent's bound
 SAMPLE_DEPENDENT = re.compile(r"error: (need \d+ or more observations|zero-variance sample|"
@@ -1069,6 +1166,42 @@ def _names(line, key):
     """Whether ``line`` names ``key``, an alias of it, or the flag of either."""
     return any(re.search(rf"\b{k}\b", line) or "--" + k.replace("_", "-") in line
                for k in ALIASES.get(key, (key,)))
+
+
+def _contained_run(argv, out):
+    """``main(argv)`` in a fresh working directory, every warning an error:
+    checks that it exits 0, 1 or 2 with one ``error:`` line on stderr, or none
+    on exit 0, and returns the code, those lines and the sorted files of
+    ``out`` (None when no such directory was made)."""
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, _inside(tmp),
+          contextlib.redirect_stderr(err), warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        rc = main(argv)
+        written = sorted(os.listdir(out)) if out and os.path.isdir(out) else None
+    assert rc in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == [], argv
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    return rc, lines, written
+
+
+# truth values from far below to far above the families' usual scales
+TRUTH_VALUES = ["1e-300", "1e-30", "1e-10", "1e-3", "1", "1e3", "1e10", "1e30", "1e49"]
+
+
+_TRUTHS_RUN = []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(model=st.sampled_from(["gompertz", "inverse-normal"]),
+       truth=st.tuples(st.sampled_from(TRUTH_VALUES), st.sampled_from(TRUTH_VALUES)))
+def _every_truth_exits_zero_one_or_two(model, truth):
+    _TRUTHS_RUN.append((model, truth))
+    _contained_run(["fit", "--model", model, "--truth=" + ",".join(truth), "--T", "3",
+                    "--n", "50", "--out-dir", "out"], "out")
 
 
 class TestInputContract:
@@ -1089,23 +1222,18 @@ class TestInputContract:
         if command == "table-compare":
             argv += ["--model", "isonormal2", "--replications", "2"]
         for key, value in values.items():
-            flag = "--" + key.replace("_", "-")
-            argv += [flag] if key == "fixed_outlier_count" else [f"{flag}={value}"]
-        out = values.get("out_dir", "out")
-        err = io.StringIO()
-        with (tempfile.TemporaryDirectory() as tmp, _inside(tmp),
-              contextlib.redirect_stderr(err), warnings.catch_warnings()):
-            warnings.simplefilter("error")
-            rc = main(argv)
-            written = sorted(os.listdir(out)) if out and os.path.isdir(out) else None
-        assert rc in (0, 1, 2), argv
-        lines = err.getvalue().splitlines()
-        if rc == 0:
-            assert lines == [], argv
-        else:
-            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        rc, lines, written = _contained_run(argv, values.get("out_dir", "out"))
         if rc == 1 and SAMPLE_DEPENDENT.match(lines[0]):
             assert written == ["config.echo"], (argv, lines, written)
         elif rc == 1:
             assert any(_names(lines[0], key) for key in ["n", *values]), (argv, lines)
             assert written is None, (argv, lines, written)
+
+    def test_every_positive_family_truth_exits_zero_one_or_two(self):
+        """Draws that overflow, MLE starts whose derivative or rate overflows,
+        and kernels that overflow in a diverging descent all end in their one
+        line, or in none, without a warning; hypothesis runs every pair."""
+        _TRUTHS_RUN.clear()
+        _every_truth_exits_zero_one_or_two()
+        assert len(set(_TRUTHS_RUN)) == 2 * len(TRUTH_VALUES) ** 2

@@ -114,6 +114,29 @@ class TestMleGompertz:
         assert p.omega == pytest.approx(1e-4, rel=1e-12)
         assert p.lam == pytest.approx(1e-4 / np.expm1(1e-4 * x).mean(), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("omega, lam", [(0.01, 0.01), (0.02, 0.005), (0.05, 0.001)])
+    def test_lifetime_scale_data_start_at_the_profile_peak_without_warning(self, omega, lam):
+        """Draws reaching 100-200: toward the bracket's top ``s1**2`` in the
+        profile's derivative overflows, and Newton bisects there, silently.  The
+        start is the peak of the profile log-likelihood on a fine grid, and its
+        rate the one that the shape gives."""
+        m = Gompertz()
+        x = m.sample(m.from_natural(GompertzParams(omega, lam)), np.random.default_rng(0), 1000)
+        p = m.to_natural(mle_gompertz(x))
+        grid = np.linspace(1e-4, 0.1, 20_001)
+        profile = [np.log(w / np.expm1(w * x).mean()) + w * x.mean() for w in grid]
+        assert p.omega == pytest.approx(grid[np.argmax(profile)], abs=2 * (grid[1] - grid[0]))
+        assert p.lam == pytest.approx(p.omega / np.expm1(p.omega * x).mean(), rel=1e-12)
+
+    def test_rate_that_underflows_raises_naming_the_start(self):
+        """Spread so wide that the shape sits at the bracket's lower end and
+        ``expm1(omega * x)`` overflows: the rate would be 0."""
+        x = np.array([1.0, 1e5, 1e7])
+        with pytest.raises(ValueError, match=r"^Gompertz MLE: the rate at omega = 0\.0001 is 0, "
+                                             r"not a finite number > 0; give a start with --init$"):
+            mle_gompertz(x)
+
     def test_negative_data_rejected(self):
         with pytest.raises(ValueError):
             mle_gompertz(np.array([0.5, -0.1, 1.0]))
