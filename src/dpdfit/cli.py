@@ -1,5 +1,7 @@
 """Command-line harness for robust density-power fitting experiments.
 
+usage: dpdfit <subcommand> [--<key> <value> | --<key>=<value>] ...
+
 Subcommands
 -----------
 fit             fit one model to synthetic or CSV data, write estimate + trace
@@ -7,11 +9,12 @@ trace           fit without estimate.csv; trace.csv holds every iterate
 table-compare   stochastic descent vs numerical-integration descent grid
 density-curves  gridded density of the MLE and each robust fit, for plotting
 
-Configuration precedence: command-line flags > ``--config`` file or
-named preset > built-in defaults.  Config files are plain ``key = value``
-lines; ``--config`` also accepts one of the ``PRESETS``.  ``read_config``
-checks the resolved configuration before anything is written; every run
-then writes it to ``config.echo``.
+Each flag is ``--config`` or a whole config key (``_`` written ``-``), and the token after
+it is its value, whatever it reads: ``--init -0.5,1`` is the config line ``init = -0.5,1``.
+Flags beat a ``--config`` file or preset (``PRESETS``), which beats ``DEFAULTS``; the last
+of a repeated key wins, and a list that reads no value exits 1 (an empty ``m_values`` falls
+back to ``m``).  ``read_config`` checks the result before anything is written, and every
+run writes it to ``config.echo``.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical divergence.
 ``main`` alone turns a run's outcome (a ``cmd_*`` returns its first stop reason
@@ -20,10 +23,8 @@ or None) into the code, and exits 1 and 2 print one ``error:`` line to stderr.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
-import functools
 import itertools
 import math
 import os
@@ -104,25 +105,29 @@ PRESETS = {
     "paper-4.2-d4": _isonormal_preset(4, m_values="10", big_m_values="3"),  # 50^4: no baseline
 }
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValueError(message)
+COMMANDS = ("fit", "trace", "table-compare", "density-curves")
+_FLAGS = {"--" + key.replace("_", "-"): key for key in ("config", *DEFAULTS)}  # DEFAULTS order
 
 
-@functools.cache
-def _build_parser():
-    """One ``--key <value>`` flag per ``DEFAULTS`` key (``_`` written ``-``), in
-    ``DEFAULTS`` order, for every subcommand, and no abbreviation of one: the
-    command line takes exactly the keys of a config file, plus ``--config``.
-    Built on first use, once per process (it parses without keeping state)."""
-    parser = _Parser(prog="dpdfit", description=__doc__.splitlines()[0], allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fit", "trace", "table-compare", "density-curves"):
-        p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config", help="config file path or preset name")
-        for key in DEFAULTS:
-            p.add_argument("--" + key.replace("_", "-"))
-    return parser
+def _read_command_line(argv):
+    """``(command, {key: value})`` of ``argv``, read by the rules of the module text;
+    ``command`` is None where ``-h`` or ``--help`` stands for the subcommand or a flag."""
+    command, *args = argv or [""]
+    if command in ("-h", "--help"):
+        return None, {}
+    if command not in COMMANDS:
+        raise ValueError(f"expected a subcommand ({', '.join(COMMANDS)}), got {command!r}")
+    values, tokens = {}, iter(args)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None, {}
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS:
+            raise ValueError(f"expected a flag (--config or --<config key>), got {flag!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"flag {flag} needs a value")
+        values[_FLAGS[flag]] = value.strip()  # as a config file's value is
+    return command, values
 
 
 def _read_config_file(path):
@@ -145,16 +150,13 @@ def _read_config_file(path):
     return out
 
 
-def resolve_config(args):
-    """Merge defaults, config file / preset, and explicit flags."""
+def resolve_config(flags):
+    """Merge defaults, the ``config`` file or preset, and the other keys of ``flags``."""
     cfg = dict(DEFAULTS)
-    if args.config:
-        cfg.update(_read_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = str(value)
-    if args.m is not None and args.m_values is None:  # m is also fit's draw count
+    if flags.get("config"):
+        cfg.update(_read_config_file(flags["config"]))
+    cfg.update((key, value) for key, value in flags.items() if key != "config")
+    if "m" in flags and "m_values" not in flags:  # m is also fit's draw count
         cfg["m_values"] = ""  # so the sgd cells fall back to --m, not to the preset's list
     return cfg
 
@@ -182,17 +184,18 @@ def _number(text, key, kind=float, above=None, finite=True, at_most=None, at_lea
 
 
 def _numbers(text, key, kind=float, **checks):
-    """Comma-separated :func:`_number` values; empty items are skipped."""
-    return [_number(v, key, kind, **checks) for v in text.split(",") if v.strip()]
+    """Comma-separated :func:`_number` values, at least one; empty items are skipped."""
+    values = [_number(v, key, kind, **checks) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{key} must list at least one value, got {text!r}")
+    return values
 
 
 def _as_bool(text, key):
-    v = text.strip().lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ValueError(f"{key} must be true/false, got {text!r}")
+    v = text.lower()
+    if v not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"{key} must be true/false, got {text!r}")
+    return v in ("true", "1", "yes")
 
 
 def _theta_from_naturals(model, values, key):
@@ -222,7 +225,6 @@ def _check_point_shape(model, shape, source, shared=False):
 
 
 def _proposal(text, model):
-    text = text.strip()
     if text == "current":
         return CurrentModel()
     if text.startswith("normal:"):
@@ -416,12 +418,6 @@ def _fmt(value):
     return "" if value is None else repr(float(value))
 
 
-def _write_config_echo(cfg, out_dir):
-    with open(os.path.join(out_dir, "config.echo"), "w") as fh:
-        for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]}\n")
-
-
 def _write_csv(run, name, header, rows):
     """``run.out_dir/name``: the ``header`` row, then ``rows``."""
     with open(os.path.join(run.out_dir, name), "w", newline="") as fh:
@@ -557,19 +553,22 @@ def cmd_density_curves(run):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = resolve_config(args)
-        run = read_config(cfg, args.command)
+        name, flags = _read_command_line(sys.argv[1:] if argv is None else argv)
+        if name is None:
+            print(__doc__ + "\nFlags (any subcommand):", *_FLAGS, sep="\n  ")
+            return 0
+        cfg = resolve_config(flags)
+        run = read_config(cfg, name)
         command = {
             "fit": cmd_fit,
             "trace": lambda run: cmd_fit(run, write_estimate=False),
             "table-compare": cmd_table_compare,
             "density-curves": cmd_density_curves,
-        }[args.command]
+        }[name]
         os.makedirs(run.out_dir, exist_ok=True)
-        _write_config_echo(cfg, run.out_dir)
+        with open(os.path.join(run.out_dir, "config.echo"), "w") as fh:
+            fh.writelines(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
         reason, code = command(run), 2
     except (ValueError, OSError) as exc:
         reason, code = exc, 1

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import glob
 import hashlib
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -9,6 +11,7 @@ import sys
 import tempfile
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -632,7 +635,7 @@ class TestConfigHandling:
         assert echoed["beta"] == "0.25"   # file beats default
 
     def test_one_parser_keeps_no_flag_between_runs(self, tmp_path):
-        assert cli._build_parser() is cli._build_parser()
+        """A flag of one ``main`` run does not carry into the next."""
         for n, args in (("80", ["--n", "80"]), (cli.DEFAULTS["n"], [])):
             out = tmp_path / n
             assert main(["fit", "--T", "3", "--out-dir", str(out), *args]) == 0
@@ -708,6 +711,15 @@ class TestConfigHandling:
         (["fit", "--truth", "1,2,3"], "truth for normal needs 2 values"),
         (["fit", "--proposal", "normal:1"], "proposal normal:<mean...>,<sd> needs mean and sd"),
         (["fit", "--proposal", "foo"], "unknown proposal 'foo'"),
+        (["table-compare", "--config", "paper-4.2-d2", "--m-values=,", "--big-m-values=,", "--T",
+          "2"], "big_m_values must list at least one value, got ','"),
+        (["table-compare", "--config", "paper-4.2-d2", "--big-m-values="],
+         "big_m_values must list at least one value, got ''"),
+        (["table-compare", "--config", "paper-4.2-d2", "--m-values=,"],
+         "m_values must list at least one value, got ','"),
+        (["density-curves", "--betas=,"], "betas must list at least one value, got ','"),
+        (["fit", "--outlier-mean="], "outlier_mean must list at least one value, got ''"),
+        (["fit", "--proposal=normal:"], "proposal must list at least one value, got ''"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_value_exits_one_before_anything_is_written(self, tmp_path, capsys,
                                                             args, message):
@@ -738,8 +750,11 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["fit", "--out-dir", "out", "--bogus"],
-                                      ["fit", "--out-dir", "out", "--T"], []],
-                             ids=["unknown flag", "flag without value", "no subcommand"])
+                                      ["fit", "--out-dir", "out", "--T"], [],
+                                      ["fits", "--out-dir", "out"],
+                                      ["--out-dir", "out", "fit"]],
+                             ids=["unknown flag", "flag without value", "no subcommand",
+                                  "unknown subcommand", "flag before the subcommand"])
     def test_unparsable_command_line_exits_one_before_anything_is_written(self, tmp_path,
                                                                          capsys, args):
         """The parser's own errors take ``main``'s exit-1 path too."""
@@ -749,6 +764,50 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args", [["-h"], ["--help"], ["fit", "--help"],
+                                      ["table-compare", "--T", "3", "-h", "--bogus"]])
+    def test_help_prints_the_usage_and_exits_zero(self, tmp_path, capsys, args):
+        """``-h``/``--help`` where a subcommand or a flag stands: ``main`` prints
+        the module text and every flag to stdout and returns 0, writing nothing."""
+        with _inside(tmp_path):
+            assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(cli.__doc__) and err == ""
+        assert out.split()[-len(cli._FLAGS):] == list(cli._FLAGS)
+        assert os.listdir(tmp_path) == []
+
+    def test_help_after_a_flag_is_its_value(self, tmp_path, capsys):
+        rc = main(["fit", "--init", "-h", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: init must be a number, got '-h'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("truth", "-5,1,0,1,0.6"), ("init", "-5,1,0,1,0.6"),
+                                           ("outlier_mean", "-1")])
+    def test_value_after_a_flag_may_start_with_a_dash(self, tmp_path, key, value):
+        """``--key v``, ``--key=v`` and the config line ``key = v`` run alike."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        echoes = []
+        for i, args in enumerate([[flag, value], [f"{flag}={value}"], ["--config", str(cfg)]]):
+            (tmp_path / str(i)).mkdir()
+            with _inside(tmp_path / str(i)):
+                assert main(["fit", "--model", "mixture", "--T", "2", "--n", "50",
+                             "--out-dir", "out", *args]) == 0
+            echoes.append((tmp_path / str(i) / "out" / "config.echo").read_bytes())
+        assert echoes[0] == echoes[1] == echoes[2]
+        assert f"{key} = {value}\n".encode() in echoes[0]
+
+    def test_flag_value_is_stripped_as_a_config_value_is(self, tmp_path):
+        """So ``config.echo``, read back as a config file, names the same run."""
+        with _inside(tmp_path):
+            assert main(["fit", "--T", "1", "--n", "50", "--model", " normal ",
+                         "--out-dir", " out "]) == 0
+        assert os.listdir(tmp_path) == ["out"]
+        echo = (tmp_path / "out" / "config.echo").read_text()
+        assert "model = normal\n" in echo and "out_dir = out\n" in echo
 
     def test_empty_out_dir_exits_one_naming_it(self, tmp_path, capsys):
         with _inside(tmp_path):
@@ -778,15 +837,13 @@ class TestConfigHandling:
         assert f"fixed_outlier_count = {value}\n" in (tmp_path / "config.echo").read_text()
 
     def test_readme_lists_every_flag_of_every_subcommand(self):
-        """README's ``Flags (any subcommand)`` sentence, in the parser's order."""
+        """README's ``Flags (any subcommand)`` sentence, in the order of the flag
+        table that every subcommand reads, ``--config`` and then ``DEFAULTS``."""
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as fh:
             listed = re.search(r"Flags \(any subcommand\): `([^`]*)`", fh.read()).group(1).split()
-        subcommands = next(a for a in cli._build_parser()._actions if a.dest == "command")
-        for name, parser in subcommands.choices.items():
-            flags = [s for a in parser._actions for s in a.option_strings
-                     if s not in ("-h", "--help")]
-            assert listed == flags, name
+        assert listed == list(cli._FLAGS)
+        assert list(cli._FLAGS.values()) == ["config", *DEFAULTS]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -822,8 +879,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("name", sorted(RESOLVED))
     def test_preset_resolves_to_its_recorded_configuration(self, name):
         assert sorted(PRESETS) == sorted(self.RESOLVED)
-        args = cli._build_parser().parse_args(["fit", "--config", name])
-        resolved = repr(sorted(cli.resolve_config(args).items()))
+        _, flags = cli._read_command_line(["fit", "--config", name])
+        resolved = repr(sorted(cli.resolve_config(flags).items()))
         assert hashlib.sha256(resolved.encode()).hexdigest() == self.RESOLVED[name]
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -906,6 +963,7 @@ class TestTableCompare:
         (["--big-m-values", "4"], [["sgd", "3"], ["sgd", "10"], ["sgd", "50"], ["gd-ni", "16"]]),
         (["--m", "4", "--m-values", "5,6", "--big-m-values", "4"],
          [["sgd", "5"], ["sgd", "6"], ["gd-ni", "16"]]),
+        (["--m-values="], [["sgd", "10"], ["gd-ni", "9"], ["gd-ni", "100"], ["gd-ni", "2500"]]),
     ])
     def test_single_value_flag_beats_the_preset_list(self, tmp_path, flags, cells):
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "2", "--n", "60",
@@ -1119,19 +1177,41 @@ class TestCleanDataConsistency:
         assert float(rows[0][header.index("sigma")]) == pytest.approx(1.0, abs=0.1)
 
 
+def _python(*args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports this checkout's dpdfit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpdfit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
-        """dpdfit imports no scipy; only the tests do.  Nor does the import
-        build the argument parser: the first ``main`` does."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(dpdfit.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        """dpdfit imports no scipy; only the tests do.  Nor does it load
+        argparse: the command line is read by the config file's rules."""
         code = ("import sys, dpdfit.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-                "print(dpdfit.cli._build_parser.cache_info().currsize)")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.split() == ["[]", "0"]
+                "print('argparse' in sys.modules)")
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]", "False"]
+
+
+class TestEntryPoint:
+    def test_module_runs_as_a_program(self, tmp_path):
+        """``python -m dpdfit.cli``, which calls ``entry``, the console script's target."""
+        shown = _python("-m", "dpdfit.cli", "--help", cwd=tmp_path)
+        assert shown.returncode == 0 and shown.stderr == ""
+        assert shown.stdout.startswith(cli.__doc__)
+        bare = _python("-m", "dpdfit.cli", cwd=tmp_path)
+        assert bare.returncode == 1 and bare.stdout == ""
+        assert bare.stderr.startswith("error: ") and bare.stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+        fit = _python("-m", "dpdfit.cli", "fit", "--init", "-0.5,1", "--T", "2", "--n", "50",
+                      "--out-dir", str(tmp_path / "out"), cwd=tmp_path)
+        assert fit.returncode == 0 and fit.stdout == fit.stderr == ""
+        assert "init = -0.5,1\n" in (tmp_path / "out" / "config.echo").read_text()
 
 
 @contextlib.contextmanager
@@ -1237,3 +1317,46 @@ class TestInputContract:
         _TRUTHS_RUN.clear()
         _every_truth_exits_zero_one_or_two()
         assert len(set(_TRUTHS_RUN)) == 2 * len(TRUTH_VALUES) ** 2
+
+
+def _resolved(argv, config_lines=()):
+    """``main(argv)`` up to its subcommand, which is stubbed out, in a fresh working
+    directory that holds ``config_lines`` as ``run.cfg``: the exit code, the stderr
+    lines and each ``config.echo`` written, by path."""
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, _inside(tmp), contextlib.redirect_stderr(err),
+          mock.patch.object(cli, "cmd_fit", lambda run: None)):
+        with open("run.cfg", "w") as fh:
+            fh.writelines(line + "\n" for line in config_lines)
+        rc = main(argv)
+        echoes = {path: open(path).read() for path in glob.glob("**/config.echo", recursive=True)}
+    return rc, err.getvalue().splitlines(), echoes
+
+
+_FORMS_RUN = []
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(DEFAULTS)), value=st.sampled_from(EDGE_VALUES),
+       repeated=st.booleans())
+def _three_forms_read_alike(key, value, repeated):
+    _FORMS_RUN.append((key, value, repeated))
+    # a repeated key is first set to the edge value listed before ``value``
+    values = [EDGE_VALUES[EDGE_VALUES.index(value) - 1], value] if repeated else [value]
+    flag = "--" + key.replace("_", "-")
+    out = [] if key == "out_dir" else ["--out-dir", "out"]
+    in_file = _resolved(["fit", *out, "--config", "run.cfg"], [f"{key} = {v}" for v in values])
+    pairs = _resolved(["fit", *out, *itertools.chain.from_iterable((flag, v) for v in values)])
+    joined = _resolved(["fit", *out, *(f"{flag}={v}" for v in values)])
+    assert pairs == in_file and joined == in_file, (key, values, in_file, pairs, joined)
+
+
+class TestOneReader:
+    def test_config_line_flag_pair_and_joined_flag_read_alike(self):
+        """For every key and edge value, the config line ``key = v``, the flag
+        pair ``--key v`` and the flag ``--key=v`` give the same ``config.echo``,
+        or the same one exit-1 line; so do two of each, the last value winning.
+        Hypothesis runs every key, value and repetition."""
+        _FORMS_RUN.clear()
+        _three_forms_read_alike()
+        assert len(set(_FORMS_RUN)) == 2 * len(DEFAULTS) * len(EDGE_VALUES)
