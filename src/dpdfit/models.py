@@ -283,13 +283,28 @@ class IsoNormal(Model):
         r = np.empty(x.shape)
         for j in range(self.d):
             np.subtract(x[:, j], theta[j], out=r[:, j])
-        if self.d < 8:  # in-place column adds: far faster, same bytes
-            r2 = r[:, 0] ** 2
-            for j in range(1, self.d):
-                r2 += r[:, j] ** 2
-        else:  # numpy sums 8 or more terms pairwise; keep that rounding
-            r2 = (r**2).sum(axis=-1)
-        return -0.5 * self.d * _LOG_2PI - 0.5 * r2, r
+        return self._lp_of_squares(r[:, j] ** 2 for j in range(self.d)), r
+
+    def _lp_of_squares(self, squares, out=None):
+        """Log-density from ``squares``, the squared residuals of the ``d``
+        coordinates in order: arrays that broadcast together (a block's columns,
+        or slices of a grid's axes).  Below d = 8 ``r2`` adds them in order,
+        ``(sq_0 + sq_1) + ...``, in ``out``, by default over the first square;
+        numpy sums 8 or more terms pairwise, so from there they are stacked and
+        summed as ``(r**2).sum(axis=-1)`` would."""
+        if self.d < 8:  # far faster than a sum over a stacked axis, same bytes
+            squares = iter(squares)
+            if out is None:
+                out = next(squares)
+            else:  # a broadcast copy, then every add runs along whole rows of out
+                out[...] = next(squares)
+            for sq in squares:
+                out += sq
+        else:
+            out = np.stack(np.broadcast_arrays(*squares), axis=-1).sum(axis=-1, out=out)
+        out *= -0.5  # then c + (-0.5 r2): the bytes of c - 0.5 r2
+        out += -0.5 * self.d * _LOG_2PI
+        return out
 
     def _score(self, theta, x, r):
         return r

@@ -14,6 +14,7 @@ from dpdfit.divergence import (
     empirical_dpce,
     empirical_gce,
     empirical_power_term,
+    lattice_points,
     lattice_r,
 )
 from dpdfit.gradients import (
@@ -22,6 +23,7 @@ from dpdfit.gradients import (
     CurrentModel,
     FixedNormal,
     _draw_proposal,
+    _grid_score_sum,
     _proposal_terms,
     _weighted_score_sum,
     _weighted_sum,
@@ -596,6 +598,78 @@ class TestLatticeGradDpd:
         x = np.random.default_rng(8).normal(0.5, 1.0, (200, 2))
         g = lattice_grad_dpd(m, np.full(2, 0.5), x, 0.5, backend)
         assert g.shape == (2,) and np.all(np.isfinite(g))
+
+
+class TestGridScoreSum:
+    """An ``isonormal<d>`` lattice gradient sums over the grid's axes; the sum of
+    ``_weighted_score_sum`` over the ``lattice_points`` nodes is its reference, bit
+    for bit, at every ``BLOCK``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(grid=st.integers(2, 9).flatmap(lambda d: st.tuples(  # (d, nodes), at most 3,600 points
+               st.just(d), st.integers(2, max(k for k in range(2, 61) if k**d <= 3600)))),
+           extent=st.sampled_from([1.0, 4.0, 45.0]), power=st.sampled_from([1.1, 1.5, 2.0]),
+           theta=st.lists(st.one_of(st.integers(0, 59), st.floats(-1.5, 1.5)),
+                          min_size=9, max_size=9),
+           rows=st.integers(1, 100))
+    @example(grid=(8, 3), extent=4.0, power=1.5, theta=[0.1, 2, -0.7, 1, 0.0, 0, 1.2, -0.3, 0],
+             rows=30)
+    @example(grid=(3, 20), extent=45.0, power=1.1, theta=[0.0, 7, -0.2, 0, 0, 0, 0, 0, 0],
+             rows=25)
+    def test_same_bytes_as_the_nodes(self, grid, extent, power, theta, rows):
+        """d from 8 on exercises the pairwise ``r2``; at extent 45 the outer
+        weights underflow to 0, so dead rows have negative residuals.  An integer
+        puts theta's coordinate on the grid (zero residuals), a float off it, at
+        that fraction of the extent.  ``BLOCK`` takes 5, 64, one past a multiple
+        of ``nodes`` and its default."""
+        d, nodes = grid
+        axis = np.linspace(-extent, extent, nodes)
+        theta = np.array([axis[t % nodes] if isinstance(t, int) else t * extent
+                          for t in theta[:d]])
+        model, lattice = IsoNormal(d), Lattice(extent=extent, nodes=nodes)
+        want = _weighted_score_sum(model, theta, lattice_points(model, lattice)[0], power)[1]
+        assert np.isfinite(want).all()
+        for block in (5, 64, rows * nodes + 1, BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gradients, "BLOCK", block)
+                assert _grid_score_sum(model, theta, lattice, power).tobytes() == want.tobytes()
+
+    def test_the_underflow_extent_has_dead_rows_of_negative_residual(self):
+        """At extent 45 the property above sees weights of exactly 0 whose rows'
+        residuals are negative, so that a fused ``0 * e`` would be -0.0."""
+        model, lattice, theta = IsoNormal(3), Lattice(extent=45.0, nodes=30), np.zeros(3)
+        pts = lattice_points(model, lattice)[0]
+        w = _weighted_score_sum(model, theta, pts, 1.5)[0]
+        dead = w == 0
+        assert dead.any() and not dead.all() and ((pts[dead] - theta) < 0).any()
+
+    @pytest.mark.parametrize("nodes", [16, 40])  # 16**3 == FUSED_ROWS
+    def test_isonormal_gradient_builds_no_nodes(self, monkeypatch, nodes):
+        """From ``FUSED_ROWS`` nodes on, the isonormal gradient takes its node
+        weight from ``Lattice.weight`` and never calls ``lattice_points``; its
+        bytes are those of the nodes path."""
+        model, lattice = IsoNormal(3), Lattice(extent=3.0, nodes=nodes)
+        theta = np.array([0.3, 0.6, 0.9])
+        x = model.sample(theta, np.random.default_rng(2), 300)
+        pts, weight = lattice_points(model, lattice)
+        want = data_term(model, theta, x, 0.5) + weight * _weighted_score_sum(
+            model, theta, pts, 1.5)[1]
+        monkeypatch.setattr(gradients, "lattice_points", self.no_nodes)
+        assert lattice_grad_dpd(model, theta, x, 0.5, lattice).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model, lattice", [
+        (IsoNormal(3), Lattice(extent=3.0, nodes=15)),  # 3,375 nodes, under FUSED_ROWS
+        (Normal1D(), Lattice(extent=3.0, nodes=FUSED_ROWS + 1))])
+    def test_short_and_scalar_lattices_keep_the_nodes_path(self, monkeypatch, model, lattice):
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(2), 50)
+        monkeypatch.setattr(gradients, "lattice_points", self.no_nodes)
+        with pytest.raises(AssertionError, match="lattice_points called"):
+            lattice_grad_dpd(model, theta, x, 0.5, lattice)
+
+    @staticmethod
+    def no_nodes(model, lattice):
+        raise AssertionError("lattice_points called")
 
 
 class TestStochasticGradGamma:
