@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
-from .divergence import BLOCK, Lattice, empirical_dpce, empirical_gce
+from .divergence import Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
@@ -393,9 +393,7 @@ def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
 
 def _mse(run, theta):
     """``||theta - truth||^2`` of one iterate, or the list of a trace's; None without a truth."""
-    if run.spec is None:
-        return None
-    return ((theta - run.spec.truth) ** 2).sum(axis=-1).tolist()
+    return None if run.spec is None else ((theta - run.spec.truth) ** 2).sum(axis=-1).tolist()
 
 
 def _iterate_columns(run, ds, theta, log_c, mean_pow=None):
@@ -421,9 +419,7 @@ def _fmt(value):
 def _write_csv(run, name, header, rows):
     """``run.out_dir/name``: the ``header`` row, then ``rows``."""
     with open(os.path.join(run.out_dir, name), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
 def _write_trace(run, theta, columns, cost):
@@ -439,9 +435,8 @@ def _write_trace(run, theta, columns, cost):
 
 def _write_estimate(run, final, columns, complexity):
     """The ``final`` theta row, with ``columns`` its :func:`_iterate_columns` and MSE."""
-    model = run.model
     objective, scale, _ = columns
-    values = dict(zip(model.natural_names, model.natural_values(final)))
+    values = dict(zip(run.model.natural_names, run.model.natural_values(final)))
     if scale is not None:
         values["scale_c"] = scale
     values["objective"] = objective
@@ -501,24 +496,35 @@ def _table_cell_run(run, method, size, rep, ds, theta0):
     return _mse(run, result.trace[-1]), result.reason
 
 
+def _table_cell_job(*job):  # looks the name up in the worker, so that a patch reaches it
+    return _table_cell_run(*job)
+
+
 def cmd_table_compare(run):
-    """Cells whose steps each evaluate ``BLOCK`` or more points (``n + size``) release the GIL
-    inside numpy, so they run first, on a pool; every other cell then runs here, in order."""
+    """Every cell of every replication is one job; where ``os.fork`` exists and more than
+    one CPU is usable, the jobs run on forked worker processes, longest first."""
     reps = run.replications
     cells = [("sgd", m, m) for m in run.m_values] + [("gd-ni", g, g.total_points(run.model))
                                                      for g in run.lattices]
     # every cell of a replication fits the same sample from the same start
     starts = [(ds, _initial_theta(run, ds)) for ds in (_dataset(run, rep) for rep in range(reps))]
     jobs = [(method, size, rep, *starts[rep]) for method, size, _ in cells for rep in range(reps)]
-    # more threads than usable CPUs only contend for the GIL and the caches
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    width = min(8, reps, cpus or 1)
-    pooled = [j for j in range(len(jobs)) if width > 1 and run.spec.n + cells[j // reps][2] >= BLOCK]
-    done = {}
-    if pooled:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            done = dict(zip(pooled, pool.map(lambda j: _table_cell_run(run, *jobs[j]), pooled)))
-    outcomes = [done[j] if j in done else _table_cell_run(run, *jobs[j]) for j in range(len(jobs))]
+    width = min(8, len(jobs), cpus or 1) if hasattr(os, "fork") else 1
+    if width == 1:
+        outcomes = [_table_cell_run(run, *job) for job in jobs]
+    else:  # imported here: multiprocessing would add a tenth to `import dpdfit.cli`
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        from multiprocessing import get_context
+        order = sorted(range(len(jobs)), key=lambda j: -cells[j // reps][2])  # by n + size
+        with ProcessPoolExecutor(width, mp_context=get_context("fork")) as pool:
+            futures = dict(zip(order, (pool.submit(_table_cell_job, run, *jobs[j]) for j in order)))
+            try:
+                outcomes = [futures[j].result() for j in range(len(jobs))]
+            except BrokenProcessPool:  # a worker was killed, say for memory
+                raise ChildProcessError("a table worker ended without a result") from None
+            finally:  # after an error, start no job that is still waiting
+                pool.shutdown(cancel_futures=True)
 
     rows, stops = [], []
     for i, (method, _, total) in enumerate(cells):
@@ -533,17 +539,15 @@ def cmd_table_compare(run):
 
 
 def cmd_density_curves(run):
-    model = run.model
     ds = _dataset(run)
     theta_mle = _initial_theta(run, ds)
-
     with _writing_data_csv(run, ds):
         fits = {name: _sgd(run, ds, theta_mle, beta, run.m) for name, beta in run.betas.items()}
         grid = np.linspace(ds.points.min() - 1.0, ds.points.max() + 1.0, 512)
         counts = np.histogram(ds.points, bins=grid)[0]
-        columns = {"pdf_mle": np.exp(model.log_pdf(theta_mle, grid))}
+        columns = {"pdf_mle": np.exp(run.model.log_pdf(theta_mle, grid))}
         for name, result in fits.items():
-            columns[name] = np.exp(model.log_pdf(result.trace[-1], grid))
+            columns[name] = np.exp(run.model.log_pdf(result.trace[-1], grid))
 
     rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
             + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
@@ -560,12 +564,8 @@ def main(argv=None):
             return 0
         cfg = resolve_config(flags)
         run = read_config(cfg, name)
-        command = {
-            "fit": cmd_fit,
-            "trace": lambda run: cmd_fit(run, write_estimate=False),
-            "table-compare": cmd_table_compare,
-            "density-curves": cmd_density_curves,
-        }[name]
+        command = {"fit": cmd_fit, "trace": lambda run: cmd_fit(run, write_estimate=False),
+                   "table-compare": cmd_table_compare, "density-curves": cmd_density_curves}[name]
         os.makedirs(run.out_dir, exist_ok=True)
         with open(os.path.join(run.out_dir, "config.echo"), "w") as fh:
             fh.writelines(f"{key} = {cfg[key]}\n" for key in sorted(cfg))

@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 # Points per kernel call in a pass over the data (_mean_pow, gradients), same bytes at any
-# value; it also picks the table cells that run on the pool (steps of BLOCK or more points).
-# Shorter calls make pool threads trade the GIL; 65536 is slower again (measured, 2 MB L2).
+# value: its temporaries stay in cache; 65536 was slower in the d3 table (measured, 2 MB L2).
 BLOCK = 32768
 
 

@@ -4,13 +4,16 @@ import glob
 import hashlib
 import io
 import itertools
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import warnings
+from concurrent.futures import process
 from unittest import mock
 
 import numpy as np
@@ -895,6 +898,30 @@ class TestConfigHandling:
         assert outs[0] == outs[1]
 
 
+def _job_key(run, method, size, rep):
+    """``(method, size, rep)`` of a table job, its size as ``table.csv`` writes it."""
+    return method, size if method == "sgd" else size.total_points(run.model), rep
+
+
+def _recorded_cells(tmp_path, monkeypatch):
+    """Patches ``cli._table_cell_run`` to append its process id and job to a file
+    under ``tmp_path``, which forked workers share; returns a reader of the file,
+    ``[(pid, (method, size, rep)), ...]``."""
+    path, cell_run = tmp_path / "cells", cli._table_cell_run
+
+    def cell(run, method, size, rep, *rest):
+        with open(path, "a") as fh:
+            fh.write("{} {} {} {}\n".format(os.getpid(), *_job_key(run, method, size, rep)))
+        return cell_run(run, method, size, rep, *rest)
+
+    def read():
+        lines = (line.split() for line in path.read_text().splitlines())
+        return [(int(pid), (method, int(size), int(rep))) for pid, method, size, rep in lines]
+
+    monkeypatch.setattr(cli, "_table_cell_run", cell)
+    return read
+
+
 class TestTableCompare:
     def test_structure_and_complexity(self, tmp_path):
         rc = main(["table-compare", "--model", "isonormal2", "--T", "20",
@@ -972,56 +999,62 @@ class TestTableCompare:
         _, rows = read_csv(tmp_path / "table.csv")
         assert [r[:2] for r in rows] == cells
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_pool_no_wider_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus):
-        widths = []
+    @pytest.mark.parametrize("cpus, reps, width", [(1, 4, None), (3, 4, 3), (3, 1, 2),
+                                                   (16, 5, 8)])
+    def test_pool_no_wider_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus, reps,
+                                                width):
+        """Width ``min(8, jobs, CPUs)``, the jobs being 2 cells times ``reps``; at one
+        CPU there is no pool and every cell runs in this process."""
+        widths, cells = [], _recorded_cells(tmp_path, monkeypatch)
 
-        class Pool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers):
+        class Pool(process.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 widths.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        # the 200^2-node lattice is the one cell whose steps reach BLOCK points
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
-                   "--replications", "4", "--m-values", "4", "--big-m-values", "200",
-                   "--out-dir", str(tmp_path)])
+                   "--replications", str(reps), "--m-values", "4", "--big-m-values", "3",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 0
-        assert widths == ([cpus] if cpus > 1 else [])  # one thread makes no pool
+        assert widths == ([width] if width else [])
+        pids = [pid for pid, _ in cells()]
+        assert len(pids) == 2 * reps
+        if width:
+            assert os.getpid() not in pids and len(set(pids)) <= width
+        else:
+            assert set(pids) == {os.getpid()}
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("flags, pooled", [
-        (["--n", "60", "--m-values", "4", "--big-m-values", "200,3"], {("gd-ni", 200)}),
-        (["--n", "60", "--m-values", "4", "--big-m-values", "3"], set()),
-        # n + size against BLOCK: 3 draws fall one point short, 4 reach it
-        (["--n", str(BLOCK - 4), "--m-values", "3,4", "--big-m-values", "3"],
-         {("sgd", 4), ("gd-ni", 3)}),
+    @pytest.mark.parametrize("flags", [
+        ["--n", "60", "--m-values", "4", "--big-m-values", "200,3"],
+        ["--n", "60", "--m-values", "4", "--big-m-values", "3"],
+        # the cells on both sides of BLOCK points a step: no size rule picks the pooled ones
+        ["--n", str(BLOCK - 4), "--m-values", "3,4", "--big-m-values", "3"],
     ])
-    def test_only_cells_of_block_points_run_on_the_pool(self, tmp_path, monkeypatch,
-                                                        flags, pooled):
-        ran, pools, cell_run = [], [], cli._table_cell_run
+    def test_every_cell_runs_on_a_worker_longest_first(self, tmp_path, monkeypatch, flags):
+        """At two CPUs every job goes on the pool, submitted by ``n + size`` from the
+        longest, ties in the order of the table's rows and then replications."""
+        submitted, cells = [], _recorded_cells(tmp_path, monkeypatch)
 
-        def cell(run, method, size, *rest):
-            ran.append(((method, getattr(size, "nodes", size)), threading.current_thread()))
-            return cell_run(run, method, size, *rest)
+        class Pool(process.ProcessPoolExecutor):
+            def submit(self, fn, run, method, size, rep, *rest):
+                submitted.append(_job_key(run, method, size, rep))
+                return super().submit(fn, run, method, size, rep, *rest)
 
-        class Pool(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "_table_cell_run", cell)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--replications", "3",
-                   "--out-dir", str(tmp_path)] + flags)
+                   "--out-dir", str(tmp_path / "out")] + flags)
         assert rc == 0
-        on_main = [thread is threading.main_thread() for _, thread in ran]
-        assert {key for key, _ in ran} >= pooled
-        assert [not main for main in on_main] == [key in pooled for key, _ in ran]
-        # the pool is done before the first serial cell starts
-        assert on_main == sorted(on_main)
-        assert pools == ([2] if pooled else [])
+        _, rows = read_csv(tmp_path / "out" / "table.csv")
+        jobs = [(method, int(size), rep) for method, size, *_ in rows for rep in range(3)]
+        assert submitted == sorted(jobs, key=lambda job: -job[1])  # a stable sort
+        ran = cells()
+        assert os.getpid() not in {pid for pid, _ in ran}
+        assert sorted(job for _, job in ran) == sorted(jobs)
+        assert multiprocessing.active_children() == []
 
     def test_pooled_table_is_the_same_on_one_cpu_and_three(self, tmp_path, monkeypatch):
         tables = []
@@ -1037,7 +1070,9 @@ class TestTableCompare:
         assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("flag", ["--init=9,9", "--proposal=normal:0.5,1"])
-    def test_cells_take_init_and_proposal(self, tmp_path, flag):
+    def test_cells_take_init_and_proposal(self, tmp_path, monkeypatch, flag):
+        """On two CPUs, so that the workers get the ``Run`` of each flag pickled."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         args = ["table-compare", "--config", "paper-4.2-d2", "--T", "5", "--n", "60",
                 "--replications", "2", "--m-values", "4", "--big-m-values", "3"]
         assert main(args + ["--out-dir", str(tmp_path / "default")]) == 0
@@ -1050,23 +1085,53 @@ class TestTableCompare:
             assert default.splitlines()[1] != changed.splitlines()[1]
             assert default.splitlines()[2] == changed.splitlines()[2]
 
-    def test_memory_error_in_a_pooled_cell_exits_one_with_one_line(self, tmp_path, capsys,
-                                                                    monkeypatch):
-        threads = []
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError(), "out of memory: the run's arrays do not fit"),
+        (ValueError("a cell's own message"), "a cell's own message"),
+    ])
+    def test_error_in_a_pooled_cell_exits_one_with_one_line(self, tmp_path, capsys,
+                                                            monkeypatch, raised, line):
+        """The error of a worker's cell reaches ``main`` with its message, and no
+        worker outlives ``main``."""
+        pids = tmp_path / "pids"
 
-        def no_memory(*args):
-            threads.append(threading.current_thread())
-            raise MemoryError()
+        def failing(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise raised
 
-        monkeypatch.setattr(cli, "lattice_grad_dpd", no_memory)
+        monkeypatch.setattr(cli, "lattice_grad_dpd", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "out"
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
                    "--replications", "2", "--m-values", "4", "--big-m-values", "200",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert os.listdir(out) == ["config.echo"]
+        ran = {int(pid) for pid in pids.read_text().split()}
+        assert ran and os.getpid() not in ran
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """A worker that ends without a result, here by SIGKILL as the kernel's
+        out-of-memory killer sends it, makes exit 1, not a traceback."""
+        parent = os.getpid()
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("a lattice cell ran in the test's own process")
+
+        monkeypatch.setattr(cli, "lattice_grad_dpd", killed)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                   "--replications", "2", "--m-values", "4", "--big-m-values", "3",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: out of memory: the run's arrays do not fit\n"
+        assert capsys.readouterr().err == "error: a table worker ended without a result\n"
         assert os.listdir(tmp_path) == ["config.echo"]
-        assert threads and threading.main_thread() not in threads
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["table-compare", "density-curves"])
     def test_dpd_commands_reject_gamma(self, tmp_path, capsys, command):
@@ -1196,6 +1261,15 @@ class TestImport:
         done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]", "False"]
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        """``table-compare`` imports its process pool when it makes one: the
+        import would add about a tenth to ``import dpdfit.cli``."""
+        code = ("import sys, dpdfit.cli; print(sorted(m for m in sys.modules if m in "
+                "('multiprocessing', 'concurrent.futures.process')))")
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]"]
 
 
 class TestEntryPoint:

@@ -83,17 +83,21 @@ def test_traced_gamma_run_calls_the_patched_estimator(tmp_path):
     assert names.count("divergence.objective") == 6  # t = 0 .. 5
 
 
-def test_traced_table_draws_each_replication_once(tmp_path):
+def test_traced_table_draws_each_replication_once(tmp_path, monkeypatch):
     """The 6 cells of a replication share its sample and its MLE start, so
-    2 replications make 12 cell spans on 2 samples and 2 starts."""
-    tracer = _traced_run(["table-compare", "--config", "paper-4.2-d2", "--replications", "2",
-                          "--T", "3", "--out-dir", str(tmp_path)])
-    names = [span[1] for span in tracer.spans]
-    assert names.count("cli.table_compare") == 1
-    assert names.count("cli.table_cell") == 12
-    assert names.count("mle.init") == 2
-    assert names.count("datagen.contaminated_sample") == 2
-
+    2 replications make 12 cell spans on 2 samples and 2 starts.  The tracer
+    records spans in its own process only: on 2 CPUs the cells run on forked
+    workers, and only the samples and the starts are traced."""
+    argv = ["table-compare", "--config", "paper-4.2-d2", "--replications", "2", "--T", "3"]
+    for cpus, cells in ((2, 0), (1, 12)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        tracer = _traced_run(argv + ["--out-dir", str(tmp_path / str(cpus))])
+        names = [span[1] for span in tracer.spans]
+        assert names.count("cli.table_compare") == 1
+        assert names.count("cli.table_cell") == cells
+        assert names.count("mle.init") == 2
+        assert names.count("datagen.contaminated_sample") == 2
 
 def test_benchmark_selftest_passes():
     """``perfbench/selftest.py`` writes only under ``perfbench/.work/``."""
