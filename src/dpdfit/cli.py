@@ -17,8 +17,9 @@ back to ``m``).  ``read_config`` checks the result before anything is written, a
 run writes it to ``config.echo``.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical divergence.
-``main`` alone turns a run's outcome (a ``cmd_*`` returns its first stop reason
-or None) into the code, and exits 1 and 2 print one ``error:`` line to stderr.
+A ``cmd_*`` returns its stop reasons in output order and its density evaluations; ``main``
+alone turns them into the code, prints the one ``error:`` line of an exit 1 or 2 (the first
+stop's, on exit 2) and, on exits 0 and 2, writes ``run.json`` after every other output.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import Lattice, empirical_dpce, empirical_gce
 from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
@@ -464,7 +466,7 @@ def _writing_data_csv(run, ds):
 def cmd_fit(run, write_estimate=True):
     """One stochastic run, written as ``data.csv`` (synthetic data only),
     ``estimate.csv`` and ``trace.csv``; ``trace`` and a diverged run skip
-    ``estimate.csv``.  Returns the stop reason, None unless the run diverged."""
+    ``estimate.csv``.  Returns ``(stops, evaluations)``, as :func:`main` reads them."""
     ds = _dataset(run)
     theta0 = _initial_theta(run, ds)
     # step t + 1 starts from iterate t, so its data weights give iterate t's
@@ -477,10 +479,11 @@ def cmd_fit(run, write_estimate=True):
         mses = _mse(run, theta) or [None] * len(theta)  # one array op for the whole trace
         columns = [(*_iterate_columns(run, ds, th, c, mean), mse) for th, c, mean, mse
                    in itertools.zip_longest(theta, log_c, means or (), mses)]
+    evaluations = (len(theta) - 1) * cost  # the last row's complexity
     if write_estimate and not result.diverged:
-        _write_estimate(run, theta[-1], columns[-1], (len(theta) - 1) * cost)
+        _write_estimate(run, theta[-1], columns[-1], evaluations)
     _write_trace(run, theta, columns, cost)
-    return result.reason
+    return [result.reason] if result.diverged else [], evaluations
 
 
 def _table_cell_run(run, method, size, rep, ds, theta0):
@@ -535,7 +538,7 @@ def cmd_table_compare(run):
         stops += [f"{reason} ({method} size {total}, replication {rep + 1} of {reps})"
                   for rep, (_, reason) in enumerate(cell) if reason is not None]
     _write_csv(run, "table.csv", ["method", "size", "mean_mse", "sd_mse", "complexity"], rows)
-    return stops[0] if stops else None
+    return stops, reps * sum(row[-1] for row in rows)
 
 
 def cmd_density_curves(run):
@@ -552,8 +555,20 @@ def cmd_density_curves(run):
     rows = ([_fmt(x), int(counts[i]) if i < counts.size else 0]
             + [_fmt(c[i]) for c in columns.values()] for i, x in enumerate(grid))
     _write_csv(run, "curves.csv", ["x", "hist_count"] + list(columns), rows)
-    return next((f"{result.reason} ({name} fit)" for name, result in fits.items()
-                 if result.diverged), None)
+    return ([f"{result.reason} ({name} fit)" for name, result in fits.items() if result.diverged],
+            (ds.n + run.m) * sum(len(result.trace) - 1 for result in fits.values()))
+
+
+def _write_record(run, command, cfg, stops, evaluations):
+    """``run.json``, in one write: what ran, from what, on what, at what cost, and its stops."""
+    import hashlib  # here, as json is: `import dpdfit.cli` would pay for either
+    import json
+    digest = hashlib.sha256(repr(sorted(cfg.items())).encode()).hexdigest()
+    versions = {"python": sys.version.split()[0], "numpy": np.__version__, "dpdfit": __version__}
+    with open(os.path.join(run.out_dir, "run.json"), "w") as fh:
+        fh.write(json.dumps({"command": command, "config_sha256": digest, "seed": run.seed,
+                             "versions": versions, "density_evaluations": evaluations,
+                             "stops": stops}) + "\n")
 
 
 def main(argv=None):
@@ -569,13 +584,15 @@ def main(argv=None):
         os.makedirs(run.out_dir, exist_ok=True)
         with open(os.path.join(run.out_dir, "config.echo"), "w") as fh:
             fh.writelines(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
-        reason, code = command(run), 2
+        stops, evaluations = command(run)
+        _write_record(run, name, cfg, stops, evaluations)  # the pool has joined
+        if not stops:
+            return 0
+        reason, code = stops[0], 2
     except (ValueError, OSError) as exc:
         reason, code = exc, 1
     except MemoryError as exc:  # numpy's names the array; a bare MemoryError() names nothing
         reason, code = str(exc) or "out of memory: the run's arrays do not fit", 1
-    if reason is None:
-        return 0
     print(f"error: {reason}", file=sys.stderr)
     return code
 

@@ -4,8 +4,10 @@ import glob
 import hashlib
 import io
 import itertools
+import json
 import multiprocessing
 import os
+import platform
 import re
 import signal
 import subprocess
@@ -44,12 +46,44 @@ STARTS = {"--truth=1e9,1": "880000001.2331969, 324961533.0641584",
           "--init=0,1e9": "0.0, 1000000000.0"}
 
 
+def check_record(out, argv, err, evaluations):
+    """``out/run.json`` records the run of ``argv``: exactly its six fields, the SHA-256
+    of its resolved configuration, no stop when ``err`` is empty and else the reason of
+    that stderr line first, and ``evaluations``.  Returns the stops."""
+    with open(os.path.join(out, "run.json")) as fh:
+        record = json.load(fh)
+    assert list(record) == ["command", "config_sha256", "seed", "versions",
+                            "density_evaluations", "stops"]
+    cfg = cli.resolve_config(cli._read_command_line(argv)[1])
+    assert record["command"] == argv[0] and record["seed"] == int(cfg["seed"])
+    resolved = repr(sorted(cfg.items()))
+    assert record["config_sha256"] == hashlib.sha256(resolved.encode()).hexdigest()
+    assert record["versions"] == {"python": platform.python_version(),
+                                  "numpy": np.__version__, "dpdfit": dpdfit.__version__}
+    assert record["density_evaluations"] == evaluations
+    if err:
+        assert record["stops"][0] == err.removeprefix("error: ").removesuffix("\n")
+    else:
+        assert record["stops"] == []
+    return record["stops"]
+
+
+def last_complexity(out):
+    """The ``complexity`` of the last row of ``out/trace.csv``."""
+    header, rows = read_csv(os.path.join(out, "trace.csv"))
+    return int(rows[-1][header.index("complexity")])
+
+
 class TestFit:
     def test_writes_all_artifacts(self, tmp_path):
-        rc = main(["fit", "--model", "normal", "--out-dir", str(tmp_path)] + FAST)
+        argv = ["fit", "--model", "normal", "--out-dir", str(tmp_path)] + FAST
+        rc = main(argv)
         assert rc == 0
-        for name in ("config.echo", "data.csv", "estimate.csv", "trace.csv"):
+        for name in ("config.echo", "data.csv", "estimate.csv", "trace.csv", "run.json"):
             assert (tmp_path / name).exists()
+        _, rows = read_csv(tmp_path / "estimate.csv")
+        assert last_complexity(tmp_path) == int(rows[0][-1]) == 8400
+        check_record(tmp_path, argv, "", 8400)
 
     def test_trace_header_is_exact(self, tmp_path):
         main(["fit", "--model", "normal", "--out-dir", str(tmp_path)] + FAST)
@@ -88,7 +122,7 @@ class TestFit:
                    "--out-dir", str(tmp_path)])
         assert rc == 0 and capsys.readouterr().err == ""
         assert sorted(os.listdir(tmp_path)) == ["config.echo", "data.csv", "estimate.csv",
-                                                "trace.csv"]
+                                                "run.json", "trace.csv"]
         header, rows = read_csv(tmp_path / "trace.csv")
         assert [row[header.index("objective_exact")] for row in rows] == ["inf"] * 4
         header, rows = read_csv(tmp_path / "estimate.csv")
@@ -260,14 +294,16 @@ class TestFit:
         header, rows = read_csv(tmp_path / "estimate.csv")
         assert 0 < float(rows[0][header.index("omega")]) < 1e-3
 
-    def test_divergence_exits_two(self, tmp_path, capsys):
-        rc = main(["fit", "--model", "normal", "--eta0", "1e12",
-                   "--out-dir", str(tmp_path)] + FAST)
+    @pytest.mark.parametrize("command", ["fit", "trace"])
+    def test_divergence_exits_two(self, tmp_path, capsys, command):
+        argv = [command, "--model", "normal", "--eta0", "1e12", "--out-dir", str(tmp_path)] + FAST
+        rc = main(argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: diverged at step 1: candidate theta[")
         assert err.endswith(" is past PARAM_LIMIT = 1e+08\n")
+        assert len(check_record(tmp_path, argv, err, last_complexity(tmp_path))) == 1
 
     @pytest.mark.parametrize("args,stop", [
         (["paper-4.1-ii", "--eta0", "100"], "step 3: gradient[0] is NaN"),
@@ -292,21 +328,37 @@ class TestFit:
     def test_diverged_table_cell_is_named(self, tmp_path, capsys):
         """Exit 2 from the table names the first diverged cell's method,
         size and replication, in the order of ``table.csv``."""
-        rc = main(["table-compare", "--config", "paper-4.2-d2", "--eta0", "1e9", "--T", "5",
-                   "--replications", "3", "--out-dir", str(tmp_path)])
+        argv = ["table-compare", "--config", "paper-4.2-d2", "--eta0", "1e9", "--T", "5",
+                "--replications", "3", "--out-dir", str(tmp_path)]
+        rc = main(argv)
         assert rc == 2
-        assert capsys.readouterr().err == (
+        err = capsys.readouterr().err
+        assert err == (
             "error: diverged at step 1: candidate theta[0] = -1.91936e+08 is past "
             "PARAM_LIMIT = 1e+08 (sgd size 3, replication 1 of 3)\n")
         assert (tmp_path / "table.csv").exists()
+        _, rows = read_csv(tmp_path / "table.csv")
+        stops = check_record(tmp_path, argv, err, 3 * sum(int(row[4]) for row in rows))
+        named = [re.search(r"\((\S+) size (\d+), replication (\d) of 3\)$", s) for s in stops]
+        cells = [(row[0], row[1]) for row in rows]
+        order = [(cells.index(m.group(1, 2)), int(m.group(3))) for m in named]
+        assert order == sorted(order) and len(set(order)) == len(order) > 1
 
     def test_diverged_density_curve_fit_is_named(self, tmp_path, capsys):
-        rc = main(["density-curves", "--eta0", "1e12", "--out-dir", str(tmp_path)] + FAST)
+        """Every diverged fit is a stop, named, in column order; the record counts
+        ``n + m`` evaluations for each step a fit took before its stop."""
+        argv = ["density-curves", "--eta0", "1e12", "--out-dir", str(tmp_path)] + FAST
+        rc = main(argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: diverged at step 1: candidate theta[")
         assert err.endswith(" is past PARAM_LIMIT = 1e+08 (pdf_beta_0.1 fit)\n")
+        stops = json.loads((tmp_path / "run.json").read_text())["stops"]
+        fits = [re.search(r"\((\S+) fit\)$", s).group(1) for s in stops]
+        assert fits == ["pdf_beta_0.1", "pdf_beta_0.5", "pdf_beta_1"]
+        steps = [int(re.match(r"diverged at step (\d+):", s).group(1)) - 1 for s in stops]
+        check_record(tmp_path, argv, err, (200 + 10) * sum(steps))
 
     @pytest.mark.parametrize("args, start", [
         *(pytest.param([command, flag], STARTS[flag], id=f"{flag}-{command}")
@@ -439,12 +491,13 @@ def check_eta_and_complexity(rows, schedule, cost):
 
 class TestTrace:
     def test_eta_and_complexity_computed_from_t(self, tmp_path):
-        rc = main(["trace", "--config", "paper-4.1-i", "--T", "30",
-                   "--out-dir", str(tmp_path)])
+        argv = ["trace", "--config", "paper-4.1-i", "--T", "30", "--out-dir", str(tmp_path)]
+        rc = main(argv)
         assert rc == 0
         _, rows = read_csv(tmp_path / "trace.csv")
         assert len(rows) == 31
         check_eta_and_complexity(rows, StepDecay(1.0, 0.7, 25), 1010)
+        check_record(tmp_path, argv, "", 30 * 1010)
 
     def test_diverged_run_stops_at_failed_step(self, tmp_path):
         rc = main(["fit", "--config", "paper-4.1-ii", "--eta0", "100", "--T", "50",
@@ -924,18 +977,20 @@ def _recorded_cells(tmp_path, monkeypatch):
 
 class TestTableCompare:
     def test_structure_and_complexity(self, tmp_path):
-        rc = main(["table-compare", "--model", "isonormal2", "--T", "20",
-                   "--n", "100", "--replications", "3",
-                   "--m-values", "5", "--big-m-values", "3",
-                   "--truth", "0.5,0.5", "--outlier-mean", "100.5,100.5",
-                   "--outlier-sd", "0.1", "--xi", "0.01",
-                   "--decay-period", "20", "--out-dir", str(tmp_path)])
+        argv = ["table-compare", "--model", "isonormal2", "--T", "20",
+                "--n", "100", "--replications", "3",
+                "--m-values", "5", "--big-m-values", "3",
+                "--truth", "0.5,0.5", "--outlier-mean", "100.5,100.5",
+                "--outlier-sd", "0.1", "--xi", "0.01",
+                "--decay-period", "20", "--out-dir", str(tmp_path)]
+        rc = main(argv)
         assert rc == 0
         header, rows = read_csv(tmp_path / "table.csv")
         assert header == ["method", "size", "mean_mse", "sd_mse", "complexity"]
         assert rows[0][:2] == ["sgd", "5"] and rows[0][4] == str(20 * 105)
         assert rows[1][:2] == ["gd-ni", "9"] and rows[1][4] == str(20 * 109)
         assert float(rows[0][2]) >= 0.0
+        check_record(tmp_path, argv, "", 3 * (20 * 105 + 20 * 109))
 
     def test_rejects_data(self, tmp_path, capsys):
         """table-compare draws one sample per replication; it reads no CSV."""
@@ -1172,10 +1227,12 @@ class TestProposals:
 
 class TestDensityCurves:
     def test_grid_and_density_columns(self, tmp_path):
-        rc = main(["density-curves", "--model", "normal", "--n", "400",
-                   "--T", "60", "--betas", "0.1,0.5", "--seed", "2",
-                   "--out-dir", str(tmp_path)])
+        argv = ["density-curves", "--model", "normal", "--n", "400",
+                "--T", "60", "--betas", "0.1,0.5", "--seed", "2",
+                "--out-dir", str(tmp_path)]
+        rc = main(argv)
         assert rc == 0
+        check_record(tmp_path, argv, "", 2 * 60 * (400 + 10))  # two fits of T steps
         header, rows = read_csv(tmp_path / "curves.csv")
         assert header == ["x", "hist_count", "pdf_mle", "pdf_beta_0.1",
                           "pdf_beta_0.5"]
@@ -1264,9 +1321,10 @@ class TestImport:
 
     def test_cli_import_does_not_load_multiprocessing(self):
         """``table-compare`` imports its process pool when it makes one: the
-        import would add about a tenth to ``import dpdfit.cli``."""
+        import would add about a tenth to ``import dpdfit.cli``.  Likewise
+        ``main`` imports ``json`` and ``hashlib`` only to write ``run.json``."""
         code = ("import sys, dpdfit.cli; print(sorted(m for m in sys.modules if m in "
-                "('multiprocessing', 'concurrent.futures.process')))")
+                "('multiprocessing', 'concurrent.futures.process', 'json', 'hashlib')))")
         done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]"]
@@ -1399,7 +1457,7 @@ def _resolved(argv, config_lines=()):
     lines and each ``config.echo`` written, by path."""
     err = io.StringIO()
     with (tempfile.TemporaryDirectory() as tmp, _inside(tmp), contextlib.redirect_stderr(err),
-          mock.patch.object(cli, "cmd_fit", lambda run: None)):
+          mock.patch.object(cli, "cmd_fit", lambda run: ([], 0))):
         with open("run.cfg", "w") as fh:
             fh.writelines(line + "\n" for line in config_lines)
         rc = main(argv)
