@@ -25,7 +25,6 @@ stop's, on exit 2) and, on exits 0 and 2, writes ``run.json`` after every other 
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import math
 import os
@@ -38,7 +37,8 @@ import numpy as np
 from . import __version__
 from .datagen import ContaminationSpec, Dataset, contaminated_sample
 from .divergence import Lattice, empirical_dpce, empirical_gce
-from .gradients import CurrentModel, FixedNormal, lattice_grad_dpd, stochastic_grad_dpd, stochastic_grad_gamma
+from .gradients import (CurrentModel, FixedNormal, PreparedSample, lattice_grad_dpd,
+                        stochastic_grad_dpd, stochastic_grad_gamma)
 from .mle import mle_gompertz, mle_inverse_normal, mle_isonormal, mle_mixture, mle_normal
 from .models import MAGNITUDE_MAX, IsoNormal, Model, get_model
 from .optim import StepDecay, checked_start, gd_run, sgd_run
@@ -382,11 +382,12 @@ def _sgd(run, ds, theta0, beta, m, *stream, data_means=None):
     of its data weights ``p(x_i)**power``, at the iterate it starts from."""
     estimator, power = ((stochastic_grad_gamma, run.gamma) if run.gamma_mode
                         else (stochastic_grad_dpd, beta))
+    sample = PreparedSample(ds.points, m)
 
     def grad(psi, rng):
-        est = estimator(run.model, psi, ds.points, power, m, run.proposal, rng)
-        if data_means is not None:
-            data_means.append(float(est.data_weights.mean()))
+        est = estimator(run.model, psi, sample, power, m, run.proposal, rng)
+        if data_means is not None:  # the bytes of ndarray.mean, in half its time
+            data_means.append(float(np.add.reduce(est.data_weights) / est.data_weights.size))
         return est.g
     rng = np.random.default_rng([run.seed, *stream, 1])
     with np.errstate(all="ignore"):  # a non-finite gradient stops the run, naming its step
@@ -419,9 +420,9 @@ def _fmt(value):
 
 
 def _write_csv(run, name, header, rows):
-    """``run.out_dir/name``: the ``header`` row, then ``rows``."""
+    """``run.out_dir/name``: ``header``, then ``rows``, as ``csv.writer`` writes them unquoted."""
     with open(os.path.join(run.out_dir, name), "w", newline="") as fh:
-        csv.writer(fh).writerows(itertools.chain([header], rows))
+        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows]))
 
 
 def _write_trace(run, theta, columns, cost):
@@ -563,7 +564,8 @@ def _write_record(run, command, cfg, stops, evaluations):
     """``run.json``, in one write: what ran, from what, on what, at what cost, and its stops."""
     import hashlib  # here, as json is: `import dpdfit.cli` would pay for either
     import json
-    digest = hashlib.sha256(repr(sorted(cfg.items())).encode()).hexdigest()
+    experiment = sorted(item for item in cfg.items() if item[0] not in ("out_dir", "data"))
+    digest = hashlib.sha256(repr(experiment).encode()).hexdigest()
     versions = {"python": sys.version.split()[0], "numpy": np.__version__, "dpdfit": __version__}
     with open(os.path.join(run.out_dir, "run.json"), "w") as fh:
         fh.write(json.dumps({"command": command, "config_sha256": digest, "seed": run.seed,

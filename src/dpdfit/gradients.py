@@ -16,10 +16,10 @@ Every route evaluates the model through its fused
 ``log_pdf_and_score`` kernel, in blocks of at most ``BLOCK`` points, but
 the term of an ``isonormal<d>`` lattice of ``FUSED_ROWS`` nodes or more: it
 is built from the grid's axes, block by block, to the bytes of the kernel
-on the nodes.  The
-stochastic routes make no kernel call for the proposal draws alone: the
-draws ride in the call of the data's last block, so at ``n <= BLOCK`` a
-step is one kernel call.  Every sum of weighted score rows over points,
+on the nodes.  The stochastic routes make no kernel call for the proposal
+draws alone: they join the data's last block in the buffer of a
+:class:`PreparedSample`, so at ``n <= BLOCK`` a step is one kernel call.
+Every sum of weighted score rows over points,
 ``sum_i w_i t(x_i)``, keeps one rule: the row of an exactly zero weight adds
 +0.0 whatever its score, a NaN weight gives NaN, and each column is added row
 after row from +0.0, the order (and so the bytes) of ``sum(axis=0)``.  A pass
@@ -124,19 +124,33 @@ def _carried_sums(rows, total):
     return _column_sums(rows)
 
 
-def _weighted_score_sum(model, theta, x, power, draws=None):
-    """Weights ``w_i = p(x_i)**power``, the sum ``sum_i w_i t(x_i)`` and the
-    ``(lp, score)`` of ``draws``, which join the kernel call of the last block
-    (empty without them).  The kernel sees one cache-sized block of ``BLOCK``
-    points at a time, and :func:`_weighted_sum` carries the running sum from
-    block to block: the bytes of one sum over all points."""
-    n = x.shape[0]
+class PreparedSample:
+    """A descent's data, read once, and ``last``: its last block's rows, room for ``m`` draws."""
+
+    def __init__(self, data, m=0):
+        self.points = x = _data_points(data)
+        k = x.shape[0] - (x.shape[0] - 1) // BLOCK * BLOCK  # rows of the last block
+        self.last = np.concatenate([x[-k:], np.empty((m, *x.shape[1:]))]) if m else x[-k:]
+
+
+def _weighted_score_sum(model, theta, data, power, draws=None):
+    """Weights ``w_i = p(x_i)**power`` of ``data`` (an array or a :class:`PreparedSample`),
+    the sum ``sum_i w_i t(x_i)`` and the ``(lp, score)`` of ``draws``, which join the
+    kernel call of the last block (empty without them).  The kernel sees one cache-sized
+    block of ``BLOCK`` points at a time, and :func:`_weighted_sum` carries the running
+    sum from block to block: the bytes of one sum over all points."""
+    m = 0 if draws is None else len(draws)
+    sample = data if isinstance(data, PreparedSample) else PreparedSample(data, m)
+    n = sample.points.shape[0]
     w, total = np.empty(n), None
     for start in range(0, n, BLOCK):
-        pts = x[start:start + BLOCK]
+        pts = sample.points[start:start + BLOCK]
         k = pts.shape[0]
-        if draws is not None and start + k == n:
-            pts = np.concatenate([pts, draws])
+        if m and start + k == n:  # the same rows, in the buffer with room for the draws
+            pts = sample.last[:k + m]
+            if pts.shape[0] < k + m:  # else one draw would broadcast into no room
+                raise ValueError(f"the sample has room for {pts.shape[0] - k} draws, not {m}")
+            pts[k:] = draws
         lp, score = model.log_pdf_and_score(theta, pts)
         lp_k = np.multiply(power, lp[:k], out=lp[:k])  # the draws' lp[k:] stay as they are
         w_k = np.exp(lp_k, out=w[start:start + k])
@@ -152,8 +166,8 @@ def data_term(model, theta, data, beta):
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    x = _data_points(data)
-    return -_weighted_score_sum(model, theta, x, beta)[1] / x.shape[0]
+    w, total, _ = _weighted_score_sum(model, theta, data, beta)
+    return -total / w.shape[0]
 
 
 def _draw_proposal(model, theta, proposal, m, rng):
@@ -175,9 +189,8 @@ def _stochastic_step(model, theta, data, power, m, proposal, rng):
     uses no randomness, so the stream is that of drawing them on their own."""
     if m < 1:
         raise ValueError("minibatch size m must be >= 1")
-    x = _data_points(data)
     y, log_q = _draw_proposal(model, theta, proposal, m, rng)
-    w, total, (lp, score) = _weighted_score_sum(model, theta, x, power, y)
+    w, total, (lp, score) = _weighted_score_sum(model, theta, data, power, y)
     return w, total, _proposal_terms(lp, score, log_q, power)
 
 

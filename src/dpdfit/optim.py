@@ -91,8 +91,8 @@ def _descent(grad_fn, theta0, eta_at, n_steps):
         candidate = theta - eta_at(t) * g
         if reason := _stop_reason(t, "candidate theta", candidate, "PARAM_LIMIT", PARAM_LIMIT):
             break
-        theta = candidate
-        trace.append(theta.copy())
+        theta = candidate  # a new array: the trace keeps it as it is
+        trace.append(theta)
     return RunResult(trace=np.array(trace), reason=reason)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import glob
 import hashlib
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpdfit
-from dpdfit import cli
+from dpdfit import cli, gradients
 from dpdfit.cli import _THREADED_CSV_ROWS, DEFAULTS, PRESETS, main
 from dpdfit.datagen import Dataset
 from dpdfit.divergence import BLOCK, empirical_dpce, empirical_gce
@@ -48,16 +49,17 @@ STARTS = {"--truth=1e9,1": "880000001.2331969, 324961533.0641584",
 
 def check_record(out, argv, err, evaluations):
     """``out/run.json`` records the run of ``argv``: exactly its six fields, the SHA-256
-    of its resolved configuration, no stop when ``err`` is empty and else the reason of
-    that stderr line first, and ``evaluations``.  Returns the stops."""
+    of its resolved configuration without ``out_dir`` and ``data``, no stop when ``err``
+    is empty and else the reason of that stderr line first, and ``evaluations``.
+    Returns the stops."""
     with open(os.path.join(out, "run.json")) as fh:
         record = json.load(fh)
     assert list(record) == ["command", "config_sha256", "seed", "versions",
                             "density_evaluations", "stops"]
     cfg = cli.resolve_config(cli._read_command_line(argv)[1])
     assert record["command"] == argv[0] and record["seed"] == int(cfg["seed"])
-    resolved = repr(sorted(cfg.items()))
-    assert record["config_sha256"] == hashlib.sha256(resolved.encode()).hexdigest()
+    experiment = repr(sorted((k, v) for k, v in cfg.items() if k not in ("out_dir", "data")))
+    assert record["config_sha256"] == hashlib.sha256(experiment.encode()).hexdigest()
     assert record["versions"] == {"python": platform.python_version(),
                                   "numpy": np.__version__, "dpdfit": dpdfit.__version__}
     assert record["density_evaluations"] == evaluations
@@ -622,6 +624,78 @@ class TestDataPasses:
                      "--out-dir", str(tmp_path)]) == 0
         assert sum(seen) == T * (n + m)
 
+    @pytest.mark.parametrize("argv,descents", [(["fit"], 1), (["density-curves"], 3),
+                                               (["fit", "--divergence", "gamma"], 1)])
+    def test_each_descent_reads_its_data_once(self, tmp_path, monkeypatch, argv, descents):
+        """``cli._sgd`` prepares the sample once: a descent reads its data once at any
+        step count, and a DPD step joins no arrays (the gamma gradient appends its
+        scale coordinate to theta's)."""
+        reads, joins = [], []
+        data_points, concatenate = gradients._data_points, np.concatenate
+
+        def read(*args):
+            reads.append(args)
+            return data_points(*args)
+
+        def join(*args, **kwargs):
+            joins.append(args)
+            return concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(gradients, "_data_points", read)
+        monkeypatch.setattr(np, "concatenate", join)
+        counts = []
+        for T in (2, 20):
+            reads.clear()
+            joins.clear()
+            assert main(argv + ["--T", str(T), "--out-dir", str(tmp_path / str(T))]) == 0
+            counts.append((len(reads), len(joins)))
+        assert counts[0][0] == counts[1][0] == descents
+        if "gamma" not in argv:
+            assert counts[0][1] == counts[1][1]
+
+
+class TestCsvWriter:
+    """``cli._write_csv`` writes a file as one ``\\r\\n``-joined string: the bytes of
+    ``csv.writer``, since no field the commands write needs quoting."""
+
+    @staticmethod
+    def csv_writer_bytes(rows):
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        return text.getvalue().encode()
+
+    def test_same_bytes_as_csv_writer(self, tmp_path):
+        names = ["t", "eta", "complexity", "objective_exact", "scale_c", "mse", "objective",
+                 "method", "size", "mean_mse", "sd_mse", "x", "hist_count", "pdf_mle"]
+        for name in ("normal", "inverse-normal", "gompertz", "mixture", "isonormal3"):
+            names += cli.get_model(name).natural_names
+        names += [f"theta_{i}" for i in range(1, 6)]
+        names += [f"pdf_beta_{b:g}" for b in (0.1, 0.5, 1.0, 1e-5, 1e-300, 10.0)]
+        fields = [cli._fmt(v) for v in (None, np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                                         -1.7976931348623157e308, 0.1, 1e16, np.float64(2.5))]
+        fields += [0, -7, 2**63, 10**40, "sgd", "gd-ni"]
+        rows = [(fields * len(names))[i:i + len(names)] for i in range(len(fields))]
+        run = dataclasses.replace(cli.read_config(dict(DEFAULTS), "fit"), out_dir=str(tmp_path))
+        cli._write_csv(run, "out.csv", names, iter(rows))
+        assert (tmp_path / "out.csv").read_bytes() == self.csv_writer_bytes([names, *rows])
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "mixture"], ["fit", "--divergence", "gamma"],
+        ["fit", "--model", "isonormal2", "--init", "-0.0,1e7", "--eta0", "1e12"],
+        ["density-curves", "--model", "gompertz", "--betas", "0.1,1e-300,10"],
+        ["table-compare", "--model", "isonormal2", "--replications", "2", "--m-values", "3",
+         "--big-m-values", "3"]])
+    def test_every_command_writes_csv_writer_bytes(self, tmp_path, argv):
+        """Each CSV a command writes, but ``data.csv`` (``Dataset.to_csv``), is what
+        ``csv.writer`` writes for the fields ``csv.reader`` reads back from it."""
+        assert main(argv + ["--T", "3", "--n", "40", "--out-dir", str(tmp_path)]) in (0, 2)
+        written = sorted(p for p in tmp_path.glob("*.csv") if p.name != "data.csv")
+        assert written
+        for path in written:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert path.read_bytes() == self.csv_writer_bytes(rows)
+
 
 class TestDataCsvWriter:
     """A sample of more than ``cli._THREADED_CSV_ROWS`` rows is written on a
@@ -949,6 +1023,25 @@ class TestConfigHandling:
                         + (out / "estimate.csv").read_bytes()
                         + (out / "data.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_one_experiment_in_two_directories_records_one_digest(self, tmp_path):
+        """``config_sha256`` leaves out where a run reads and writes: one preset run
+        into two directories, then fit again from each one's ``data.csv``, records one
+        digest a command, and ``run.json`` the same bytes."""
+        records = {}
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            argv = ["trace", "--config", "paper-4.1-i", "--T", "5", "--out-dir", str(out)]
+            assert main(argv) == 0
+            check_record(out, argv, "", 5 * 1010)
+            again = ["fit", "--config", "paper-4.1-i", "--T", "5", "--data",
+                     str(out / "data.csv"), "--out-dir", str(out / "again")]
+            assert main(again) == 0
+            check_record(out / "again", again, "", 5 * 1010)
+            records[sub] = [(out / "run.json").read_bytes(),
+                            (out / "again" / "run.json").read_bytes()]
+        assert records["a"] == records["b"]
+        assert records["a"][0] != records["a"][1]  # trace and fit
 
 
 def _job_key(run, method, size, rep):
@@ -1322,9 +1415,10 @@ class TestImport:
     def test_cli_import_does_not_load_multiprocessing(self):
         """``table-compare`` imports its process pool when it makes one: the
         import would add about a tenth to ``import dpdfit.cli``.  Likewise
-        ``main`` imports ``json`` and ``hashlib`` only to write ``run.json``."""
+        ``main`` imports ``json`` and ``hashlib`` only to write ``run.json``, and
+        the CSVs are written without ``csv``."""
         code = ("import sys, dpdfit.cli; print(sorted(m for m in sys.modules if m in "
-                "('multiprocessing', 'concurrent.futures.process', 'json', 'hashlib')))")
+                "('multiprocessing', 'concurrent.futures.process', 'json', 'hashlib', 'csv')))")
         done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]"]

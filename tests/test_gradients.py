@@ -22,6 +22,7 @@ from dpdfit.gradients import (
     FUSED_ROWS,
     CurrentModel,
     FixedNormal,
+    PreparedSample,
     _draw_proposal,
     _grid_score_sum,
     _proposal_terms,
@@ -535,6 +536,75 @@ class TestOneKernelCallPerStep:
             assert np.isfinite(got.g).all()  # equal bytes of NaN would prove little
             for a, b in zip((got.g, got.draw_terms, got.draw_weights), want):
                 assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name,n,proposal", CASES)
+    def test_prepared_sample_steps_are_the_bytes_of_two_calls(self, monkeypatch, name, n,
+                                                              proposal):
+        """Three consecutive steps on one :class:`PreparedSample`, as a descent takes
+        them: each is the bytes of its two-call step, and the buffer's data rows stay
+        those of the sample."""
+        model = get_model(name)
+        theta = model.from_natural_values(model.default_truth)
+        x = model.sample(theta, np.random.default_rng(n), n)
+        last = (n - 1) // BLOCK * BLOCK
+        if n > 1:
+            x[last] = -1.0 if model.support == "positive" else 1e150
+            x[n - 1] = 1e150
+        if proposal == "current":
+            prop = CurrentModel()
+        else:
+            prop = FixedNormal(mean=np.full(model.point_shape, 0.5), sd=2.0)
+        kernel = model.log_pdf_and_score
+        calls = []
+
+        def counted(th, pts):
+            calls.append(np.shape(pts)[0])
+            return kernel(th, pts)
+
+        psi = np.append(theta, 0.3)
+        for fused, two_call, params, power in (
+                (stochastic_grad_dpd, _two_call_dpd, theta, 0.5),
+                (stochastic_grad_gamma, _two_call_gamma, psi, 0.7)):
+            sample = PreparedSample(x, 10)
+            want_rng, got_rng = np.random.default_rng(7), np.random.default_rng(7)
+            for step in range(3):
+                params = params + 0.01 * step  # each step at its own iterate
+                want = two_call(model, params, x, power, 10, prop, want_rng)
+                monkeypatch.setattr(model, "log_pdf_and_score", counted)
+                calls.clear()
+                got = fused(model, params, sample, power, 10, prop, got_rng)
+                monkeypatch.undo()
+                assert calls == [BLOCK] * (last // BLOCK) + [n - last + 10]
+                assert np.isfinite(got.g).all()
+                for a, b in zip((got.g, got.draw_terms, got.draw_weights), want):
+                    assert a.tobytes() == b.tobytes()
+                assert sample.last[:n - last].tobytes() == x[last:].tobytes()
+
+    def test_a_prepared_sample_takes_at_most_its_m_draws_a_step(self):
+        """A sample prepared for ``m`` draws serves a step of ``m`` or fewer with the
+        bytes of a two-call step; a step of more raises ValueError, a lone draw on a
+        sample prepared for none too, which numpy would broadcast into no room."""
+        model = Normal1D()
+        theta = np.array([0.1, 1.2])
+        x = model.sample(theta, np.random.default_rng(5), 300)
+        sample = PreparedSample(x, 10)
+        for m in (4, 10, 1):
+            want = _two_call_dpd(model, theta, x, 0.5, m, CurrentModel(), np.random.default_rng(m))
+            got = stochastic_grad_dpd(model, theta, sample, 0.5, m, CurrentModel(),
+                                      np.random.default_rng(m))
+            assert [a.tobytes() for a in (got.g, got.draw_terms, got.draw_weights)] == [
+                b.tobytes() for b in want]
+        for prepared, room, m in ((sample, 10, 11), (PreparedSample(x), 0, 1),
+                                  (PreparedSample(x, 1), 1, 2)):
+            with pytest.raises(ValueError, match=f"room for {room} draws, not {m}$"):
+                stochastic_grad_dpd(model, theta, prepared, 0.5, m, CurrentModel(),
+                                    np.random.default_rng(3))
+        # the data term and the lattice gradient read the rows alone, whatever the room
+        lattice = Lattice(extent=4.0, nodes=9)
+        assert data_term(model, theta, sample, 0.5).tobytes() == data_term(
+            model, theta, x, 0.5).tobytes()
+        assert lattice_grad_dpd(model, theta, sample, 0.5, lattice).tobytes() == (
+            lattice_grad_dpd(model, theta, x, 0.5, lattice).tobytes())
 
 
 class TestLatticeGradDpd:
