@@ -399,22 +399,6 @@ def _mse(run, theta):
     return None if run.spec is None else ((theta - run.spec.truth) ** 2).sum(axis=-1).tolist()
 
 
-def _iterate_columns(run, ds, theta, log_c, mean_pow=None):
-    """The ``objective_exact`` and ``scale_c`` of one recorded iterate ``(theta, log_c)``,
-    each None where it does not apply: the exact objective needs a closed-form
-    family, the scale a gamma run (``log_c`` is empty otherwise).  ``mean_pow``, the
-    mean data weight of the step taken from it, spares the objective its data pass."""
-    model, objective, scale = run.model, None, None
-    if model.closed_form_r is not None:
-        objective = (empirical_gce(model, theta, ds.points, run.gamma, mean_pow=mean_pow)
-                     if run.gamma_mode
-                     else empirical_dpce(model, theta, ds.points, run.beta, mean_pow=mean_pow))
-    if run.gamma_mode:
-        with np.errstate(over="ignore"):  # a diverged run may end at c = inf
-            scale = float(np.exp(log_c[0]))
-    return objective, scale
-
-
 def _fmt(value):
     return "" if value is None else repr(float(value))
 
@@ -426,19 +410,19 @@ def _write_csv(run, name, header, rows):
 
 
 def _write_trace(run, theta, columns, cost):
-    """One row per iterate ``t``: the step size that reached it (0.0 for
-    the start), ``t * cost`` density evaluations, its ``theta`` row and its
-    ``columns``: :func:`_iterate_columns` and the MSE."""
+    """One row per iterate ``t``: the step size that reached it (0.0 for the start),
+    ``t * cost`` density evaluations, its ``theta`` row and its entry of each of ``columns``,
+    the ``objective_exact``, ``scale_c`` and ``mse`` lists (a None column writes empty fields)."""
     header = ["t", "eta", "complexity"] + [f"theta_{i + 1}" for i in range(theta.shape[1])]
+    columns = [column or [None] * len(theta) for column in columns]
     rows = ([t, _fmt(run.schedule.at(t) if t else 0.0), t * cost]
             + list(map(repr, row)) + [_fmt(v) for v in values]
-            for t, (row, values) in enumerate(zip(theta.tolist(), columns)))
+            for t, (row, *values) in enumerate(zip(theta.tolist(), *columns)))
     _write_csv(run, "trace.csv", header + ["objective_exact", "scale_c", "mse"], rows)
 
 
-def _write_estimate(run, final, columns, complexity):
-    """The ``final`` theta row, with ``columns`` its :func:`_iterate_columns` and MSE."""
-    objective, scale, _ = columns
+def _write_estimate(run, final, objective, scale, complexity):
+    """The ``final`` theta row, its exact ``objective`` and, in gamma mode, its ``scale``."""
     values = dict(zip(run.model.natural_names, run.model.natural_values(final)))
     if scale is not None:
         values["scale_c"] = scale
@@ -476,14 +460,21 @@ def cmd_fit(run, write_estimate=True):
     with _writing_data_csv(run, ds):
         result = _sgd(run, ds, theta0, run.beta, run.m, data_means=means)
         s, cost = run.model.dim_param, ds.n + run.m  # density evaluations a step
-        theta, log_c = result.trace[:, :s], result.trace[:, s:]  # log_c: gamma runs only
-        mses = _mse(run, theta) or [None] * len(theta)  # one array op for the whole trace
-        columns = [(*_iterate_columns(run, ds, th, c, mean), mse) for th, c, mean, mse
-                   in itertools.zip_longest(theta, log_c, means or (), mses)]
+        theta = result.trace[:, :s]
+        # each column None where it does not apply: the exact objective needs a
+        # closed-form family, the scale a gamma run (whose trace ends in log c)
+        objective, power = ((empirical_gce, run.gamma) if run.gamma_mode
+                            else (empirical_dpce, run.beta))
+        objectives = None if means is None else [
+            objective(run.model, th, ds.points, power, mean_pow=mean)
+            for th, mean in itertools.zip_longest(theta, means)]
+        with np.errstate(over="ignore"):  # a diverged gamma run may end at c = inf
+            scales = np.exp(result.trace[:, s]).tolist() if run.gamma_mode else None
     evaluations = (len(theta) - 1) * cost  # the last row's complexity
     if write_estimate and not result.diverged:
-        _write_estimate(run, theta[-1], columns[-1], evaluations)
-    _write_trace(run, theta, columns, cost)
+        _write_estimate(run, theta[-1], objectives and objectives[-1], scales and scales[-1],
+                        evaluations)
+    _write_trace(run, theta, [objectives, scales, _mse(run, theta)], cost)
     return [result.reason] if result.diverged else [], evaluations
 
 
@@ -495,7 +486,8 @@ def _table_cell_run(run, method, size, rep, ds, theta0):
         result = _sgd(run, ds, theta0, run.beta, size, rep)
     else:
         omega = float(np.mean([run.schedule.at(t) for t in range(1, run.T + 1)]))
-        result = gd_run(lambda th: lattice_grad_dpd(run.model, th, ds.points, run.beta, size),
+        sample = PreparedSample(ds.points)  # read once, in the process that runs the cell
+        result = gd_run(lambda th: lattice_grad_dpd(run.model, th, sample, run.beta, size),
                         theta0, omega, run.T)
     return _mse(run, result.trace[-1]), result.reason
 

@@ -560,6 +560,24 @@ class TestTrace:
                 assert value["scale_c"] == ""
             assert float(value["objective_exact"]) == float(objective)
 
+    def test_gamma_trace_switches_no_error_state_per_step(self, tmp_path, monkeypatch):
+        """What is fixed for a run is decided once: a gamma ``trace`` enters
+        ``np.errstate`` from ``cli`` as often at 5 steps as at 50."""
+        errstate, callers = np.errstate, []
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_filename)
+            return errstate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        counts = []
+        for T in (5, 50):
+            callers.clear()
+            assert main(["trace", "--config", "paper-4.1-i", "--divergence", "gamma", "--T",
+                         str(T), "--out-dir", str(tmp_path / str(T))]) == 0
+            counts.append(callers.count(cli.__file__))
+        assert counts[0] == counts[1] > 0
+
 
 class TestObjectiveColumn:
     """``objective_exact`` is the mean of the data weights of the step taken
@@ -1203,6 +1221,26 @@ class TestTableCompare:
         assert os.getpid() not in {pid for pid, _ in ran}
         assert sorted(job for _, job in ran) == sorted(jobs)
         assert multiprocessing.active_children() == []
+
+    def test_each_cell_reads_its_sample_once(self, tmp_path, monkeypatch):
+        """A cell prepares its sample in the process that runs it: at any step count the
+        500-point sample is read once for each of the 3 ``sgd`` and 3 ``gd-ni`` cells
+        (the lattice nodes, points of their own, are read once a step)."""
+        reads, data_points = [], gradients._data_points
+
+        def read(data, *args):
+            reads.append(len(getattr(data, "points", data)))
+            return data_points(data, *args)
+
+        monkeypatch.setattr(gradients, "_data_points", read)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        counts = []
+        for T in (2, 20):
+            reads.clear()
+            assert main(["table-compare", "--config", "paper-4.2-d2", "--replications", "1",
+                         "--T", str(T), "--out-dir", str(tmp_path / str(T))]) == 0
+            counts.append(reads.count(500))
+        assert counts == [6, 6]
 
     def test_pooled_table_is_the_same_on_one_cpu_and_three(self, tmp_path, monkeypatch):
         tables = []
