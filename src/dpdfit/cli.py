@@ -28,8 +28,8 @@ import contextlib
 import itertools
 import math
 import os
+import pickle
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +73,8 @@ DEFAULTS = {
 }
 # Largest beta or gamma: far above the usual (0, 1], p**beta underflows to 0
 POWER_MAX = 10.0
-# Larger synthetic samples write data.csv on a worker thread (cut-off measured: README)
-_THREADED_CSV_ROWS = 131072
+# Larger synthetic samples write data.csv on a forked child (cut-off measured: README)
+_FORKED_CSV_ROWS = 131072
 
 # Benchmark presets, stated apart from DEFAULTS so that no default moves
 # them: the four scalar-model settings (outliers N(10, 1)) and the
@@ -431,21 +431,47 @@ def _write_estimate(run, final, objective, scale, complexity):
                [[_fmt(v) for v in values.values()] + [complexity]])
 
 
+def _fork_cpus():
+    """The CPUs this process may run on where ``os.fork`` exists, else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) if hasattr(os, "fork") else 1
+
+
 @contextlib.contextmanager
 def _writing_data_csv(run, ds):
     """Writes a synthetic sample to ``data.csv`` after the ``with`` body or, past
-    ``_THREADED_CSV_ROWS`` rows, on a worker thread while the body runs; the
-    worker is joined, its error raised, before the ``with`` exits."""
+    ``_FORKED_CSV_ROWS`` rows and on more than one :func:`_fork_cpus`, on one forked
+    child while the body runs.  The child sends its error back pickled over a pipe;
+    it is reaped, and its error raised, before the ``with`` exits."""
     path = os.path.join(run.out_dir, "data.csv")
-    if run.data or ds.n <= _THREADED_CSV_ROWS:
+    if run.data or ds.n <= _FORKED_CSV_ROWS or _fork_cpus() < 2:
         yield
         if not run.data:
             ds.to_csv(path)
         return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        written = pool.submit(ds.to_csv, path)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child inherits the sample; it ends here on every path
+        try:
+            ds.to_csv(path)
+            os._exit(0)
+        except BaseException as exc:
+            with contextlib.suppress(BaseException):
+                os.write(write, pickle.dumps(exc))
+        finally:
+            os._exit(1)
+    os.close(write)
+    try:
         yield
-    written.result()
+    finally:  # the read ends when the child exits, closing its end
+        with open(read, "rb") as fh:
+            sent = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 1 and sent:
+        raise pickle.loads(sent)
+    if code:  # killed, say for memory, or with an error it could not send
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(f"the data.csv writer ended by {how} without its result")
 
 
 def cmd_fit(run, write_estimate=True):
@@ -505,8 +531,7 @@ def cmd_table_compare(run):
     # every cell of a replication fits the same sample from the same start
     starts = [(ds, _initial_theta(run, ds)) for ds in (_dataset(run, rep) for rep in range(reps))]
     jobs = [(method, size, rep, *starts[rep]) for method, size, _ in cells for rep in range(reps)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    width = min(8, len(jobs), cpus or 1) if hasattr(os, "fork") else 1
+    width = min(8, len(jobs), _fork_cpus())
     if width == 1:
         outcomes = [_table_cell_run(run, *job) for job in jobs]
     else:  # imported here: multiprocessing would add a tenth to `import dpdfit.cli`

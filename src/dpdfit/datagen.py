@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .models import MAGNITUDE_MAX, Model
 
 # Rows per write in to_csv, same bytes at any value: a large dataset's text never exists at
-# once, and the CLI's writer thread's scratch (own arena, so peak RSS) is 5 MB here, 20 MB at 65536.
+# once, and a write's scratch (in the CLI's forked writer, for a large sample) is 5 MB here.
 _BLOCK_ROWS = 16384
 
 # Per binary exponent E in [1e-4, 1e15): q with |x| * 10**q in [1e16, 2e17),
@@ -81,20 +81,27 @@ def _csv_rows(points, labels):
         text[:, col:col + 4].view(np.uint32)[:, 0] = _QUADS[digits - high * 10000]
         digits = high
     places = sliding_window_view(text, 36, axis=1)[np.arange(x.size), 21 - q]
-    cells = np.empty((x.size, _W), np.uint8)
-    cells[:, 1:17], cells[:, 17], cells[:, 18:38], cells[:, 38] = (
-        places[:, :16], ord("."), places[:, 16:], ord(","))
+    # a row is its d cells, then label, "\r", "\n"; cells[i, j] is point i's coordinate j
+    rows = np.empty((len(labels), x.size // len(labels) * _W + 3), np.uint8)
+    cells = rows[:, :-3].reshape(len(labels), -1, _W)
+    cell = places.reshape(*cells.shape[:2], 36)
+    cells[..., 1:17], cells[..., 17], cells[..., 18:38], cells[..., 38] = (
+        cell[..., :16], ord("."), cell[..., 16:], ord(","))
+    rows[:, -3:] = [ord("0"), 13, 10]
+    rows[:, -3] += labels
     start, end = 17 - np.maximum(point, 1), 18 + np.maximum(q - zeros, 1)
     neg = np.flatnonzero(np.signbit(x) & exact)
     start[neg] -= 1
-    cells.ravel()[neg * _W + start[neg]] = ord("-")
+    cells[(*np.divmod(neg, cells.shape[1]), start[neg])] = ord("-")
     slow = np.flatnonzero(~exact)
     reprs = [repr(v) for v in x[slow].tolist()]
-    cells[slow, :24] = np.array(reprs, "S24").view(np.uint8).reshape(-1, 24)
+    cells[(*np.divmod(slow, cells.shape[1]), slice(0, 24))] = (
+        np.array(reprs, "S24").view(np.uint8).reshape(-1, 24))
     start[slow], end[slow] = 0, list(map(len, reprs))
-    shape = (len(labels), cells.size // len(labels))
-    rows = np.hstack([cells.reshape(shape), (labels[:, None] * [1, 0, 0] + [48, 13, 10]).astype(np.uint8)])
-    keep = np.hstack([_KEEP[start * _W + end].reshape(shape), np.ones((shape[0], 3), bool)])
+    keep = np.empty(rows.shape, bool)
+    keep[:, -3:] = True
+    np.take(_KEEP, (start * _W + end).reshape(cells.shape[:2]), axis=0,
+            out=keep[:, :-3].reshape(cells.shape), mode="clip")  # clip: no buffered copy
     return rows[keep].tobytes()
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import dpdfit
 from dpdfit import cli, gradients
-from dpdfit.cli import _THREADED_CSV_ROWS, DEFAULTS, PRESETS, main
+from dpdfit.cli import _FORKED_CSV_ROWS, DEFAULTS, PRESETS, main
 from dpdfit.datagen import Dataset
 from dpdfit.divergence import BLOCK, empirical_dpce, empirical_gce
 from dpdfit.optim import StepDecay
@@ -716,36 +716,61 @@ class TestCsvWriter:
 
 
 class TestDataCsvWriter:
-    """A sample of more than ``cli._THREADED_CSV_ROWS`` rows is written on a
-    worker thread while the descent runs; the run joins it before any other
-    output and before ``main`` returns."""
+    """A sample of more than ``cli._FORKED_CSV_ROWS`` rows is written, where two or
+    more CPUs are usable, by one forked child while the descent runs; the run reaps
+    the child before any other output and before ``main`` returns."""
 
-    LARGE = ["--n", str(_THREADED_CSV_ROWS + 1), "--T", "2"]
+    LARGE = ["--n", str(_FORKED_CSV_ROWS + 1), "--T", "2"]
 
     @pytest.fixture
-    def writers(self, monkeypatch):
-        """The thread of each ``Dataset.to_csv`` call."""
-        writers, to_csv = [], Dataset.to_csv
+    def writers(self, tmp_path, monkeypatch):
+        """At two CPUs: reads back the pid of each ``Dataset.to_csv`` call, which the
+        call appends to a file, so that a call in a child is seen too."""
+        marker, to_csv = tmp_path / "writers", Dataset.to_csv
 
         def recorded(ds, path):
-            writers.append(threading.current_thread())
+            with open(marker, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return to_csv(ds, path)
         monkeypatch.setattr(Dataset, "to_csv", recorded)
-        return writers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return lambda: [int(pid) for pid in marker.read_text().split()] if marker.exists() else []
+
+    @staticmethod
+    def assert_reaped(pid):
+        """``pid`` is no child of this process: not running, and not left unreaped."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
     @pytest.mark.parametrize("command", ["fit", "density-curves"])
-    @pytest.mark.parametrize("n, worker", [(_THREADED_CSV_ROWS, False),
-                                           (_THREADED_CSV_ROWS + 1, True)])
-    def test_a_large_sample_is_written_on_a_worker(self, tmp_path, writers, command, n,
-                                                   worker):
-        rc = main([command, "--n", str(n), "--T", "2", "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("n, cpus, child", [(_FORKED_CSV_ROWS, 2, False),
+                                                (_FORKED_CSV_ROWS + 1, 2, True),
+                                                (_FORKED_CSV_ROWS + 1, 1, False)])
+    def test_a_large_sample_is_written_on_a_child(self, tmp_path, monkeypatch, writers,
+                                                  command, n, cpus, child):
+        """On one CPU every sample is written in this process, after the descent."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        rc = main([command, "--n", str(n), "--T", "2", "--out-dir", str(tmp_path / "out")])
         assert rc == 0
-        assert [w is not threading.main_thread() for w in writers] == [worker]
+        assert [pid != os.getpid() for pid in writers()] == [child]
 
     @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
-    @pytest.mark.parametrize("n", ["50", str(_THREADED_CSV_ROWS + 1)])
+    def test_the_child_writes_the_serial_bytes(self, tmp_path, monkeypatch, command):
+        written = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / str(cpus)
+            assert main([command, *self.LARGE, "--out-dir", str(out)]) == 0
+            written.append((out / "data.csv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
+    @pytest.mark.parametrize("n", ["50", str(_FORKED_CSV_ROWS + 1)])
     def test_unwritable_data_csv_exits_one_before_other_outputs(self, tmp_path, capsys,
-                                                                 command, n):
+                                                                 monkeypatch, command, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         (tmp_path / "data.csv").mkdir()
         rc = main([command, "--n", n, "--T", "2", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -756,15 +781,62 @@ class TestDataCsvWriter:
     @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
     @pytest.mark.parametrize("code, extra", [(0, []), (2, ["--eta0", "1e12"]), (1, None)],
                              ids=["exit-0", "exit-2", "exit-1"])
-    def test_no_thread_outlives_main(self, tmp_path, capsys, writers, command, code, extra):
-        if extra is None:  # the worker starts, and fails
-            (tmp_path / "data.csv").mkdir()
+    def test_no_writer_outlives_main(self, tmp_path, capsys, writers, command, code, extra):
+        out = tmp_path / "out"
+        if extra is None:  # the child starts, and fails
+            (out / "data.csv").mkdir(parents=True)
         before = set(threading.enumerate())
-        rc = main([command, *self.LARGE, *(extra or []), "--out-dir", str(tmp_path)])
+        rc = main([command, *self.LARGE, *(extra or []), "--out-dir", str(out)])
         assert rc == code, capsys.readouterr().err
         assert not set(threading.enumerate()) - before
-        assert len(writers) == 1 and writers[0] is not threading.main_thread()
-        assert not writers[0].is_alive()
+        pids = writers()
+        assert len(pids) == 1 and pids[0] != os.getpid()
+        self.assert_reaped(pids[0])
+
+    @pytest.mark.parametrize("raised, line", [
+        (MemoryError(), "out of memory: the run's arrays do not fit"),
+        (ValueError("the writer's own message"), "the writer's own message"),
+    ])
+    def test_error_in_the_child_reaches_main(self, tmp_path, capsys, writers, monkeypatch,
+                                             raised, line):
+        """The child's error comes back pickled, with its type and message."""
+        recorded = Dataset.to_csv
+
+        def failing(ds, path):
+            recorded(ds, path)
+            raise raised
+        monkeypatch.setattr(Dataset, "to_csv", failing)
+        out = tmp_path / "out"
+        rc = main(["fit", *self.LARGE, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert sorted(os.listdir(out)) == ["config.echo", "data.csv"]
+        pids = writers()
+        assert len(pids) == 1 and pids[0] != os.getpid()
+        self.assert_reaped(pids[0])
+
+    @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
+    def test_killed_writer_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        """A child that ends without a result, here by SIGKILL after its header, as the
+        kernel's out-of-memory killer sends it, makes exit 1, not a traceback."""
+        parent = os.getpid()
+
+        def killed(ds, path):
+            with open(path, "w") as fh:
+                fh.write("x_1,outlier\r\n")
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("a large sample was written in the test's own process")
+
+        monkeypatch.setattr(Dataset, "to_csv", killed)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "out"
+        rc = main([command, *self.LARGE, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: the data.csv writer ended by signal "
+                                           f"{int(signal.SIGKILL)} without its result\n")
+        assert sorted(os.listdir(out)) == ["config.echo", "data.csv"]
 
 
 class TestConfigHandling:
@@ -1454,9 +1526,12 @@ class TestImport:
         """``table-compare`` imports its process pool when it makes one: the
         import would add about a tenth to ``import dpdfit.cli``.  Likewise
         ``main`` imports ``json`` and ``hashlib`` only to write ``run.json``, and
-        the CSVs are written without ``csv``."""
+        the CSVs are written without ``csv``.  The ``data.csv`` writer is a forked
+        child, so neither a thread pool (``concurrent.futures``) nor what it loads
+        (``logging``, ``queue``) is imported either."""
         code = ("import sys, dpdfit.cli; print(sorted(m for m in sys.modules if m in "
-                "('multiprocessing', 'concurrent.futures.process', 'json', 'hashlib', 'csv')))")
+                "('multiprocessing', 'concurrent.futures', 'concurrent.futures.process', "
+                "'logging', 'queue', 'json', 'hashlib', 'csv')))")
         done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]"]

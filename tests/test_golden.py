@@ -13,8 +13,9 @@ blocks and read it with ``np.loadtxt``.  The ``paper-4.2-d3`` ``table.csv``
 and the ``n = 20000`` ``estimate.csv`` were recorded before the lattice and
 data terms were evaluated in blocks of points; they are the runs whose
 kernel calls exceed one block.  The ``n = 20000`` ``data.csv`` was recorded
-before a sample of more than one CSV block was written on a worker thread,
-in blocks of 16384 rows.  Change them only for an intended numeric change,
+before ``Dataset.to_csv`` wrote in blocks of 16384 rows and before a large
+sample was written beside the descent (on a worker thread, and now on a
+forked child).  Change them only for an intended numeric change,
 and say so in CHANGES.md.
 """
 
