@@ -438,40 +438,55 @@ def _fork_cpus():
 
 
 @contextlib.contextmanager
-def _writing_data_csv(run, ds):
-    """Writes a synthetic sample to ``data.csv`` after the ``with`` body or, past
-    ``_FORKED_CSV_ROWS`` rows and on more than one :func:`_fork_cpus`, on one forked
-    child while the body runs.  The child sends its error back pickled over a pipe;
-    it is reaped, and its error raised, before the ``with`` exits."""
-    path = os.path.join(run.out_dir, "data.csv")
-    if run.data or ds.n <= _FORKED_CSV_ROWS or _fork_cpus() < 2:
-        yield
-        if not run.data:
-            ds.to_csv(path)
-        return
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child inherits the sample; it ends here on every path
-        try:
-            ds.to_csv(path)
-            os._exit(0)
-        except BaseException as exc:
-            with contextlib.suppress(BaseException):
-                os.write(write, pickle.dumps(exc))
-        finally:
-            os._exit(1)
-    os.close(write)
+def _forked(what, tasks, fork):
+    """Runs ``tasks``, functions of no argument, in order after the ``with`` body or, with
+    ``fork``, each on a child forked as the body starts, which pickles back its result or
+    error over a pipe and always ends with ``os._exit``.  Every child is reaped before the
+    ``with`` exits, even if a later fork or the body raises; only then is the yielded list
+    filled with the results in order, or the first error in order raised."""
+    children, ended, results = [], [], []
     try:
-        yield
-    finally:  # the read ends when the child exits, closing its end
-        with open(read, "rb") as fh:
-            sent = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 1 and sent:
-        raise pickle.loads(sent)
-    if code:  # killed, say for memory, or with an error it could not send
-        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(f"the data.csv writer ended by {how} without its result")
+        for task in tasks if fork else []:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:  # say, BlockingIOError at the process limit
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child ends here on every path
+                with contextlib.suppress(BaseException):
+                    try:
+                        sent = True, task()
+                    except BaseException as exc:
+                        sent = False, exc
+                    with open(write, "wb") as fh:
+                        pickle.dump(sent, fh)
+                    os._exit(0)
+                os._exit(1)
+            os.close(write)
+            children.append((pid, read))
+        yield results
+    finally:  # a read ends when its child exits, closing its end
+        for pid, read in children:
+            with open(read, "rb") as fh:
+                ended.append((fh.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for sent, code in ended:
+        if code:  # killed, say for memory, or with an error it could not send
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"{what} ended by {how} without its result")
+        ok, value = pickle.loads(sent)
+        if not ok:
+            raise value
+        results.append(value)
+    results.extend(task() for task in tasks if not fork)
+
+
+def _writing_data_csv(run, ds):
+    """A ``with`` that writes a synthetic sample to ``data.csv`` after its body or on a child."""
+    path = os.path.join(run.out_dir, "data.csv")
+    return _forked("the data.csv writer", [] if run.data else [lambda: ds.to_csv(path)],
+                   fork=ds.n > _FORKED_CSV_ROWS and _fork_cpus() > 1)
 
 
 def cmd_fit(run, write_estimate=True):
@@ -518,38 +533,31 @@ def _table_cell_run(run, method, size, rep, ds, theta0):
     return _mse(run, result.trace[-1]), result.reason
 
 
-def _table_cell_job(*job):  # looks the name up in the worker, so that a patch reaches it
-    return _table_cell_run(*job)
-
-
 def cmd_table_compare(run):
-    """Every cell of every replication is one job; where ``os.fork`` exists and more than
-    one CPU is usable, the jobs run on forked worker processes, longest first."""
+    """One job per cell per replication, replication by replication; every cell of a
+    replication fits its one sample from its one start.  On more than one usable CPU each
+    :func:`_forked` worker runs a contiguous share of near-equal summed ``n + size`` and
+    stops at its first error, so the error raised is the first in the serial order."""
     reps = run.replications
     cells = [("sgd", m, m) for m in run.m_values] + [("gd-ni", g, g.total_points(run.model))
                                                      for g in run.lattices]
-    # every cell of a replication fits the same sample from the same start
     starts = [(ds, _initial_theta(run, ds)) for ds in (_dataset(run, rep) for rep in range(reps))]
-    jobs = [(method, size, rep, *starts[rep]) for method, size, _ in cells for rep in range(reps)]
+    jobs = [(method, size, rep, *starts[rep]) for rep in range(reps) for method, size, _ in cells]
     width = min(8, len(jobs), _fork_cpus())
-    if width == 1:
-        outcomes = [_table_cell_run(run, *job) for job in jobs]
-    else:  # imported here: multiprocessing would add a tenth to `import dpdfit.cli`
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        from multiprocessing import get_context
-        order = sorted(range(len(jobs)), key=lambda j: -cells[j // reps][2])  # by n + size
-        with ProcessPoolExecutor(width, mp_context=get_context("fork")) as pool:
-            futures = dict(zip(order, (pool.submit(_table_cell_job, run, *jobs[j]) for j in order)))
-            try:
-                outcomes = [futures[j].result() for j in range(len(jobs))]
-            except BrokenProcessPool:  # a worker was killed, say for memory
-                raise ChildProcessError("a table worker ended without a result") from None
-            finally:  # after an error, start no job that is still waiting
-                pool.shutdown(cancel_futures=True)
+    ends = list(itertools.accumulate([run.spec.n + total for *_, total in cells] * reps))
+    cuts = [0]
+    for k in range(1, width):  # the cut nearest k equal parts that leaves each share a job
+        cuts.append(min(range(cuts[-1] + 1, len(jobs) - width + k + 1),
+                        key=lambda i: abs(ends[i - 1] - k * ends[-1] / width)))
+    tasks = [lambda share=jobs[a:b]: [_table_cell_run(run, *job) for job in share]
+             for a, b in zip(cuts, cuts[1:] + [len(jobs)])]
+    with _forked("a table worker", tasks, fork=width > 1) as results:
+        pass
+    outcomes = sum(results, [])
 
     rows, stops = [], []
     for i, (method, _, total) in enumerate(cells):
-        cell = outcomes[i * reps:(i + 1) * reps]
+        cell = outcomes[i::len(cells)]
         mses = np.array([mse for mse, _ in cell])
         sd = mses.std(ddof=1) if reps > 1 else 0.0
         rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.spec.n + total)])
@@ -604,7 +612,7 @@ def main(argv=None):
         with open(os.path.join(run.out_dir, "config.echo"), "w") as fh:
             fh.writelines(f"{key} = {cfg[key]}\n" for key in sorted(cfg))
         stops, evaluations = command(run)
-        _write_record(run, name, cfg, stops, evaluations)  # the pool has joined
+        _write_record(run, name, cfg, stops, evaluations)  # every child is reaped
         if not stops:
             return 0
         reason, code = stops[0], 2

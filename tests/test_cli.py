@@ -1,12 +1,12 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import glob
 import hashlib
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import platform
 import re
@@ -16,7 +16,6 @@ import sys
 import tempfile
 import threading
 import warnings
-from concurrent.futures import process
 from unittest import mock
 
 import numpy as np
@@ -74,6 +73,46 @@ def last_complexity(out):
     """The ``complexity`` of the last row of ``out/trace.csv``."""
     header, rows = read_csv(os.path.join(out, "trace.csv"))
     return int(rows[-1][header.index("complexity")])
+
+
+def assert_reaped(pid):
+    """``pid`` is no child of this process: not running, and not left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+def open_fds():
+    """The count of this process's open file descriptors; skips where ``/proc`` has none."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    return len(os.listdir("/proc/self/fd"))
+
+
+# what os.fork raises at the process limit
+FORK_LIMIT = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def fork_fails_after(monkeypatch, forks):
+    """Patches ``os.fork`` to fork ``forks`` times and then raise ``FORK_LIMIT``."""
+    fork, calls = os.fork, []
+
+    def limited():
+        calls.append(None)
+        if len(calls) > forks:
+            raise FORK_LIMIT
+        return fork()
+    monkeypatch.setattr(os, "fork", limited)
+
+
+def thread_starts(monkeypatch):
+    """Patches ``threading.Thread.start`` to record the name of each thread started."""
+    started, start = [], threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        return start(thread)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
 
 
 class TestFit:
@@ -736,12 +775,6 @@ class TestDataCsvWriter:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return lambda: [int(pid) for pid in marker.read_text().split()] if marker.exists() else []
 
-    @staticmethod
-    def assert_reaped(pid):
-        """``pid`` is no child of this process: not running, and not left unreaped."""
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
     @pytest.mark.parametrize("command", ["fit", "density-curves"])
     @pytest.mark.parametrize("n, cpus, child", [(_FORKED_CSV_ROWS, 2, False),
                                                 (_FORKED_CSV_ROWS + 1, 2, True),
@@ -791,7 +824,7 @@ class TestDataCsvWriter:
         assert not set(threading.enumerate()) - before
         pids = writers()
         assert len(pids) == 1 and pids[0] != os.getpid()
-        self.assert_reaped(pids[0])
+        assert_reaped(pids[0])
 
     @pytest.mark.parametrize("raised, line", [
         (MemoryError(), "out of memory: the run's arrays do not fit"),
@@ -813,7 +846,7 @@ class TestDataCsvWriter:
         assert sorted(os.listdir(out)) == ["config.echo", "data.csv"]
         pids = writers()
         assert len(pids) == 1 and pids[0] != os.getpid()
-        self.assert_reaped(pids[0])
+        assert_reaped(pids[0])
 
     @pytest.mark.parametrize("command", ["fit", "trace", "density-curves"])
     def test_killed_writer_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch,
@@ -837,6 +870,26 @@ class TestDataCsvWriter:
         assert capsys.readouterr().err == (f"error: the data.csv writer ended by signal "
                                            f"{int(signal.SIGKILL)} without its result\n")
         assert sorted(os.listdir(out)) == ["config.echo", "data.csv"]
+
+    def test_failed_fork_exits_one_and_leaves_no_descriptor_open(self, tmp_path, capsys,
+                                                                 writers, monkeypatch):
+        """A fork refused at the process limit exits 1 with its one line, and closes both
+        ends of the pipe made for the child."""
+        fork_fails_after(monkeypatch, 0)
+        out = tmp_path / "out"
+        before = open_fds()
+        rc = main(["fit", *self.LARGE, "--out-dir", str(out)])
+        assert open_fds() == before
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {FORK_LIMIT}\n"
+        assert os.listdir(out) == ["config.echo"] and writers() == []
+
+    def test_forked_writer_starts_no_thread(self, tmp_path, writers, monkeypatch):
+        started = thread_starts(monkeypatch)
+        assert main(["fit", *self.LARGE, "--out-dir", str(tmp_path)]) == 0
+        pids = writers()
+        assert len(pids) == 1 and pids[0] != os.getpid()
+        assert started == []
 
 
 class TestConfigHandling:
@@ -1239,31 +1292,26 @@ class TestTableCompare:
 
     @pytest.mark.parametrize("cpus, reps, width", [(1, 4, None), (3, 4, 3), (3, 1, 2),
                                                    (16, 5, 8)])
-    def test_pool_no_wider_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus, reps,
-                                                width):
-        """Width ``min(8, jobs, CPUs)``, the jobs being 2 cells times ``reps``; at one
-        CPU there is no pool and every cell runs in this process."""
-        widths, cells = [], _recorded_cells(tmp_path, monkeypatch)
-
-        class Pool(process.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                widths.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Pool)
+    def test_workers_no_more_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus, reps,
+                                                  width):
+        """``min(8, jobs, CPUs)`` workers, the jobs being 2 cells times ``reps``; at one
+        CPU nothing is forked and every cell runs in this process."""
+        cells = _recorded_cells(tmp_path, monkeypatch)
+        if not width:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked at one CPU"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
                    "--replications", str(reps), "--m-values", "4", "--big-m-values", "3",
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 0
-        assert widths == ([width] if width else [])
         pids = [pid for pid, _ in cells()]
         assert len(pids) == 2 * reps
         if width:
-            assert os.getpid() not in pids and len(set(pids)) <= width
+            assert os.getpid() not in pids and len(set(pids)) == width
+            for pid in set(pids):
+                assert_reaped(pid)
         else:
             assert set(pids) == {os.getpid()}
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("flags", [
         ["--n", "60", "--m-values", "4", "--big-m-values", "200,3"],
@@ -1271,28 +1319,39 @@ class TestTableCompare:
         # the cells on both sides of BLOCK points a step: no size rule picks the pooled ones
         ["--n", str(BLOCK - 4), "--m-values", "3,4", "--big-m-values", "3"],
     ])
-    def test_every_cell_runs_on_a_worker_longest_first(self, tmp_path, monkeypatch, flags):
-        """At two CPUs every job goes on the pool, submitted by ``n + size`` from the
-        longest, ties in the order of the table's rows and then replications."""
-        submitted, cells = [], _recorded_cells(tmp_path, monkeypatch)
-
-        class Pool(process.ProcessPoolExecutor):
-            def submit(self, fn, run, method, size, rep, *rest):
-                submitted.append(_job_key(run, method, size, rep))
-                return super().submit(fn, run, method, size, rep, *rest)
-
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Pool)
+    def test_every_cell_runs_on_a_worker_in_contiguous_shares(self, tmp_path, monkeypatch,
+                                                              flags):
+        """At two CPUs every job runs on one of two workers, none in this process, and
+        each worker runs a contiguous share of the job order (replications, then the
+        table's rows), in that order."""
+        cells = _recorded_cells(tmp_path, monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--replications", "3",
                    "--out-dir", str(tmp_path / "out")] + flags)
         assert rc == 0
         _, rows = read_csv(tmp_path / "out" / "table.csv")
-        jobs = [(method, int(size), rep) for method, size, *_ in rows for rep in range(3)]
-        assert submitted == sorted(jobs, key=lambda job: -job[1])  # a stable sort
-        ran = cells()
-        assert os.getpid() not in {pid for pid, _ in ran}
-        assert sorted(job for _, job in ran) == sorted(jobs)
-        assert multiprocessing.active_children() == []
+        jobs = [(method, int(size), rep) for rep in range(3) for method, size, *_ in rows]
+        shares = {}
+        for pid, job in cells():  # a worker's lines keep its order
+            shares.setdefault(pid, []).append(job)
+        assert os.getpid() not in shares and len(shares) == 2
+        assert sum(sorted(shares.values(), key=lambda share: jobs.index(share[0])), []) == jobs
+        for pid in shares:
+            assert_reaped(pid)
+
+    def test_two_workers_run_a_replication_each(self, tmp_path, monkeypatch):
+        """Shares are cut at near-equal summed ``n + size``: at two CPUs, two equal
+        replications split one a worker, so that their largest cells run side by side."""
+        cells = _recorded_cells(tmp_path, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                   "--replications", "2", "--big-m-values", "3,10,200",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        reps = {}
+        for pid, (_, _, rep) in cells():
+            reps.setdefault(pid, []).append(rep)
+        assert sorted(reps.values()) == [[0] * 6, [1] * 6]
 
     def test_each_cell_reads_its_sample_once(self, tmp_path, monkeypatch):
         """A cell prepares its sample in the process that runs it: at any step count the
@@ -1329,7 +1388,7 @@ class TestTableCompare:
 
     @pytest.mark.parametrize("flag", ["--init=9,9", "--proposal=normal:0.5,1"])
     def test_cells_take_init_and_proposal(self, tmp_path, monkeypatch, flag):
-        """On two CPUs, so that the workers get the ``Run`` of each flag pickled."""
+        """On two CPUs, so that the workers run with the ``Run`` of each flag."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         args = ["table-compare", "--config", "paper-4.2-d2", "--T", "5", "--n", "60",
                 "--replications", "2", "--m-values", "4", "--big-m-values", "3"]
@@ -1369,15 +1428,18 @@ class TestTableCompare:
         assert os.listdir(out) == ["config.echo"]
         ran = {int(pid) for pid in pids.read_text().split()}
         assert ran and os.getpid() not in ran
-        assert multiprocessing.active_children() == []
+        for pid in ran:
+            assert_reaped(pid)
 
     def test_killed_worker_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch):
         """A worker that ends without a result, here by SIGKILL as the kernel's
         out-of-memory killer sends it, makes exit 1, not a traceback."""
-        parent = os.getpid()
+        parent, pids = os.getpid(), tmp_path / "pids"
 
         def killed(*args):
             if os.getpid() != parent:
+                with open(pids, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
                 os.kill(os.getpid(), signal.SIGKILL)
             raise AssertionError("a lattice cell ran in the test's own process")
 
@@ -1385,11 +1447,58 @@ class TestTableCompare:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
                    "--replications", "2", "--m-values", "4", "--big-m-values", "3",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: a table worker ended by signal "
+                                           f"{int(signal.SIGKILL)} without its result\n")
+        assert os.listdir(tmp_path / "out") == ["config.echo"]
+        for pid in map(int, pids.read_text().split()):
+            assert_reaped(pid)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_error_is_the_serial_orders(self, tmp_path, capsys, monkeypatch, cpus):
+        """Of two failing jobs, one early and one late in the job order (which at two and
+        three CPUs run on different workers), the early one's error is the one printed."""
+        cell_run, errors = cli._table_cell_run, {("sgd", 4, 1): "early", ("gd-ni", 9, 2): "late"}
+
+        def failing(run, method, size, rep, *rest):
+            if (key := _job_key(run, method, size, rep)) in errors:
+                raise ValueError(f"the {errors[key]} job failed")
+            return cell_run(run, method, size, rep, *rest)
+
+        monkeypatch.setattr(cli, "_table_cell_run", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                   "--replications", "3", "--m-values", "4", "--big-m-values", "3",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: a table worker ended without a result\n"
+        assert capsys.readouterr().err == "error: the early job failed\n"
         assert os.listdir(tmp_path) == ["config.echo"]
-        assert multiprocessing.active_children() == []
+
+    def test_failed_second_fork_reaps_the_first_worker(self, tmp_path, capsys, monkeypatch):
+        """A worker fork refused at the process limit exits 1 with its one line, after
+        the worker already started has ended and been reaped, and leaves no pipe open."""
+        cells = _recorded_cells(tmp_path, monkeypatch)
+        fork_fails_after(monkeypatch, 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        out = tmp_path / "out"
+        before = open_fds()
+        rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                   "--replications", "3", "--out-dir", str(out)])
+        assert open_fds() == before
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {FORK_LIMIT}\n"
+        assert os.listdir(out) == ["config.echo"]
+        pids = {pid for pid, _ in cells()}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert_reaped(pids.pop())
+
+    def test_workers_start_no_thread(self, tmp_path, monkeypatch):
+        started = thread_starts(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                     "--replications", "2", "--out-dir", str(tmp_path)]) == 0
+        assert started == []
 
     @pytest.mark.parametrize("command", ["table-compare", "density-curves"])
     def test_dpd_commands_reject_gamma(self, tmp_path, capsys, command):
@@ -1523,18 +1632,28 @@ class TestImport:
         assert done.stdout.split() == ["[]", "False"]
 
     def test_cli_import_does_not_load_multiprocessing(self):
-        """``table-compare`` imports its process pool when it makes one: the
-        import would add about a tenth to ``import dpdfit.cli``.  Likewise
-        ``main`` imports ``json`` and ``hashlib`` only to write ``run.json``, and
-        the CSVs are written without ``csv``.  The ``data.csv`` writer is a forked
-        child, so neither a thread pool (``concurrent.futures``) nor what it loads
-        (``logging``, ``queue``) is imported either."""
+        """``main`` imports ``json`` and ``hashlib`` only to write ``run.json``, and
+        the CSVs are written without ``csv``.  The table's workers and the ``data.csv``
+        writer are children forked by ``os.fork``, so neither ``multiprocessing`` nor
+        ``concurrent.futures`` nor what they load (``logging``, ``queue``) is imported."""
         code = ("import sys, dpdfit.cli; print(sorted(m for m in sys.modules if m in "
                 "('multiprocessing', 'concurrent.futures', 'concurrent.futures.process', "
                 "'logging', 'queue', 'json', 'hashlib', 'csv')))")
         done = _python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]"]
+
+    def test_forked_table_loads_no_process_pool(self, tmp_path):
+        """Nor does a table run on two CPUs, whose workers are forked children."""
+        argv = ["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
+                "--replications", "2", "--out-dir", str(tmp_path)]
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                f"from dpdfit.cli import main; rc = main({argv!r}); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('multiprocessing', 'concurrent')))")
+        done = _python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "[]"]
 
 
 class TestEntryPoint:
