@@ -29,6 +29,8 @@ import itertools
 import math
 import os
 import pickle
+import select
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -438,55 +440,85 @@ def _fork_cpus():
 
 
 @contextlib.contextmanager
-def _forked(what, tasks, fork):
-    """Runs ``tasks``, functions of no argument, in order after the ``with`` body or, with
-    ``fork``, each on a child forked as the body starts, which pickles back its result or
-    error over a pipe and always ends with ``os._exit``.  Every child is reaped before the
-    ``with`` exits, even if a later fork or the body raises; only then is the yielded list
-    filled with the results in order, or the first error in order raised."""
-    children, ended, results = [], [], []
+def _forked(what, tasks, width):
+    """Runs ``tasks``, functions of no argument, in order after the ``with`` body or, at a
+    ``width`` above 1, on up to ``width`` children forked as the body starts: an idle child
+    is sent the next task's index and pickles back its result or error.  After a failed
+    task none is sent, and the children running later ones are killed.  Every child is
+    reaped before the ``with`` exits, even if a fork or the body raises; then the yielded
+    list takes the results in order, or the first error in order is raised."""
+    children, busy, ended, results = {}, {}, {}, []  # keyed by a child's result reader
+    waiting = list(range(len(tasks)))[::-1] if width > 1 else []
+
+    def send(reader):  # the next task's index, a line on the child's orders pipe
+        busy[reader] = waiting.pop()
+        os.write(children[reader][1], b"%d\n" % busy[reader])
+
     try:
-        for task in tasks if fork else []:
-            read, write = os.pipe()
+        while waiting and len(children) < width:
+            (order_r, order_w), (result_r, result_w) = os.pipe(), os.pipe()
             try:
                 pid = os.fork()
             except BaseException:  # say, BlockingIOError at the process limit
-                os.close(read)
-                os.close(write)
+                for fd in (order_r, order_w, result_r, result_w):
+                    os.close(fd)
                 raise
             if pid == 0:  # the child ends here on every path
                 with contextlib.suppress(BaseException):
-                    try:
-                        sent = True, task()
-                    except BaseException as exc:
-                        sent = False, exc
-                    with open(write, "wb") as fh:
-                        pickle.dump(sent, fh)
+                    os.close(order_w)  # the parent's end, whose closing ends the orders
+                    with open(order_r, "rb") as orders, open(result_w, "wb") as out:
+                        for line in orders:  # until the parent closes its end
+                            try:
+                                sent = True, tasks[int(line)]()
+                            except BaseException as exc:
+                                sent = False, exc
+                            pickle.dump(sent, out)
+                            out.flush()
                     os._exit(0)
                 os._exit(1)
-            os.close(write)
-            children.append((pid, read))
+            os.close(order_r)
+            os.close(result_w)
+            reader = open(result_r, "rb")
+            children[reader] = pid, order_w
+            send(reader)
         yield results
-    finally:  # a read ends when its child exits, closing its end
-        for pid, read in children:
-            with open(read, "rb") as fh:
-                ended.append((fh.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for sent, code in ended:
-        if code:  # killed, say for memory, or with an error it could not send
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise ChildProcessError(f"{what} ended by {how} without its result")
-        ok, value = pickle.loads(sent)
+        while busy:
+            reader = select.select(list(busy), [], [])[0][0]
+            i = busy.pop(reader)
+            try:
+                ended[i] = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):  # it sent nothing, or not all
+                pid, orders = children.pop(reader)
+                reader.close()
+                os.close(orders)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"  # say, for memory
+                ended[i] = False, ChildProcessError(f"{what} ended by {how} without its result")
+            failed = [j for j, (ok, _) in ended.items() if not ok]
+            if waiting and not failed and reader in children:
+                send(reader)
+            for other, j in busy.items():  # only an earlier task can fail earlier
+                if failed and j > min(failed):
+                    os.kill(children[other][0], signal.SIGKILL)
+    finally:  # a child ends at the end of its orders, once its task is done
+        for _, orders in children.values():
+            os.close(orders)
+        for reader, (pid, orders) in children.items():
+            reader.read()
+            reader.close()
+            os.waitpid(pid, 0)
+    for ok, value in (ended[i] for i in sorted(ended)):
         if not ok:
             raise value
         results.append(value)
-    results.extend(task() for task in tasks if not fork)
+    results.extend(task() for task in tasks if width < 2)
 
 
 def _writing_data_csv(run, ds):
     """A ``with`` that writes a synthetic sample to ``data.csv`` after its body or on a child."""
     path = os.path.join(run.out_dir, "data.csv")
     return _forked("the data.csv writer", [] if run.data else [lambda: ds.to_csv(path)],
-                   fork=ds.n > _FORKED_CSV_ROWS and _fork_cpus() > 1)
+                   _fork_cpus() if ds.n > _FORKED_CSV_ROWS else 1)
 
 
 def cmd_fit(run, write_estimate=True):
@@ -534,30 +566,25 @@ def _table_cell_run(run, method, size, rep, ds, theta0):
 
 
 def cmd_table_compare(run):
-    """One job per cell per replication, replication by replication; every cell of a
-    replication fits its one sample from its one start.  On more than one usable CPU each
-    :func:`_forked` worker runs a contiguous share of near-equal summed ``n + size`` and
-    stops at its first error, so the error raised is the first in the serial order."""
+    """One job per cell per replication; every cell of a replication fits its one sample
+    from its one start.  The jobs run longest first by ``n + size``, ties in the order of
+    the table's rows and then replications: in this process on one usable CPU, else on
+    at most 8 :func:`_forked` workers.  The error raised is the first in that order."""
     reps = run.replications
     cells = [("sgd", m, m) for m in run.m_values] + [("gd-ni", g, g.total_points(run.model))
                                                      for g in run.lattices]
     starts = [(ds, _initial_theta(run, ds)) for ds in (_dataset(run, rep) for rep in range(reps))]
-    jobs = [(method, size, rep, *starts[rep]) for rep in range(reps) for method, size, _ in cells]
-    width = min(8, len(jobs), _fork_cpus())
-    ends = list(itertools.accumulate([run.spec.n + total for *_, total in cells] * reps))
-    cuts = [0]
-    for k in range(1, width):  # the cut nearest k equal parts that leaves each share a job
-        cuts.append(min(range(cuts[-1] + 1, len(jobs) - width + k + 1),
-                        key=lambda i: abs(ends[i - 1] - k * ends[-1] / width)))
-    tasks = [lambda share=jobs[a:b]: [_table_cell_run(run, *job) for job in share]
-             for a, b in zip(cuts, cuts[1:] + [len(jobs)])]
-    with _forked("a table worker", tasks, fork=width > 1) as results:
+    jobs = sorted(((i, rep) for i in range(len(cells)) for rep in range(reps)),
+                  key=lambda job: -cells[job[0]][2])  # a stable sort
+    tasks = [lambda i=i, rep=rep: _table_cell_run(run, *cells[i][:2], rep, *starts[rep])
+             for i, rep in jobs]
+    with _forked("a table worker", tasks, min(8, _fork_cpus())) as results:
         pass
-    outcomes = sum(results, [])
+    outcomes = dict(zip(jobs, results))
 
     rows, stops = [], []
     for i, (method, _, total) in enumerate(cells):
-        cell = outcomes[i::len(cells)]
+        cell = [outcomes[i, rep] for rep in range(reps)]
         mses = np.array([mse for mse, _ in cell])
         sd = mses.std(ddof=1) if reps > 1 else 0.0
         rows.append([method, total, _fmt(mses.mean()), _fmt(sd), run.T * (run.spec.n + total)])

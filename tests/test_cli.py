@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -102,6 +103,20 @@ def fork_fails_after(monkeypatch, forks):
             raise FORK_LIMIT
         return fork()
     monkeypatch.setattr(os, "fork", limited)
+
+
+def recorded_forks(monkeypatch):
+    """Patches ``os.fork`` to record, in this process, each child's pid in the order
+    forked; returns the list."""
+    fork, pids = os.fork, []
+
+    def forked():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", forked)
+    return pids
 
 
 def thread_starts(monkeypatch):
@@ -1294,10 +1309,13 @@ class TestTableCompare:
                                                    (16, 5, 8)])
     def test_workers_no_more_than_the_usable_cpus(self, tmp_path, monkeypatch, cpus, reps,
                                                   width):
-        """``min(8, jobs, CPUs)`` workers, the jobs being 2 cells times ``reps``; at one
-        CPU nothing is forked and every cell runs in this process."""
+        """``min(8, jobs, CPUs)`` workers, each running a job at least, the jobs being 2
+        cells times ``reps``; at one CPU nothing is forked and every cell runs in this
+        process."""
         cells = _recorded_cells(tmp_path, monkeypatch)
-        if not width:
+        if width:
+            forks = recorded_forks(monkeypatch)
+        else:
             monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked at one CPU"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
@@ -1307,8 +1325,8 @@ class TestTableCompare:
         pids = [pid for pid, _ in cells()]
         assert len(pids) == 2 * reps
         if width:
-            assert os.getpid() not in pids and len(set(pids)) == width
-            for pid in set(pids):
+            assert len(forks) == width and set(pids) == set(forks)
+            for pid in forks:
                 assert_reaped(pid)
         else:
             assert set(pids) == {os.getpid()}
@@ -1316,42 +1334,61 @@ class TestTableCompare:
     @pytest.mark.parametrize("flags", [
         ["--n", "60", "--m-values", "4", "--big-m-values", "200,3"],
         ["--n", "60", "--m-values", "4", "--big-m-values", "3"],
-        # the cells on both sides of BLOCK points a step: no size rule picks the pooled ones
+        # the cells on both sides of BLOCK points a step: no size rule picks the forked ones
         ["--n", str(BLOCK - 4), "--m-values", "3,4", "--big-m-values", "3"],
     ])
-    def test_every_cell_runs_on_a_worker_in_contiguous_shares(self, tmp_path, monkeypatch,
-                                                              flags):
-        """At two CPUs every job runs on one of two workers, none in this process, and
-        each worker runs a contiguous share of the job order (replications, then the
-        table's rows), in that order."""
+    def test_every_cell_runs_on_a_worker_longest_first(self, tmp_path, monkeypatch, flags):
+        """At two CPUs every job runs once on one of two workers, none in this process;
+        the jobs are sent by ``n + size`` from the longest, ties in the order of the
+        table's rows and then replications, so each worker runs its jobs in that order,
+        and the first job of each is one of the two longest."""
         cells = _recorded_cells(tmp_path, monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--replications", "3",
                    "--out-dir", str(tmp_path / "out")] + flags)
         assert rc == 0
         _, rows = read_csv(tmp_path / "out" / "table.csv")
-        jobs = [(method, int(size), rep) for rep in range(3) for method, size, *_ in rows]
-        shares = {}
+        jobs = sorted([(method, int(size), rep) for method, size, *_ in rows for rep in range(3)],
+                      key=lambda job: -job[1])  # a stable sort
+        ran = {}
         for pid, job in cells():  # a worker's lines keep its order
-            shares.setdefault(pid, []).append(job)
-        assert os.getpid() not in shares and len(shares) == 2
-        assert sum(sorted(shares.values(), key=lambda share: jobs.index(share[0])), []) == jobs
-        for pid in shares:
+            ran.setdefault(pid, []).append(jobs.index(job))
+        assert os.getpid() not in ran and len(ran) == 2
+        assert sorted(sum(ran.values(), [])) == list(range(len(jobs)))
+        assert all(order == sorted(order) for order in ran.values())
+        assert sorted(order[0] for order in ran.values()) == [0, 1]
+        for pid in ran:
             assert_reaped(pid)
 
-    def test_two_workers_run_a_replication_each(self, tmp_path, monkeypatch):
-        """Shares are cut at near-equal summed ``n + size``: at two CPUs, two equal
-        replications split one a worker, so that their largest cells run side by side."""
-        cells = _recorded_cells(tmp_path, monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_an_error_stops_the_later_jobs(self, tmp_path, capsys, monkeypatch, cpus):
+        """Once the first job has failed no later job is sent, and the workers running
+        later jobs are killed: the table exits 1 without waiting for them."""
+        started, cell_run = tmp_path / "started", cli._table_cell_run
+
+        def cell(run, method, size, rep, *rest):
+            with open(started, "a") as fh:
+                fh.write("{} {} {} {}\n".format(os.getpid(), *_job_key(run, method, size, rep)))
+            if (method, rep) == ("gd-ni", 0):  # the first job, the longest
+                raise ValueError("the first job failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "_table_cell_run", cell)
+        forks = recorded_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        begun = time.perf_counter()
         rc = main(["table-compare", "--config", "paper-4.2-d2", "--T", "3", "--n", "60",
-                   "--replications", "2", "--big-m-values", "3,10,200",
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 0
-        reps = {}
-        for pid, (_, _, rep) in cells():
-            reps.setdefault(pid, []).append(rep)
-        assert sorted(reps.values()) == [[0] * 6, [1] * 6]
+                   "--replications", "3", "--m-values", "4", "--big-m-values", "3",
+                   "--out-dir", str(tmp_path)])
+        assert time.perf_counter() - begun < 30
+        assert rc == 1
+        assert capsys.readouterr().err == "error: the first job failed\n"
+        lines = [line.split() for line in started.read_text().splitlines()]
+        jobs = [("gd-ni", "9", str(rep)) for rep in range(3)] + [("sgd", "4", "0")]
+        assert len(forks) == cpus
+        assert {tuple(job) for _, *job in lines} <= set(jobs[:cpus])
+        for pid in forks:
+            assert_reaped(pid)
 
     def test_each_cell_reads_its_sample_once(self, tmp_path, monkeypatch):
         """A cell prepares its sample in the process that runs it: at any step count the
@@ -1458,11 +1495,13 @@ class TestTableCompare:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_first_error_is_the_serial_orders(self, tmp_path, capsys, monkeypatch, cpus):
         """Of two failing jobs, one early and one late in the job order (which at two and
-        three CPUs run on different workers), the early one's error is the one printed."""
-        cell_run, errors = cli._table_cell_run, {("sgd", 4, 1): "early", ("gd-ni", 9, 2): "late"}
+        three CPUs run on different workers), the early one's error is the one printed,
+        also where the late one fails first."""
+        cell_run, errors = cli._table_cell_run, {("gd-ni", 9, 1): "early", ("sgd", 4, 2): "late"}
 
         def failing(run, method, size, rep, *rest):
             if (key := _job_key(run, method, size, rep)) in errors:
+                time.sleep(0.3 if errors[key] == "early" else 0)
                 raise ValueError(f"the {errors[key]} job failed")
             return cell_run(run, method, size, rep, *rest)
 
