@@ -1497,7 +1497,7 @@ class TestTableCompare:
         """Of two failing jobs, one early and one late in the job order (which at two and
         three CPUs run on different workers), the early one's error is the one printed,
         also where the late one fails first."""
-        cell_run, errors = cli._table_cell_run, {("gd-ni", 9, 1): "early", ("sgd", 4, 2): "late"}
+        cell_run, errors = cli._table_cell_run, {("gd-ni", 9, 1): "early", ("gd-ni", 9, 2): "late"}
 
         def failing(run, method, size, rep, *rest):
             if (key := _job_key(run, method, size, rep)) in errors:
